@@ -47,9 +47,9 @@ int main() {
     total_states += exact.states_explored;
     const double opt = exact.max_flow;
 
-    opt_over_sim.push_back(opt / core::opt_sim_lower_bound(inst, m));
+    opt_over_sim.push_back(opt / core::lower_bounds(inst, m).opt_sim);
     opt_over_span.push_back(
-        opt / std::max(1.0, core::span_lower_bound(inst)));
+        opt / std::max(1.0, core::lower_bounds(inst, 1).span));
 
     auto fifo = core::parse_scheduler("fifo");
     fifo_over_opt.push_back(

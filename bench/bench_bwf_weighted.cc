@@ -71,7 +71,7 @@ int main() {
   metrics::Table t2({"eps", "speed", "bwf_wmax_flow", "weighted_lb", "ratio",
                      "theory_3_over_eps2"});
   const auto inst = spread_instance(128.0);
-  const double wlb = core::weighted_combined_lower_bound(inst, m);
+  const double wlb = core::lower_bounds(inst, m).weighted_combined;
   for (double eps : {0.25, 0.5, 1.0, 2.0}) {
     sched::BwfScheduler bwf;
     const auto res = bwf.run(inst, {m, 1.0 + eps});

@@ -39,7 +39,7 @@ void sweep(const core::Instance& inst, unsigned m, const char* label) {
   std::cout << "# " << label << " (m=" << m << ")\n";
   metrics::Table table({"eps", "speed", "fifo_max_flow", "opt_lower_bound",
                         "ratio", "theory_3_over_eps"});
-  const double lb = core::combined_lower_bound(inst, m);
+  const double lb = core::lower_bounds(inst, m).combined;
   sched::FifoScheduler fifo;
   for (double eps : {0.1, 0.25, 0.5, 1.0, 2.0}) {
     const auto res = fifo.run(inst, {m, 1.0 + eps});

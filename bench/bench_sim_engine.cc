@@ -118,7 +118,8 @@ void run_step_baseline(benchmark::State& state, bool exact_steps) {
   opt.seed = 7;
   opt.exact_steps = exact_steps;
   for (auto _ : state) {
-    auto res = sim::run_step_engine(inst, opt);
+    core::InstanceSource source(inst);
+    auto res = sim::run_step_engine(source, opt);
     benchmark::DoNotOptimize(res.max_flow);
   }
   // items/sec = simulated worker-steps per second.
@@ -429,9 +430,9 @@ void run_scaling_bounds_materialized(benchmark::State& state) {
     benchprobe::reset_peak_rss();
     const auto inst = workload::generate_instance(dist, scaling_config(jobs));
     benchmark::DoNotOptimize(
-        core::combined_lower_bound(inst, kScalingProcessors));
+        core::lower_bounds(inst, kScalingProcessors).combined);
     benchmark::DoNotOptimize(
-        core::weighted_combined_lower_bound(inst, kScalingProcessors));
+        core::lower_bounds(inst, kScalingProcessors).weighted_combined);
     state.counters["peak_rss_bytes"] = static_cast<double>(
         benchprobe::peak_rss_bytes());
   }

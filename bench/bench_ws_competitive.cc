@@ -26,7 +26,7 @@ int main() {
   gen.seed = 23;
   const auto inst = workload::generate_instance(dist, gen);
   const unsigned m = 16;
-  const double opt_lb = core::combined_lower_bound(inst, m);
+  const double opt_lb = core::lower_bounds(inst, m).combined;
   const double ln_n = std::log(static_cast<double>(inst.size()));
   const double bound_base = std::max(opt_lb, ln_n);
 

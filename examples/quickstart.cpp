@@ -73,12 +73,11 @@ int main() {
                " see examples/web_search_server.cpp.)\n";
 
   // --- 3. Judge against lower bounds. ---------------------------------
+  const core::LowerBoundSet bounds =
+      core::lower_bounds(instance, machine.processors);
   std::cout << "\nLower bounds on OPT's max flow:\n"
-            << "  span bound  (max_i P_i):        "
-            << core::span_lower_bound(instance) << "\n"
-            << "  work bound  (max_i W_i/m):      "
-            << core::work_lower_bound(instance, machine.processors) << "\n"
-            << "  OPT-sim bound (paper Sec. 6):   "
-            << core::opt_sim_lower_bound(instance, machine.processors) << "\n";
+            << "  span bound  (max_i P_i):        " << bounds.span << "\n"
+            << "  work bound  (max_i W_i/m):      " << bounds.work << "\n"
+            << "  OPT-sim bound (paper Sec. 6):   " << bounds.opt_sim << "\n";
   return 0;
 }

@@ -33,7 +33,7 @@ int main() {
     gen.weight_classes = {16.0, 4.0, 1.0};  // sampled uniformly per request
     const auto inst = workload::generate_instance(dist, gen);
     const double wlb =
-        core::weighted_combined_lower_bound(inst, m) / gen.units_per_ms;
+        core::lower_bounds(inst, m).weighted_combined / gen.units_per_ms;
 
     std::cout << "QPS " << qps << " (utilization "
               << workload::utilization(dist, qps, m)

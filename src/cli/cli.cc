@@ -87,17 +87,17 @@ Options parse(const std::vector<std::string>& args) {
       } else if (consume(arg, "scheduler", &v)) {
         opt.scheduler = v;
       } else if (consume(arg, "jobs", &v)) {
-        opt.jobs = std::stoull(v);
+        opt.jobs = core::parse_unsigned<std::size_t>(v);
       } else if (consume(arg, "qps", &v)) {
         opt.qps = std::stod(v);
       } else if (consume(arg, "seed", &v)) {
-        opt.seed = std::stoull(v);
+        opt.seed = core::parse_unsigned<std::uint64_t>(v);
       } else if (consume(arg, "grains", &v)) {
-        opt.grains = std::stoull(v);
+        opt.grains = core::parse_unsigned<std::size_t>(v);
       } else if (consume(arg, "units-per-ms", &v)) {
         opt.units_per_ms = std::stod(v);
       } else if (consume(arg, "m", &v)) {
-        opt.m = static_cast<unsigned>(std::stoul(v));
+        opt.m = core::parse_unsigned<unsigned>(v);
       } else if (consume(arg, "speed", &v)) {
         opt.speed = std::stod(v);
       } else if (consume(arg, "load", &v)) {
@@ -105,11 +105,11 @@ Options parse(const std::vector<std::string>& args) {
       } else if (arg == "--gantt") {
         opt.gantt_width = 100;
       } else if (consume(arg, "gantt", &v)) {
-        opt.gantt_width = std::stoull(v);
+        opt.gantt_width = core::parse_unsigned<std::size_t>(v);
       } else if (consume(arg, "chrome-trace", &v)) {
         opt.chrome_trace_file = v;
       } else if (consume(arg, "utilization", &v)) {
-        opt.utilization_buckets = std::stoull(v);
+        opt.utilization_buckets = core::parse_unsigned<std::size_t>(v);
       } else if (arg == "--csv") {
         opt.csv = true;
       } else if (arg == "--streamed") {
@@ -125,7 +125,7 @@ Options parse(const std::vector<std::string>& args) {
         if (opt.weight_classes.empty())
           usage_error("--weights needs at least one value");
       } else if (consume(arg, "trials", &v)) {
-        opt.trials = std::stoull(v);
+        opt.trials = core::parse_unsigned<std::size_t>(v);
         if (opt.trials == 0) usage_error("--trials must be >= 1");
       } else if (consume(arg, "degrade", &v)) {
         // Comma-separated machine events "t:m[:s]": at simulated time t the
@@ -142,7 +142,7 @@ Options parse(const std::vector<std::string>& args) {
             usage_error("--degrade events are t:m[:s], got '" + tok + "'");
           core::MachineEvent e;
           e.time = std::stod(t_str);
-          e.processors = static_cast<unsigned>(std::stoul(m_str));
+          e.processors = core::parse_unsigned<unsigned>(m_str);
           e.speed = std::getline(fields, s_str, ':') ? std::stod(s_str)
                                                      : -1.0;  // inherit
           opt.degradation.push_back(e);
@@ -175,13 +175,8 @@ std::unique_ptr<workload::WorkDistribution> make_distribution(
   usage_error("unknown workload '" + name + "'");
 }
 
-core::Instance obtain_instance(const Options& opt) {
-  if (!opt.load_file.empty()) {
-    std::ifstream in(opt.load_file);
-    if (!in) usage_error("cannot open instance file '" + opt.load_file + "'");
-    return workload::read_instance(in);
-  }
-  const auto dist = make_distribution(opt.workload);
+/// Builds the generator config every generated workload shares.
+workload::GeneratorConfig make_generator(const Options& opt) {
   workload::GeneratorConfig gen;
   gen.num_jobs = opt.jobs;
   gen.qps = opt.qps;
@@ -189,7 +184,17 @@ core::Instance obtain_instance(const Options& opt) {
   gen.grains = opt.grains;
   gen.units_per_ms = opt.units_per_ms;
   gen.weight_classes = opt.weight_classes;
-  return workload::generate_instance(*dist, gen);
+  return gen;
+}
+
+core::Instance obtain_instance(const Options& opt) {
+  if (!opt.load_file.empty()) {
+    std::ifstream in(opt.load_file);
+    if (!in) usage_error("cannot open instance file '" + opt.load_file + "'");
+    return workload::read_instance(in);
+  }
+  const auto dist = make_distribution(opt.workload);
+  return workload::generate_instance(*dist, make_generator(opt));
 }
 
 // Multi-trial run: aggregate statistics across seeds (no trace options).
@@ -200,12 +205,7 @@ int cmd_run_trials(const Options& opt, std::ostream& out) {
   const auto dist = make_distribution(opt.workload);
   core::TrialConfig cfg;
   cfg.trials = opt.trials;
-  cfg.generator.num_jobs = opt.jobs;
-  cfg.generator.qps = opt.qps;
-  cfg.generator.seed = opt.seed;
-  cfg.generator.grains = opt.grains;
-  cfg.generator.units_per_ms = opt.units_per_ms;
-  cfg.generator.weight_classes = opt.weight_classes;
+  cfg.generator = make_generator(opt);
   cfg.machine = make_machine(opt);
   cfg.scheduler = core::parse_scheduler(opt.scheduler);
   cfg.scheduler.seed = opt.seed;
@@ -236,18 +236,6 @@ int cmd_generate(const Options& opt, std::ostream& out) {
   return 0;
 }
 
-/// Builds the generator config the run/bounds commands share.
-workload::GeneratorConfig make_generator(const Options& opt) {
-  workload::GeneratorConfig gen;
-  gen.num_jobs = opt.jobs;
-  gen.qps = opt.qps;
-  gen.seed = opt.seed;
-  gen.grains = opt.grains;
-  gen.units_per_ms = opt.units_per_ms;
-  gen.weight_classes = opt.weight_classes;
-  return gen;
-}
-
 void print_bounds_table(const core::LowerBoundSet& b, double units_per_ms,
                         std::ostream& out) {
   metrics::Table table({"bound", "value_units", "value_ms"});
@@ -275,9 +263,7 @@ int cmd_bounds(const Options& opt, std::ostream& out) {
                        opt.units_per_ms, out);
     return 0;
   }
-  const core::Instance inst = obtain_instance(opt);
-  core::InstanceSource source(inst);
-  print_bounds_table(core::stream_lower_bounds(source, opt.m),
+  print_bounds_table(core::lower_bounds(obtain_instance(opt), opt.m),
                      opt.units_per_ms, out);
   return 0;
 }
@@ -285,7 +271,7 @@ int cmd_bounds(const Options& opt, std::ostream& out) {
 // Memory-bounded run: streams the workload twice — one O(1)-state pass for
 // the lower bounds, one O(live jobs) pass for the scheduler — and reports
 // the competitive ratio without ever materializing the instance.
-int cmd_run_streamed(const Options& opt, std::ostream& out) {
+int cmd_run_stream(const Options& opt, std::ostream& out) {
   if (opt.trials > 1)
     usage_error("--streamed cannot be combined with --trials");
   if (opt.gantt_width.has_value() || !opt.chrome_trace_file.empty() ||
@@ -369,7 +355,7 @@ int cmd_run_streamed(const Options& opt, std::ostream& out) {
 }
 
 int cmd_run(const Options& opt, std::ostream& out) {
-  if (opt.streamed) return cmd_run_streamed(opt, out);
+  if (opt.streamed) return cmd_run_stream(opt, out);
   if (opt.trials > 1) return cmd_run_trials(opt, out);
   const core::Instance inst = obtain_instance(opt);
   auto spec = core::parse_scheduler(opt.scheduler);
@@ -423,7 +409,7 @@ int cmd_run(const Options& opt, std::ostream& out) {
         << " weighted-ms\n"
         << "makespan:         " << res.makespan / opt.units_per_ms << " ms\n"
         << "opt lower bound:  "
-        << core::opt_sim_lower_bound(inst, opt.m) / opt.units_per_ms
+        << core::lower_bounds(inst, opt.m).opt_sim / opt.units_per_ms
         << " ms\n";
     if (res.stats.steal_attempts > 0 || res.stats.admissions > 0)
       out << "steals:           " << res.stats.successful_steals << "/"

@@ -25,14 +25,14 @@ LowerBoundSet stream_lower_bounds(JobSource& source, unsigned m) {
     const dag::Dag& g = job.dag();
     const double cp = static_cast<double>(g.critical_path());
     const double work = static_cast<double>(g.total_work());
-    const double relaxed = sim::relaxed_job_length(work, m, 1.0);
+    const double relaxed = sim::relaxed_job_length(work, m);
     b.span = std::max(b.span, cp);
     b.work = std::max(b.work, relaxed);
     frontier = sim::fifo_frontier_advance(frontier, job.arrival, relaxed);
     b.opt_sim = std::max(b.opt_sim, frontier - job.arrival);
     b.weighted_span = std::max(b.weighted_span, job.weight * cp);
-    b.weighted_work = std::max(
-        b.weighted_work, sim::relaxed_job_length(job.weight * work, m, 1.0));
+    b.weighted_work = std::max(b.weighted_work,
+                               sim::relaxed_job_length(job.weight * work, m));
     ++b.jobs;
   }
   b.combined = std::max(b.span, std::max(b.work, b.opt_sim));
@@ -40,44 +40,9 @@ LowerBoundSet stream_lower_bounds(JobSource& source, unsigned m) {
   return b;
 }
 
-// The materialized entry points are adapters: stream the Instance (arrival
-// order, borrowed DAGs) through the one-pass computation and project out
-// one field.  Callers needing several bounds of one instance should call
-// stream_lower_bounds over an InstanceSource themselves and pay one pass.
-
-double span_lower_bound(const Instance& instance) {
+LowerBoundSet lower_bounds(const Instance& instance, unsigned m) {
   InstanceSource source(instance);
-  return stream_lower_bounds(source, 1).span;
-}
-
-double work_lower_bound(const Instance& instance, unsigned m) {
-  InstanceSource source(instance);
-  return stream_lower_bounds(source, m).work;
-}
-
-double opt_sim_lower_bound(const Instance& instance, unsigned m) {
-  InstanceSource source(instance);
-  return stream_lower_bounds(source, m).opt_sim;
-}
-
-double combined_lower_bound(const Instance& instance, unsigned m) {
-  InstanceSource source(instance);
-  return stream_lower_bounds(source, m).combined;
-}
-
-double weighted_span_lower_bound(const Instance& instance) {
-  InstanceSource source(instance);
-  return stream_lower_bounds(source, 1).weighted_span;
-}
-
-double weighted_work_lower_bound(const Instance& instance, unsigned m) {
-  InstanceSource source(instance);
-  return stream_lower_bounds(source, m).weighted_work;
-}
-
-double weighted_combined_lower_bound(const Instance& instance, unsigned m) {
-  InstanceSource source(instance);
-  return stream_lower_bounds(source, m).weighted_combined;
+  return stream_lower_bounds(source, m);
 }
 
 }  // namespace pjsched::core

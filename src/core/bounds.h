@@ -3,16 +3,14 @@
 // serve as the denominator in empirical competitive-ratio measurements
 // (the paper's Section 6 uses exactly the fully-parallelizable FIFO bound).
 //
-// The core computation is streaming: stream_lower_bounds consumes a
+// The one computation is streaming: stream_lower_bounds consumes a
 // JobSource in one pass — resident state is the current job plus a handful
 // of scalars, so the bounds scale to the 10^6+-job sources the engines
 // stream (run_scheduler_streamed_with_bounds in core/run.h reports the
-// competitive ratio without ever materializing).  The per-Instance
-// functions below are thin InstanceSource adapters over that pass and
-// return bit-identical values to the historical materialized loops: every
-// bound is a running max of per-job terms (order-independent), and the
-// FIFO-frontier recurrence visits jobs in exactly the arrival order the
-// materialized loop iterated.
+// competitive ratio without ever materializing).  lower_bounds(Instance)
+// runs that pass over an InstanceSource, which yields jobs in arrival
+// order — the order the FIFO-frontier recurrence needs; every other bound
+// is a running max of per-job terms.
 #pragma once
 
 #include <cstddef>
@@ -24,42 +22,30 @@ namespace pjsched::core {
 
 /// Every lower bound this library computes, from one pass over a source.
 struct LowerBoundSet {
-  std::size_t jobs = 0;        ///< jobs the pass consumed
-  double span = 0.0;           ///< max_i P_i
-  double work = 0.0;           ///< max_i W_i / m
-  double opt_sim = 0.0;        ///< Section 6 simulated-OPT FIFO bound
-  double combined = 0.0;       ///< max of the three above
-  double weighted_span = 0.0;  ///< max_i w_i P_i
-  double weighted_work = 0.0;  ///< max_i w_i W_i / m
-  double weighted_combined = 0.0;  ///< max of the weighted bounds
+  std::size_t jobs = 0;  ///< jobs the pass consumed
+  /// max_i P_i — no scheduler finishes a job faster than its critical path
+  /// at speed 1 (paper Proposition 2.1 / Lemma 3.2's OPT >= P_i argument).
+  double span = 0.0;
+  double work = 0.0;  ///< max_i W_i / m: a job spread across all m processors
+  /// The paper's simulated-OPT bound (Section 6): each job fully
+  /// parallelizable with length W_i/m, scheduled FIFO on one machine.
+  /// Dominates `work` and captures queueing backlog.
+  double opt_sim = 0.0;
+  double combined = 0.0;  ///< max of the three above: the tightest bound
+  /// Weighted variants for the BWF experiments, bounding
+  /// OPT = min max_i w_i F_i: max_i w_i P_i, max_i w_i W_i / m, and their max.
+  double weighted_span = 0.0;
+  double weighted_work = 0.0;
+  double weighted_combined = 0.0;
 };
 
 /// One-pass streamed computation of every bound; consumes `source` to
 /// exhaustion.  Throws std::invalid_argument when m == 0.
 LowerBoundSet stream_lower_bounds(JobSource& source, unsigned m);
 
-/// max_i P_i — no scheduler can finish a job faster than its critical path
-/// at speed 1 (paper Proposition 2.1 / Lemma 3.2's OPT >= P_i argument).
-double span_lower_bound(const Instance& instance);
-
-/// max_i W_i / m — a job's work spread across all m processors.
-double work_lower_bound(const Instance& instance, unsigned m);
-
-/// The paper's simulated-OPT bound (Section 6): each job fully
-/// parallelizable with length W_i/m, scheduled FIFO on one machine.
-/// Dominates work_lower_bound and captures queueing backlog.
-double opt_sim_lower_bound(const Instance& instance, unsigned m);
-
-/// max of all of the above: the tightest bound this library computes.
-double combined_lower_bound(const Instance& instance, unsigned m);
-
-/// Weighted variants for the BWF experiments: lower bounds on
-/// OPT = min max_i w_i F_i.
-///   span:  max_i w_i P_i
-double weighted_span_lower_bound(const Instance& instance);
-///   work:  max_i w_i W_i / m
-double weighted_work_lower_bound(const Instance& instance, unsigned m);
-///   combined
-double weighted_combined_lower_bound(const Instance& instance, unsigned m);
+/// stream_lower_bounds over an InstanceSource: every bound of a
+/// materialized instance in one pass.  Throws std::invalid_argument when
+/// m == 0.
+LowerBoundSet lower_bounds(const Instance& instance, unsigned m);
 
 }  // namespace pjsched::core

@@ -46,19 +46,6 @@ struct ExperimentRow {
 std::vector<ExperimentRow> run_experiment(const workload::WorkDistribution& dist,
                                           const ExperimentConfig& cfg);
 
-/// Memory-bounded counterpart: each cell streams one
-/// workload::GeneratedJobSource per scheduler (plus one for the lower
-/// bounds) instead of materializing an instance, so num_jobs can be 10^6+
-/// while resident state stays O(live jobs).  The sources are RNG-identical
-/// to generate_instance, so max/opt/ratio columns are bitwise-equal to
-/// run_experiment on the same config; p99 is reservoir-exact while a cell
-/// completes <= 4096 jobs and an estimate beyond that; mean differs only by
-/// floating-point summation order.  Schedulers without a streamed path
-/// (kOptBound) throw — the OPT column instead comes from the streamed
-/// opt_sim lower bound, which is bitwise the same value at speed 1.
-std::vector<ExperimentRow> run_experiment_streamed(
-    const workload::WorkDistribution& dist, const ExperimentConfig& cfg);
-
 /// Renders rows as the table the paper's Figure 2 plots (max flow time in
 /// seconds per scheduler per QPS).
 metrics::Table rows_to_table(const std::vector<ExperimentRow>& rows);

@@ -82,9 +82,10 @@ class JobSource {
 
 /// Streams an already-materialized Instance in arrival order, borrowing its
 /// DAGs.  StreamedJob::id is the job's index in the Instance, so per-id
-/// results line up with Instance::jobs — this is how the engines' classic
-/// Instance entry points run, making streamed and materialized execution
-/// one code path.  The Instance must outlive the source and the run.
+/// results line up with Instance::jobs — this is how
+/// sched::Scheduler::run(Instance) runs, making streamed and materialized
+/// execution one code path.  The Instance must outlive the source and the
+/// run.
 class InstanceSource final : public JobSource {
  public:
   explicit InstanceSource(const Instance& instance);

@@ -13,7 +13,7 @@ FixedInstance make_fixed_instance(const workload::WorkDistribution& dist,
   // The instance never changes across trials, so neither does its bound —
   // computed once here instead of once per trial.
   fixed.opt_bound =
-      opt_sim_lower_bound(fixed.instance, cfg.machine.processors);
+      lower_bounds(fixed.instance, cfg.machine.processors).opt_sim;
   return fixed;
 }
 
@@ -36,7 +36,7 @@ TrialPoint run_one_trial(const workload::WorkDistribution& dist,
     gen.seed = cfg.generator.seed + t;
     generated = workload::generate_instance(dist, gen);
     instance = &generated;
-    bound = opt_sim_lower_bound(*instance, cfg.machine.processors);
+    bound = lower_bounds(*instance, cfg.machine.processors).opt_sim;
   }
 
   SchedulerSpec spec = cfg.scheduler;

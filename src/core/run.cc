@@ -69,16 +69,12 @@ SchedulerSpec parse_scheduler(const std::string& name_in) {
   } else if (name.rfind("steal-", 0) == 0 &&
              name.size() > 12 &&
              name.compare(name.size() - 6, 6, "-first") == 0) {
-    const std::string k_str = name.substr(6, name.size() - 12);
     try {
-      std::size_t pos = 0;
-      const unsigned long k = std::stoul(k_str, &pos);
-      if (pos != k_str.size()) throw std::invalid_argument(k_str);
-      spec.kind = SchedulerKind::kStealKFirst;
-      spec.steal_k = static_cast<unsigned>(k);
-    } catch (const std::exception&) {
+      spec.steal_k = parse_unsigned<unsigned>(name.substr(6, name.size() - 12));
+    } catch (const std::invalid_argument&) {
       throw std::invalid_argument("parse_scheduler: bad k in '" + name + "'");
     }
+    spec.kind = SchedulerKind::kStealKFirst;
   } else {
     throw std::invalid_argument("parse_scheduler: unknown scheduler '" +
                                 name_in + "'");
@@ -110,7 +106,7 @@ StreamRunResult run_scheduler_streamed(JobSource& source,
                                        const MachineConfig& machine,
                                        metrics::StreamingFlowStats* stats,
                                        sim::Trace* trace) {
-  return make_scheduler(spec)->run_streamed(source, machine, stats, trace);
+  return make_scheduler(spec)->run(source, machine, stats, trace);
 }
 
 StreamRatioResult run_scheduler_streamed_with_bounds(

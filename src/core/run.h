@@ -1,12 +1,17 @@
-// One-call public API: name a scheduler, hand it an instance and a machine,
-// get a ScheduleResult.  This is the entry point examples and benches use;
-// the individual scheduler classes in src/sched remain available for
-// callers that need more control.
+// One-call public API: name a scheduler, hand it an instance (or a job
+// source) and a machine, get a ScheduleResult (or a StreamRunResult).  This
+// is the entry point examples and benches use; the individual scheduler
+// classes in src/sched remain available for callers that need more
+// control.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "src/core/bounds.h"
 #include "src/core/job_source.h"
@@ -51,6 +56,21 @@ std::unique_ptr<sched::Scheduler> make_scheduler(const SchedulerSpec& spec);
 /// Throws std::invalid_argument on unknown names.
 SchedulerSpec parse_scheduler(const std::string& name);
 
+/// Parses `text` as a decimal T: digits only, the whole string, within T's
+/// range.  Throws std::invalid_argument otherwise — unlike std::stoul, a
+/// sign, trailing characters or an out-of-range value never wrap.  The one
+/// integer parse behind scheduler names and the CLI's integer flags.
+template <typename T>
+T parse_unsigned(const std::string& text) {
+  static_assert(std::is_unsigned_v<T>);
+  T value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end)
+    throw std::invalid_argument("bad unsigned integer '" + text + "'");
+  return value;
+}
+
 /// Convenience: build-and-run in one call.
 ScheduleResult run_scheduler(const Instance& instance,
                              const SchedulerSpec& spec,
@@ -58,11 +78,10 @@ ScheduleResult run_scheduler(const Instance& instance,
                              sim::Trace* trace = nullptr);
 
 /// Memory-bounded counterpart: streams `source` through the named
-/// scheduler's engine with O(live jobs) resident state (see
-/// sched::Scheduler::run_streamed).  Throws std::logic_error for schedulers
-/// without a streamed path (kOptBound).  `trace`, if non-null, records the
-/// execution; pass a spill-mode sim::Trace to keep the recording itself
-/// bounded-memory.
+/// scheduler with O(live jobs) resident state (see sched::Scheduler::run).
+/// Every scheduler streams, kOptBound included.  `trace`, if non-null,
+/// records the execution; pass a spill-mode sim::Trace to keep the
+/// recording itself bounded-memory.
 StreamRunResult run_scheduler_streamed(
     JobSource& source, const SchedulerSpec& spec, const MachineConfig& machine,
     metrics::StreamingFlowStats* stats = nullptr, sim::Trace* trace = nullptr);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace pjsched::metrics {
 
@@ -76,6 +77,22 @@ Summary StreamingFlowStats::summary() const {
   s.p90 = quantile_select(scratch, 0.90);
   s.p99 = quantile_select(scratch, 0.99);
   return s;
+}
+
+core::StreamRunResult StreamingFlowStats::result(
+    std::string scheduler_name, const core::EngineStats& stats) const {
+  core::StreamRunResult out;
+  out.scheduler_name = std::move(scheduler_name);
+  out.jobs = count();
+  out.max_flow = max_flow();
+  out.max_weighted_flow = max_weighted_flow();
+  out.mean_flow = mean_flow();
+  out.makespan = makespan();
+  out.argmax_flow = argmax_flow();
+  out.flow = summary();
+  out.flow_quantiles_exact = quantiles_exact();
+  out.stats = stats;
+  return out;
 }
 
 }  // namespace pjsched::metrics

@@ -2,10 +2,10 @@
 //
 // A materialized run keeps every job's flow time and summarizes at the end
 // (metrics::summarize) — O(all jobs) memory.  StreamingFlowStats is the
-// O(1)-per-sample replacement the engines' streamed entry points record
-// into: the extremes the paper's objective cares about (max flow, max
-// weighted flow and its argmax, makespan) plus count/min/mean are
-// maintained *exactly*, variance via Welford's recurrence, and the
+// O(1)-per-sample replacement every run records into, and the source of
+// its StreamRunResult: the extremes the paper's objective cares about (max
+// flow, max weighted flow and its argmax, makespan) plus count/min/mean
+// are maintained *exactly*, variance via Welford's recurrence, and the
 // quantiles via a fixed-size uniform reservoir (Vitter's Algorithm R,
 // seeded and deterministic).  While the sample count is within the
 // reservoir capacity the reservoir holds every sample, so the reported
@@ -15,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "src/core/job_source.h"
 #include "src/core/types.h"
 #include "src/metrics/stats.h"
 #include "src/sim/rng.h"
@@ -61,6 +63,13 @@ class StreamingFlowStats {
   /// Zero samples yield the all-zero Summary (the explicit empty contract:
   /// streamed runs can legitimately complete zero jobs).
   Summary summary() const;
+
+  /// The result of a run whose completions were recorded here: every
+  /// StreamRunResult field derives from these statistics, plus the run's
+  /// name and engine counters.  Both engines and the OPT bound build their
+  /// results here, so every scheduler fills the fields the same way.
+  core::StreamRunResult result(std::string scheduler_name,
+                               const core::EngineStats& stats) const;
 
   /// The current reservoir contents (unordered).
   const std::vector<double>& reservoir() const { return samples_.values; }

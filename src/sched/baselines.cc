@@ -89,85 +89,52 @@ class EquiPolicy final : public sim::OrderPolicy {
 };
 
 template <typename Policy>
-core::ScheduleResult run_with(const core::Instance& instance,
-                              const core::MachineConfig& machine,
-                              sim::Trace* trace, bool exact_engine) {
+core::StreamRunResult run_with(core::JobSource& source,
+                               const core::MachineConfig& machine,
+                               metrics::StreamingFlowStats* stats,
+                               sim::Trace* trace,
+                               std::vector<core::Time>* completion,
+                               bool exact_engine) {
   Policy policy;
   sim::EventEngineOptions opt;
   opt.machine = machine;
   opt.trace = trace;
   opt.exact = exact_engine;
-  return sim::run_event_engine(instance, policy, opt);
-}
-
-// SJF and RoundRobin are dynamic, so their streamed runs take the exact
-// per-slice path — still O(live jobs) resident state, just without the
-// incremental decision-point machinery.
-template <typename Policy>
-core::StreamRunResult run_streamed_with(core::JobSource& source,
-                                        const core::MachineConfig& machine,
-                                        metrics::StreamingFlowStats* stats,
-                                        sim::Trace* trace, bool exact_engine) {
-  Policy policy;
-  sim::EventEngineOptions opt;
-  opt.machine = machine;
-  opt.trace = trace;
-  opt.exact = exact_engine;
-  return sim::run_event_engine_streamed(source, policy, opt, stats);
+  return sim::run_event_engine(source, policy, opt, stats, completion);
 }
 
 }  // namespace
 
-core::ScheduleResult LifoScheduler::run(const core::Instance& instance,
-                                        const core::MachineConfig& machine,
-                                        sim::Trace* trace) {
-  return run_with<LifoPolicy>(instance, machine, trace, exact_engine_);
-}
-
-core::StreamRunResult LifoScheduler::run_streamed(
+core::StreamRunResult LifoScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  return run_streamed_with<LifoPolicy>(source, machine, stats, trace,
-                                       exact_engine_);
+    metrics::StreamingFlowStats* stats, sim::Trace* trace,
+    std::vector<core::Time>* completion) {
+  return run_with<LifoPolicy>(source, machine, stats, trace, completion,
+                              exact_engine_);
 }
 
-core::ScheduleResult SjfScheduler::run(const core::Instance& instance,
-                                       const core::MachineConfig& machine,
-                                       sim::Trace* trace) {
-  return run_with<SjfPolicy>(instance, machine, trace, exact_engine_);
-}
-
-core::StreamRunResult SjfScheduler::run_streamed(
+core::StreamRunResult SjfScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  return run_streamed_with<SjfPolicy>(source, machine, stats, trace,
-                                      exact_engine_);
+    metrics::StreamingFlowStats* stats, sim::Trace* trace,
+    std::vector<core::Time>* completion) {
+  return run_with<SjfPolicy>(source, machine, stats, trace, completion,
+                             exact_engine_);
 }
 
-core::ScheduleResult RoundRobinScheduler::run(const core::Instance& instance,
-                                              const core::MachineConfig& machine,
-                                              sim::Trace* trace) {
-  return run_with<RoundRobinPolicy>(instance, machine, trace, exact_engine_);
-}
-
-core::StreamRunResult RoundRobinScheduler::run_streamed(
+core::StreamRunResult RoundRobinScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  return run_streamed_with<RoundRobinPolicy>(source, machine, stats, trace,
-                                             exact_engine_);
+    metrics::StreamingFlowStats* stats, sim::Trace* trace,
+    std::vector<core::Time>* completion) {
+  return run_with<RoundRobinPolicy>(source, machine, stats, trace, completion,
+                                    exact_engine_);
 }
 
-core::ScheduleResult EquiScheduler::run(const core::Instance& instance,
-                                        const core::MachineConfig& machine,
-                                        sim::Trace* trace) {
-  return run_with<EquiPolicy>(instance, machine, trace, exact_engine_);
-}
-
-core::StreamRunResult EquiScheduler::run_streamed(
+core::StreamRunResult EquiScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  return run_streamed_with<EquiPolicy>(source, machine, stats, trace,
-                                       exact_engine_);
+    metrics::StreamingFlowStats* stats, sim::Trace* trace,
+    std::vector<core::Time>* completion) {
+  return run_with<EquiPolicy>(source, machine, stats, trace, completion,
+                              exact_engine_);
 }
 
 }  // namespace pjsched::sched

@@ -33,15 +33,14 @@ class LifoScheduler final : public Scheduler {
   std::string name() const override {
     return exact_engine_ ? "lifo-exact" : "lifo";
   }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
 
  private:
+  core::StreamRunResult simulate(core::JobSource& source,
+                                 const core::MachineConfig& machine,
+                                 metrics::StreamingFlowStats* stats,
+                                 sim::Trace* trace,
+                                 std::vector<core::Time>* completion) override;
+
   bool exact_engine_;
 };
 
@@ -52,15 +51,14 @@ class SjfScheduler final : public Scheduler {
   std::string name() const override {
     return exact_engine_ ? "sjf-exact" : "sjf";
   }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
 
  private:
+  core::StreamRunResult simulate(core::JobSource& source,
+                                 const core::MachineConfig& machine,
+                                 metrics::StreamingFlowStats* stats,
+                                 sim::Trace* trace,
+                                 std::vector<core::Time>* completion) override;
+
   bool exact_engine_;
 };
 
@@ -71,15 +69,14 @@ class RoundRobinScheduler final : public Scheduler {
   std::string name() const override {
     return exact_engine_ ? "round-robin-exact" : "round-robin";
   }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
 
  private:
+  core::StreamRunResult simulate(core::JobSource& source,
+                                 const core::MachineConfig& machine,
+                                 metrics::StreamingFlowStats* stats,
+                                 sim::Trace* trace,
+                                 std::vector<core::Time>* completion) override;
+
   bool exact_engine_;
 };
 
@@ -90,15 +87,14 @@ class EquiScheduler final : public Scheduler {
   std::string name() const override {
     return exact_engine_ ? "equi-exact" : "equi";
   }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
 
  private:
+  core::StreamRunResult simulate(core::JobSource& source,
+                                 const core::MachineConfig& machine,
+                                 metrics::StreamingFlowStats* stats,
+                                 sim::Trace* trace,
+                                 std::vector<core::Time>* completion) override;
+
   bool exact_engine_;
 };
 

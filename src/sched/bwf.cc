@@ -31,26 +31,16 @@ class BwfPolicy final : public sim::OrderPolicy {
 };
 }  // namespace
 
-core::ScheduleResult BwfScheduler::run(const core::Instance& instance,
-                                       const core::MachineConfig& machine,
-                                       sim::Trace* trace) {
-  BwfPolicy policy;
-  sim::EventEngineOptions opt;
-  opt.machine = machine;
-  opt.trace = trace;
-  opt.exact = exact_engine_;
-  return sim::run_event_engine(instance, policy, opt);
-}
-
-core::StreamRunResult BwfScheduler::run_streamed(
+core::StreamRunResult BwfScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
+    metrics::StreamingFlowStats* stats, sim::Trace* trace,
+    std::vector<core::Time>* completion) {
   BwfPolicy policy;
   sim::EventEngineOptions opt;
   opt.machine = machine;
   opt.trace = trace;
   opt.exact = exact_engine_;
-  return sim::run_event_engine_streamed(source, policy, opt, stats);
+  return sim::run_event_engine(source, policy, opt, stats, completion);
 }
 
 }  // namespace pjsched::sched

@@ -27,26 +27,16 @@ class FifoPolicy final : public sim::OrderPolicy {
 };
 }  // namespace
 
-core::ScheduleResult FifoScheduler::run(const core::Instance& instance,
-                                        const core::MachineConfig& machine,
-                                        sim::Trace* trace) {
-  FifoPolicy policy;
-  sim::EventEngineOptions opt;
-  opt.machine = machine;
-  opt.trace = trace;
-  opt.exact = exact_engine_;
-  return sim::run_event_engine(instance, policy, opt);
-}
-
-core::StreamRunResult FifoScheduler::run_streamed(
+core::StreamRunResult FifoScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
+    metrics::StreamingFlowStats* stats, sim::Trace* trace,
+    std::vector<core::Time>* completion) {
   FifoPolicy policy;
   sim::EventEngineOptions opt;
   opt.machine = machine;
   opt.trace = trace;
   opt.exact = exact_engine_;
-  return sim::run_event_engine_streamed(source, policy, opt, stats);
+  return sim::run_event_engine(source, policy, opt, stats, completion);
 }
 
 }  // namespace pjsched::sched

@@ -22,15 +22,14 @@ class FifoScheduler final : public Scheduler {
   std::string name() const override {
     return exact_engine_ ? "fifo-exact" : "fifo";
   }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
 
  private:
+  core::StreamRunResult simulate(core::JobSource& source,
+                                 const core::MachineConfig& machine,
+                                 metrics::StreamingFlowStats* stats,
+                                 sim::Trace* trace,
+                                 std::vector<core::Time>* completion) override;
+
   bool exact_engine_;
 };
 

@@ -2,37 +2,35 @@
 
 #include <stdexcept>
 
+#include "src/metrics/streaming_stats.h"
 #include "src/sim/sim_math.h"
 
 namespace pjsched::sched {
 
-core::ScheduleResult OptLowerBound::run(const core::Instance& instance,
-                                        const core::MachineConfig& machine,
-                                        sim::Trace* /*trace*/) {
-  instance.validate();
+core::StreamRunResult OptLowerBound::simulate(
+    core::JobSource& source, const core::MachineConfig& machine,
+    metrics::StreamingFlowStats* stats, sim::Trace* /*trace*/,
+    std::vector<core::Time>* completion) {
   if (machine.processors == 0)
     throw std::invalid_argument("OptLowerBound: zero processors");
+  metrics::StreamingFlowStats local;
+  metrics::StreamingFlowStats& sink = stats != nullptr ? *stats : local;
+  if (completion != nullptr) completion->assign(source.size(), core::kNoTime);
 
+  // FIFO on a single speed-1 machine where job i has processing time
+  // W_i / m — the shared formulas of the streamed bounds (sim/sim_math.h),
+  // so this run's max flow is bitwise stream_lower_bounds' opt_sim.
   const double m = static_cast<double>(machine.processors);
-  const double s = use_machine_speed_ ? machine.speed : 1.0;
-
-  core::ScheduleResult result;
-  result.scheduler_name = name();
-  result.completion.assign(instance.size(), core::kNoTime);
-
-  // FIFO on a single machine where job i has processing time W_i / (m*s) —
-  // the same shared formulas the streamed bounds use (sim/sim_math.h), so
-  // opt_sim_lower_bound at s = 1 reproduces this run's max flow bitwise.
   core::Time frontier = 0.0;
-  for (core::JobId j : instance.arrival_order()) {
-    const core::JobSpec& job = instance.jobs[j];
-    const double p = sim::relaxed_job_length(
-        static_cast<double>(job.graph.total_work()), m, s);
+  while (!source.done()) {
+    const core::StreamedJob job = source.take();
+    const double p =
+        sim::relaxed_job_length(static_cast<double>(job.dag().total_work()), m);
     frontier = sim::fifo_frontier_advance(frontier, job.arrival, p);
-    result.completion[j] = frontier;
+    if (completion != nullptr) completion->at(job.id) = frontier;
+    sink.record(job.id, job.arrival, job.weight, frontier);
   }
-  result.finalize(instance.jobs);
-  return result;
+  return sink.result(name(), core::EngineStats{});
 }
 
 }  // namespace pjsched::sched

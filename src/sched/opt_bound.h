@@ -8,11 +8,13 @@
 // schedule of the real instance has max flow >= this bound, so a scheduler
 // that is close to it is close to OPT.
 //
-// OptLowerBound::run computes the bound analytically in O(n log n):
-//     c_i = max(r_i, c_prev) + W_i / m        (jobs in arrival order)
-// It deliberately ignores the machine's speed (OPT is always the 1-speed
-// adversary in the paper's resource-augmentation analyses); a flag lets
-// benches request a speed-scaled variant.
+// OptLowerBound computes the bound analytically in one pass over the
+// source, in arrival order:
+//     c_i = max(r_i, c_prev) + W_i / m
+// with the same sim_math.h formulas as core::stream_lower_bounds, so its
+// max flow is bitwise that pass's opt_sim.  It deliberately ignores the
+// machine's speed: OPT is always the 1-speed adversary in the paper's
+// resource-augmentation analyses.
 #pragma once
 
 #include "src/sched/scheduler.h"
@@ -21,22 +23,16 @@ namespace pjsched::sched {
 
 class OptLowerBound final : public Scheduler {
  public:
-  /// If `use_machine_speed` is true the bound is computed for the machine's
-  /// own speed (jobs shrink to W_i/(m*s)); by default the adversary runs at
-  /// speed 1 regardless of the algorithm's augmentation, as in the paper.
-  explicit OptLowerBound(bool use_machine_speed = false)
-      : use_machine_speed_(use_machine_speed) {}
-
   std::string name() const override { return "opt-lower-bound"; }
 
+ private:
   /// Analytic; `trace` is ignored (there is no machine-model execution to
   /// audit — the bound is not a feasible schedule of the DAG instance).
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-
- private:
-  bool use_machine_speed_;
+  core::StreamRunResult simulate(core::JobSource& source,
+                                 const core::MachineConfig& machine,
+                                 metrics::StreamingFlowStats* stats,
+                                 sim::Trace* trace,
+                                 std::vector<core::Time>* completion) override;
 };
 
 }  // namespace pjsched::sched

@@ -13,22 +13,10 @@ std::string WorkStealingScheduler::name() const {
   return base;
 }
 
-core::ScheduleResult WorkStealingScheduler::run(
-    const core::Instance& instance, const core::MachineConfig& machine,
-    sim::Trace* trace) {
-  sim::StepEngineOptions opt;
-  opt.machine = machine;
-  opt.steal_k = steal_k_;
-  opt.seed = seed_;
-  opt.admit_by_weight = admit_by_weight_;
-  opt.steal_half = steal_half_;
-  opt.trace = trace;
-  return sim::run_step_engine(instance, opt);
-}
-
-core::StreamRunResult WorkStealingScheduler::run_streamed(
+core::StreamRunResult WorkStealingScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
+    metrics::StreamingFlowStats* stats, sim::Trace* trace,
+    std::vector<core::Time>* completion) {
   sim::StepEngineOptions opt;
   opt.machine = machine;
   opt.steal_k = steal_k_;
@@ -36,7 +24,7 @@ core::StreamRunResult WorkStealingScheduler::run_streamed(
   opt.admit_by_weight = admit_by_weight_;
   opt.steal_half = steal_half_;
   opt.trace = trace;
-  return sim::run_step_engine_streamed(source, opt, stats);
+  return sim::run_step_engine(source, opt, stats, completion);
 }
 
 }  // namespace pjsched::sched

@@ -36,19 +36,18 @@ class WorkStealingScheduler final : public Scheduler {
         steal_half_(steal_half) {}
 
   std::string name() const override;
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
 
   unsigned steal_k() const { return steal_k_; }
   bool admit_by_weight() const { return admit_by_weight_; }
   bool steal_half() const { return steal_half_; }
 
  private:
+  core::StreamRunResult simulate(core::JobSource& source,
+                                 const core::MachineConfig& machine,
+                                 metrics::StreamingFlowStats* stats,
+                                 sim::Trace* trace,
+                                 std::vector<core::Time>* completion) override;
+
   unsigned steal_k_;
   std::uint64_t seed_;
   bool admit_by_weight_;

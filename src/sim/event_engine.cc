@@ -85,7 +85,7 @@ class Engine {
   Engine(core::JobSource& source, OrderPolicy& policy,
          const EventEngineOptions& options,
          std::vector<core::Time>* completion_out,
-         metrics::StreamingFlowStats* stream)
+         metrics::StreamingFlowStats& stream)
       : source_(source), policy_(policy), opts_(options), ctx_(*this),
         completion_out_(completion_out), stream_(stream),
         spans_(options.trace) {}
@@ -132,8 +132,8 @@ class Engine {
   OrderPolicy& policy_;
   const EventEngineOptions& opts_;
   Context ctx_;
-  std::vector<core::Time>* completion_out_;   // materialized runs
-  metrics::StreamingFlowStats* stream_;       // streamed runs
+  std::vector<core::Time>* completion_out_;   // optional per-id completions
+  metrics::StreamingFlowStats& stream_;
 
   unsigned m_ = 1;
   double s_ = 1.0;
@@ -355,9 +355,8 @@ void Engine::advance(double dt) {
 
 void Engine::record_completion(std::uint32_t s) {
   const JobArena::Slot& slot = arena_[s];
-  if (completion_out_ != nullptr) (*completion_out_)[slot.id] = t_;
-  if (stream_ != nullptr)
-    stream_->record(slot.id, slot.arrival, slot.weight, t_);
+  if (completion_out_ != nullptr) completion_out_->at(slot.id) = t_;
+  stream_.record(slot.id, slot.arrival, slot.weight, t_);
 }
 
 // Completion bookkeeping at the current time t_.  When the job's last node
@@ -594,38 +593,17 @@ core::EngineStats Engine::run() {
 
 }  // namespace
 
-core::ScheduleResult run_event_engine(const core::Instance& instance,
-                                      OrderPolicy& policy,
-                                      const EventEngineOptions& options) {
-  instance.validate();
-  core::InstanceSource source(instance);
-  core::ScheduleResult result;
-  result.scheduler_name = policy.name();
-  result.completion.assign(instance.size(), core::kNoTime);
-  Engine engine(source, policy, options, &result.completion, nullptr);
-  result.stats = engine.run();
-  result.finalize(instance.jobs);
-  return result;
-}
-
-core::StreamRunResult run_event_engine_streamed(
-    core::JobSource& source, OrderPolicy& policy,
-    const EventEngineOptions& options, metrics::StreamingFlowStats* stats) {
+core::StreamRunResult run_event_engine(core::JobSource& source,
+                                       OrderPolicy& policy,
+                                       const EventEngineOptions& options,
+                                       metrics::StreamingFlowStats* stats,
+                                       std::vector<core::Time>* completion) {
   metrics::StreamingFlowStats local;
-  metrics::StreamingFlowStats* sink = stats != nullptr ? stats : &local;
-  core::StreamRunResult out;
-  out.scheduler_name = policy.name();
-  Engine engine(source, policy, options, nullptr, sink);
-  out.stats = engine.run();
-  out.jobs = sink->count();
-  out.max_flow = sink->max_flow();
-  out.max_weighted_flow = sink->max_weighted_flow();
-  out.mean_flow = sink->mean_flow();
-  out.makespan = sink->makespan();
-  out.argmax_flow = sink->argmax_flow();
-  out.flow = sink->summary();
-  out.flow_quantiles_exact = sink->quantiles_exact();
-  return out;
+  metrics::StreamingFlowStats& sink = stats != nullptr ? *stats : local;
+  if (completion != nullptr) completion->assign(source.size(), core::kNoTime);
+  Engine engine(source, policy, options, completion, sink);
+  const core::EngineStats counters = engine.run();
+  return sink.result(policy.name(), counters);
 }
 
 }  // namespace pjsched::sim

@@ -39,18 +39,18 @@
 // its last node finishes.  Resident state is O(live jobs + heap entries),
 // independent of the instance length, which is what lets streamed 10^6-job
 // runs fit in memory (see docs/simulation-model.md, "Scaling to 10^6+
-// jobs").  run_event_engine(Instance, ...) is the materialized wrapper: it
-// streams the instance through the same loop (borrowing the DAGs instead of
-// owning them) and returns the classic per-job ScheduleResult, bit-identical
-// to run_event_engine_streamed on an equivalent source.
+// jobs").  run_event_engine is the one entry point: a materialized
+// Instance runs through it as a core::InstanceSource (borrowing the DAGs),
+// and the optional per-job completion vector is what
+// sched::Scheduler::run(Instance) turns into the classic ScheduleResult.
 //
 // Thread safety: each run keeps all simulation state on the stack of the
-// calling thread and only reads the (immutable, sealed) instance, so
-// concurrent calls on distinct policy objects are safe — the parallel
-// multi-trial harness (runtime::run_trials_parallel) relies on this.  The
-// OrderPolicy is mutated (order() may keep state) and must not be shared
-// across concurrent runs; a JobSource is consumed by its run and must not
-// be shared at all.
+// calling thread and only reads the (immutable, sealed) source DAGs, so
+// concurrent calls on distinct policy objects and sources are safe — the
+// parallel multi-trial harness (runtime::run_trials_parallel) relies on
+// this.  The OrderPolicy is mutated (order() may keep state) and must not
+// be shared across concurrent runs; a JobSource is consumed by its run and
+// must not be shared at all.
 #pragma once
 
 #include <memory>
@@ -155,24 +155,19 @@ struct EventEngineOptions {
   bool exact = false;
 };
 
-/// Runs the instance to completion under the given policy.  Throws
-/// std::invalid_argument on invalid instances/options.
-core::ScheduleResult run_event_engine(const core::Instance& instance,
-                                      OrderPolicy& policy,
-                                      const EventEngineOptions& options);
-
-/// Memory-bounded entry point: runs `source` to exhaustion under the given
-/// policy, recording each completion into `stats` (an internal default
-/// StreamingFlowStats when null) instead of a per-job completion vector.
-/// The returned extremes (max flow, max weighted flow, argmax, makespan)
-/// are bit-identical to what run_event_engine computes on the materialized
-/// equivalent of `source`; see StreamRunResult for the exactness contract
-/// of the remaining fields.  Throws std::invalid_argument on invalid jobs
+/// Runs `source` to exhaustion under the given policy, recording each
+/// completion into `stats` (a local StreamingFlowStats when null) and, when
+/// `completion` is non-null, into (*completion)[id] after resizing it to
+/// source.size() (an id outside that range throws std::out_of_range).  The
+/// result is built from those statistics; its extremes (max flow, max
+/// weighted flow, argmax, makespan) are exact — see StreamRunResult for the
+/// remaining fields.  Throws std::invalid_argument on invalid jobs
 /// (unsealed DAG, negative arrival, non-positive weight, out-of-order
 /// arrivals) or options.
-core::StreamRunResult run_event_engine_streamed(
+core::StreamRunResult run_event_engine(
     core::JobSource& source, OrderPolicy& policy,
     const EventEngineOptions& options,
-    metrics::StreamingFlowStats* stats = nullptr);
+    metrics::StreamingFlowStats* stats = nullptr,
+    std::vector<core::Time>* completion = nullptr);
 
 }  // namespace pjsched::sim

@@ -57,13 +57,13 @@ inline double step_time(std::uint64_t step, double s) {
 }
 
 /// Fully-parallelizable relaxation of a job (paper Section 6): `work_units`
-/// units of work become one sequential task of length W / (m s) on a single
-/// machine.  Shared by the streamed lower bounds (core/bounds, s = 1) and
-/// the OPT comparator scheduler (sched/opt_bound) so the two round
-/// identically — the streamed experiment driver pins opt_sim ==
-/// OptLowerBound::run's max flow bit for bit.
-inline double relaxed_job_length(double work_units, double m, double s) {
-  return work_units / (m * s);
+/// units of work become one sequential task of length W / m on a single
+/// speed-1 machine (OPT is the 1-speed adversary).  Shared by the streamed
+/// lower bounds (core/bounds) and the OPT comparator scheduler
+/// (sched/opt_bound) so the two round identically — the stream-run tests
+/// pin opt_sim == the OPT scheduler's max flow bit for bit.
+inline double relaxed_job_length(double work_units, double m) {
+  return work_units / m;
 }
 
 /// FIFO single-machine frontier advance over relaxed jobs (the simulated

@@ -91,7 +91,7 @@ class GlobalQueue {
 core::EngineStats run_impl(core::JobSource& source,
                            const StepEngineOptions& options,
                            std::vector<core::Time>* completion_out,
-                           metrics::StreamingFlowStats* stream) {
+                           metrics::StreamingFlowStats& stream) {
   const unsigned m = options.machine.processors;
   const double s = options.machine.speed;
   if (m == 0) throw std::invalid_argument("run_step_engine: zero processors");
@@ -397,10 +397,9 @@ core::EngineStats run_impl(core::JobSource& source,
         if (graph.done()) {
           const core::Time completion = step_time(step + 1, s);
           if (completion_out != nullptr)
-            (*completion_out)[arena[slot].id] = completion;
-          if (stream != nullptr)
-            stream->record(arena[slot].id, arena[slot].arrival,
-                           arena[slot].weight, completion);
+            completion_out->at(arena[slot].id) = completion;
+          stream.record(arena[slot].id, arena[slot].arrival,
+                        arena[slot].weight, completion);
           arena.retire(slot);
         }
       }
@@ -425,35 +424,16 @@ std::string step_scheduler_name(const StepEngineOptions& options) {
 
 }  // namespace
 
-core::ScheduleResult run_step_engine(const core::Instance& instance,
-                                     const StepEngineOptions& options) {
-  instance.validate();
-  core::InstanceSource source(instance);
-  core::ScheduleResult result;
-  result.scheduler_name = step_scheduler_name(options);
-  result.completion.assign(instance.size(), core::kNoTime);
-  result.stats = run_impl(source, options, &result.completion, nullptr);
-  result.finalize(instance.jobs);
-  return result;
-}
-
-core::StreamRunResult run_step_engine_streamed(
-    core::JobSource& source, const StepEngineOptions& options,
-    metrics::StreamingFlowStats* stats) {
+core::StreamRunResult run_step_engine(core::JobSource& source,
+                                      const StepEngineOptions& options,
+                                      metrics::StreamingFlowStats* stats,
+                                      std::vector<core::Time>* completion) {
   metrics::StreamingFlowStats local;
-  metrics::StreamingFlowStats* sink = stats != nullptr ? stats : &local;
-  core::StreamRunResult out;
-  out.scheduler_name = step_scheduler_name(options);
-  out.stats = run_impl(source, options, nullptr, sink);
-  out.jobs = sink->count();
-  out.max_flow = sink->max_flow();
-  out.max_weighted_flow = sink->max_weighted_flow();
-  out.mean_flow = sink->mean_flow();
-  out.makespan = sink->makespan();
-  out.argmax_flow = sink->argmax_flow();
-  out.flow = sink->summary();
-  out.flow_quantiles_exact = sink->quantiles_exact();
-  return out;
+  metrics::StreamingFlowStats& sink = stats != nullptr ? *stats : local;
+  if (completion != nullptr) completion->assign(source.size(), core::kNoTime);
+  const core::EngineStats counters =
+      run_impl(source, options, completion, sink);
+  return sink.result(step_scheduler_name(options), counters);
 }
 
 }  // namespace pjsched::sim

@@ -39,14 +39,15 @@
 // per-job state (tracker, DAG) in a recycling slot arena (sim::JobArena);
 // deque and queue entries reference slots, and a job's slot — including its
 // DAG storage — is freed when its last node completes.  Resident state is
-// O(live jobs), independent of the instance length.  run_step_engine is the
-// materialized wrapper over the same loop; run_step_engine_streamed is the
-// memory-bounded entry point (see docs/simulation-model.md, "Scaling to
-// 10^6+ jobs").  The two draw the same RNG stream, so they are
-// bit-identical on equivalent inputs.
+// O(live jobs), independent of the instance length (see
+// docs/simulation-model.md, "Scaling to 10^6+ jobs").  run_step_engine is
+// the one entry point: a materialized Instance runs through it as a
+// core::InstanceSource, so materialized and streamed runs of the same jobs
+// draw the same RNG stream and are bit-identical.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "src/core/job_source.h"
 #include "src/core/types.h"
@@ -94,22 +95,18 @@ struct StepEngineOptions {
   std::uint64_t max_steps = 0;
 };
 
-/// Runs the instance to completion under steal-k-first work stealing and
-/// returns per-job completion times plus steal/admission counters.
-core::ScheduleResult run_step_engine(const core::Instance& instance,
-                                     const StepEngineOptions& options);
-
-/// Memory-bounded entry point: runs `source` to exhaustion, recording each
-/// completion into `stats` (an internal default StreamingFlowStats when
-/// null) instead of a per-job completion vector.  Draws the same RNG stream
-/// as run_step_engine, so the returned extremes (max flow, max weighted
-/// flow, argmax, makespan) and EngineStats counters are bit-identical to a
-/// materialized run of the equivalent instance; see StreamRunResult for the
-/// exactness contract of the remaining fields.  Note the automatic step
-/// budget (max_steps == 0) grows incrementally with the jobs acquired so
-/// far — the final budget matches the materialized formula.
-core::StreamRunResult run_step_engine_streamed(
+/// Runs `source` to exhaustion under steal-k-first work stealing,
+/// recording each completion into `stats` (a local StreamingFlowStats when
+/// null) and, when `completion` is non-null, into (*completion)[id] after
+/// resizing it to source.size() (an id outside that range throws
+/// std::out_of_range).  The result carries the steal/admission counters and
+/// is built from those statistics; see StreamRunResult for the exactness
+/// contract of its fields.  The automatic step budget (max_steps == 0)
+/// grows with the jobs acquired so far, ending at the whole-instance
+/// formula.
+core::StreamRunResult run_step_engine(
     core::JobSource& source, const StepEngineOptions& options,
-    metrics::StreamingFlowStats* stats = nullptr);
+    metrics::StreamingFlowStats* stats = nullptr,
+    std::vector<core::Time>* completion = nullptr);
 
 }  // namespace pjsched::sim

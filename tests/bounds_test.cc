@@ -18,7 +18,7 @@ TEST(BoundsTest, SpanBound) {
       {0.0, dag::serial_chain(4, 3)},   // P = 12
       {1.0, dag::parallel_for_dag(8, 5)},  // P = 7
   });
-  EXPECT_DOUBLE_EQ(core::span_lower_bound(inst), 12.0);
+  EXPECT_DOUBLE_EQ(core::lower_bounds(inst, 1).span, 12.0);
 }
 
 TEST(BoundsTest, WorkBound) {
@@ -26,22 +26,22 @@ TEST(BoundsTest, WorkBound) {
       {0.0, dag::single_node(40)},
       {0.0, dag::single_node(12)},
   });
-  EXPECT_DOUBLE_EQ(core::work_lower_bound(inst, 4), 10.0);
+  EXPECT_DOUBLE_EQ(core::lower_bounds(inst, 4).work, 10.0);
 }
 
 TEST(BoundsTest, OptSimBoundMatchesScheduler) {
   for (std::uint64_t seed : {41u, 42u}) {
     auto inst = testutil::random_instance(seed, 30, 30.0);
     sched::OptLowerBound opt;
-    EXPECT_DOUBLE_EQ(core::opt_sim_lower_bound(inst, 3),
+    EXPECT_DOUBLE_EQ(core::lower_bounds(inst, 3).opt_sim,
                      opt.run(inst, {3, 1.0}).max_flow);
   }
 }
 
 TEST(BoundsTest, OptSimDominatesWorkBound) {
   auto inst = testutil::random_instance(43, 20, 25.0);
-  EXPECT_GE(core::opt_sim_lower_bound(inst, 2) + 1e-12,
-            core::work_lower_bound(inst, 2));
+  const core::LowerBoundSet b = core::lower_bounds(inst, 2);
+  EXPECT_GE(b.opt_sim + 1e-12, b.work);
 }
 
 TEST(BoundsTest, CombinedIsMax) {
@@ -49,11 +49,11 @@ TEST(BoundsTest, CombinedIsMax) {
       {0.0, dag::serial_chain(10, 10)},  // P = 100 dominates
       {0.0, dag::single_node(8)},
   });
-  const double combined = core::combined_lower_bound(inst, 4);
-  EXPECT_DOUBLE_EQ(combined, 100.0);
-  EXPECT_GE(combined, core::span_lower_bound(inst));
-  EXPECT_GE(combined, core::work_lower_bound(inst, 4));
-  EXPECT_GE(combined, core::opt_sim_lower_bound(inst, 4));
+  const core::LowerBoundSet b = core::lower_bounds(inst, 4);
+  EXPECT_DOUBLE_EQ(b.combined, 100.0);
+  EXPECT_GE(b.combined, b.span);
+  EXPECT_GE(b.combined, b.work);
+  EXPECT_GE(b.combined, b.opt_sim);
 }
 
 TEST(BoundsTest, WeightedBounds) {
@@ -61,24 +61,22 @@ TEST(BoundsTest, WeightedBounds) {
       {0.0, 2.0, dag::serial_chain(3, 4)},  // w*P = 24, w*W = 24
       {0.0, 5.0, dag::single_node(6)},      // w*P = 30, w*W/m
   });
-  EXPECT_DOUBLE_EQ(core::weighted_span_lower_bound(inst), 30.0);
-  EXPECT_DOUBLE_EQ(core::weighted_work_lower_bound(inst, 3), 10.0);
-  EXPECT_DOUBLE_EQ(core::weighted_combined_lower_bound(inst, 3), 30.0);
+  const core::LowerBoundSet b = core::lower_bounds(inst, 3);
+  EXPECT_DOUBLE_EQ(b.weighted_span, 30.0);
+  EXPECT_DOUBLE_EQ(b.weighted_work, 10.0);
+  EXPECT_DOUBLE_EQ(b.weighted_combined, 30.0);
 }
 
 TEST(BoundsTest, UnweightedEqualsWeightedWhenAllOnes) {
   auto inst = testutil::random_instance(44, 15, 20.0);
-  EXPECT_DOUBLE_EQ(core::span_lower_bound(inst),
-                   core::weighted_span_lower_bound(inst));
-  EXPECT_DOUBLE_EQ(core::work_lower_bound(inst, 2),
-                   core::weighted_work_lower_bound(inst, 2));
+  const core::LowerBoundSet b = core::lower_bounds(inst, 2);
+  EXPECT_DOUBLE_EQ(b.span, b.weighted_span);
+  EXPECT_DOUBLE_EQ(b.work, b.weighted_work);
 }
 
 TEST(BoundsTest, ZeroProcessorsRejected) {
   auto inst = make_instance({{0.0, dag::single_node(1)}});
-  EXPECT_THROW(core::work_lower_bound(inst, 0), std::invalid_argument);
-  EXPECT_THROW(core::opt_sim_lower_bound(inst, 0), std::invalid_argument);
-  EXPECT_THROW(core::weighted_work_lower_bound(inst, 0), std::invalid_argument);
+  EXPECT_THROW(core::lower_bounds(inst, 0), std::invalid_argument);
 }
 
 }  // namespace

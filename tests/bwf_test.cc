@@ -95,7 +95,7 @@ TEST(BwfTest, WeightedFlowAtLeastWeightedBounds) {
     sched::BwfScheduler bwf;
     const auto res = bwf.run(inst, {2, 1.0});
     EXPECT_GE(res.max_weighted_flow + 1e-6,
-              core::weighted_combined_lower_bound(inst, 2));
+              core::lower_bounds(inst, 2).weighted_combined);
   }
 }
 

@@ -38,6 +38,19 @@ TEST(CliTest, BadValueRejected) {
   EXPECT_EQ(run({"run", "--jobs=banana"}).code, 2);
   EXPECT_EQ(run({"run", "--workload=unknown"}).code, 2);
   EXPECT_EQ(run({"run", "--scheduler=unknown"}).code, 2);
+  // Integer flags take digits only, the whole value, within range: a sign,
+  // a trailing character or an overflow is a usage error, never a wrap.
+  for (const char* arg :
+       {"--jobs=10x", "--jobs=-1", "--jobs=+5", "--jobs=", "--m=-1",
+        "--m=4294967297", "--seed=-1", "--seed=18446744073709551616",
+        "--grains=1.5", "--gantt=-1", "--utilization=x", "--trials=-1",
+        "--degrade=1:-1", "--degrade=1:4294967296",
+        "--scheduler=steal--1-first", "--scheduler=steal-4294967296-first"}) {
+    SCOPED_TRACE(arg);
+    const auto r = run({"run", "--jobs=10", arg});
+    EXPECT_EQ(r.code, 2);
+    EXPECT_NE(r.err.find("usage:"), std::string::npos);
+  }
 }
 
 TEST(CliTest, RunPrintsSummary) {
@@ -101,6 +114,23 @@ TEST(CliTest, WeightsFlag) {
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("steal-4-first-bwf"), std::string::npos);
   EXPECT_EQ(run({"run", "--weights=banana"}).code, 2);
+}
+
+// Every scheduler streams, the OPT bound included: its streamed run is the
+// opt-sim bound itself, so the two lines print the same value.
+TEST(CliTest, StreamedOptRun) {
+  const auto r = run({"run", "--streamed", "--scheduler=opt", "--jobs=40",
+                      "--m=4"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("scheduler:        opt-lower-bound (streamed)"),
+            std::string::npos);
+  const auto value = [&r](const std::string& label) {
+    const std::size_t at = r.out.find(label);
+    if (at == std::string::npos) return std::string("missing");
+    const std::size_t begin = at + label.size();
+    return r.out.substr(begin, r.out.find(" ms", begin) - begin);
+  };
+  EXPECT_EQ(value("max flow:         "), value("opt-sim bound:    "));
 }
 
 TEST(CliTest, BoundsCommand) {

@@ -92,6 +92,9 @@ TEST(DagExecutorTest, ManyConcurrentDagJobs) {
     }));
   for (auto& j : jobs) j->wait();
   EXPECT_EQ(nodes.load(), 40 * 7);
+  // A job's wait() returns before its completion is recorded; wait_all()
+  // is what orders the recorder writes before this read.
+  pool.wait_all();
   EXPECT_EQ(pool.recorder().count(), 40u);
 }
 

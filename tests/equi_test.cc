@@ -85,7 +85,7 @@ TEST(EquiTest, AuditCleanOnRandomInstances) {
     const auto res = equi.run(inst, {3, 1.0}, &trace);
     const auto report = metrics::audit_schedule(inst, {3, 1.0}, trace, res);
     EXPECT_TRUE(report.ok) << report.to_string();
-    EXPECT_GE(res.max_flow + 1e-9, core::span_lower_bound(inst));
+    EXPECT_GE(res.max_flow + 1e-9, core::lower_bounds(inst, 1).span);
   }
 }
 

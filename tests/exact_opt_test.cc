@@ -74,7 +74,7 @@ TEST(ExactOptTest, SandwichOnRandomTinyInstances) {
 
     const double opt = sched::exact_optimal_max_flow(inst, m).max_flow;
 
-    EXPECT_GE(opt + 1e-9, core::combined_lower_bound(inst, m))
+    EXPECT_GE(opt + 1e-9, core::lower_bounds(inst, m).combined)
         << "seed " << seed;
     for (const char* name : {"fifo", "bwf", "sjf", "lifo", "equi",
                              "admit-first"}) {

@@ -30,8 +30,8 @@ core::ScheduleResult expect_modes_identical(const core::Instance& inst,
   exact_opt.exact_steps = true;
   exact_opt.trace = &exact_trace;
 
-  const auto fast = sim::run_step_engine(inst, fast_opt);
-  const auto exact = sim::run_step_engine(inst, exact_opt);
+  const auto fast = testutil::run_step_engine_on(inst, fast_opt);
+  const auto exact = testutil::run_step_engine_on(inst, exact_opt);
 
   EXPECT_EQ(fast.completion, exact.completion);
   EXPECT_EQ(fast.stats.work_steps, exact.stats.work_steps);
@@ -196,9 +196,9 @@ TEST(FastPathTest, BudgetGuardStillFiresUnderMacroStepping) {
   sim::StepEngineOptions opt;
   opt.machine = {1, 1.0};
   opt.max_steps = 10;
-  EXPECT_THROW(sim::run_step_engine(inst, opt), std::logic_error);
+  EXPECT_THROW(testutil::run_step_engine_on(inst, opt), std::logic_error);
   opt.exact_steps = true;
-  EXPECT_THROW(sim::run_step_engine(inst, opt), std::logic_error);
+  EXPECT_THROW(testutil::run_step_engine_on(inst, opt), std::logic_error);
 }
 
 }  // namespace

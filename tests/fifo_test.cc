@@ -61,7 +61,7 @@ TEST(FifoTest, MaxFlowAtLeastOptBound) {
     const auto f = fifo.run(inst, {3, 1.0});
     const auto o = opt.run(inst, {3, 1.0});
     EXPECT_GE(f.max_flow + 1e-9, o.max_flow);
-    EXPECT_GE(f.max_flow + 1e-9, core::combined_lower_bound(inst, 3));
+    EXPECT_GE(f.max_flow + 1e-9, core::lower_bounds(inst, 3).combined);
   }
 }
 

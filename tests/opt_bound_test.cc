@@ -39,12 +39,6 @@ TEST(OptBoundTest, IgnoresAlgorithmSpeedByDefault) {
   EXPECT_DOUBLE_EQ(opt.run(inst, {2, 2.0}).max_flow, 4.0);
 }
 
-TEST(OptBoundTest, SpeedScaledVariant) {
-  auto inst = make_instance({{0.0, dag::single_node(8)}});
-  sched::OptLowerBound opt(/*use_machine_speed=*/true);
-  EXPECT_DOUBLE_EQ(opt.run(inst, {2, 2.0}).max_flow, 2.0);
-}
-
 TEST(OptBoundTest, LowerBoundsEverySchedulerAtSpeedOne) {
   for (std::uint64_t seed : {3u, 4u, 5u}) {
     auto inst = testutil::random_instance(seed, 35, 50.0);

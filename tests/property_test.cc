@@ -73,9 +73,9 @@ TEST_P(SchedulerProperty, LegalScheduleAndBoundsRespected) {
     // (3) At speed 1, no feasible scheduler beats the OPT lower bound.
     if (cell.speed == 1.0) {
       EXPECT_GE(res.max_flow + 1e-6,
-                core::opt_sim_lower_bound(inst, cell.m))
+                core::lower_bounds(inst, cell.m).opt_sim)
           << res.scheduler_name;
-      EXPECT_GE(res.max_flow + 1e-6, core::span_lower_bound(inst))
+      EXPECT_GE(res.max_flow + 1e-6, core::lower_bounds(inst, 1).span)
           << res.scheduler_name;
     }
 
@@ -108,7 +108,7 @@ TEST_P(WeightedProperty, BwfRespectsWeightedBound) {
   spec.kind = core::SchedulerKind::kBwf;
   const auto res = core::run_scheduler(inst, spec, {4, 1.0});
   EXPECT_GE(res.max_weighted_flow + 1e-6,
-            core::weighted_combined_lower_bound(inst, 4));
+            core::lower_bounds(inst, 4).weighted_combined);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WeightedProperty,

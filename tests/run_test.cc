@@ -57,6 +57,14 @@ TEST(ParseSchedulerTest, BadNamesRejected) {
   EXPECT_THROW(core::parse_scheduler("steal--first"), std::invalid_argument);
   EXPECT_THROW(core::parse_scheduler("steal-x-first"), std::invalid_argument);
   EXPECT_THROW(core::parse_scheduler("steal-5-last"), std::invalid_argument);
+  // k is digits only and fits `unsigned`: no sign, no wrap-around.
+  EXPECT_THROW(core::parse_scheduler("steal--1-first"), std::invalid_argument);
+  EXPECT_THROW(core::parse_scheduler("steal-+5-first"), std::invalid_argument);
+  EXPECT_THROW(core::parse_scheduler("steal-5x-first"), std::invalid_argument);
+  EXPECT_THROW(core::parse_scheduler("steal-4294967296-first"),
+               std::invalid_argument);
+  EXPECT_EQ(core::parse_scheduler("steal-4294967295-first").steal_k,
+            4294967295u);
 }
 
 TEST(MakeSchedulerTest, RoundTripNames) {

@@ -30,7 +30,7 @@ TEST(StealHalfTest, AuditCleanAndWorkConserving) {
   ASSERT_TRUE(report.ok) << report.to_string();
   EXPECT_EQ(res.scheduler_name, "admit-first-half");
   EXPECT_EQ(res.stats.work_steps, inst.total_work());
-  EXPECT_GE(res.max_flow + 1e-9, core::opt_sim_lower_bound(inst, 4));
+  EXPECT_GE(res.max_flow + 1e-9, core::lower_bounds(inst, 4).opt_sim);
 }
 
 TEST(StealHalfTest, FewerStealAttemptsOnWideJob) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/bounds.h"
 #include "src/core/job_source.h"
 #include "src/core/run.h"
 #include "src/core/types.h"
@@ -111,7 +112,7 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, StreamRunCrossCheck,
                          ::testing::Values("fifo", "fifo-exact", "bwf",
                                            "lifo", "sjf", "round-robin",
                                            "equi", "admit-first",
-                                           "steal-16-first"),
+                                           "steal-16-first", "opt"),
                          [](const auto& info) {
                            std::string n = info.param;
                            std::replace(n.begin(), n.end(), '-', '_');
@@ -169,7 +170,8 @@ TEST(StreamRunTest, StreamedTraceMatchesMaterialized) {
   sim::EventEngineOptions mat_opt;
   mat_opt.machine = machine16();
   mat_opt.trace = &mat_trace;
-  const auto mat = sim::run_event_engine(inst, mat_policy, mat_opt);
+  core::InstanceSource mat_source(inst);
+  const auto mat = sim::run_event_engine(mat_source, mat_policy, mat_opt);
 
   sim::Trace str_trace;
   ArrivalPolicy str_policy;
@@ -177,8 +179,7 @@ TEST(StreamRunTest, StreamedTraceMatchesMaterialized) {
   str_opt.machine = machine16();
   str_opt.trace = &str_trace;
   workload::GeneratedJobSource source(dist, cfg);
-  const auto str =
-      sim::run_event_engine_streamed(source, str_policy, str_opt);
+  const auto str = sim::run_event_engine(source, str_policy, str_opt);
   EXPECT_EQ(str.max_flow, mat.max_flow);
 
   const auto& a = mat_trace.intervals();
@@ -273,14 +274,21 @@ TEST(StreamRunTest, CallerProvidedStatsSink) {
   EXPECT_EQ(res.argmax_flow, stats.argmax_flow());
 }
 
-// The OPT lower bound has no engine and no streamed path: documented throw.
-TEST(StreamRunTest, OptBoundHasNoStreamedPath) {
+// The OPT lower bound streams like every other scheduler, and its run is
+// the streamed opt_sim bound itself: same relaxation, same formulas, so the
+// max flow agrees bitwise.
+TEST(StreamRunTest, OptBoundStreamsTheOptSimBound) {
   const auto dist = workload::bing_distribution();
-  const workload::GeneratorConfig cfg = base_config(10);
-  workload::GeneratedJobSource source(dist, cfg);
-  EXPECT_THROW(run_scheduler_streamed(source, core::parse_scheduler("opt"),
-                                      machine16()),
-               std::logic_error);
+  const workload::GeneratorConfig cfg = base_config(300);
+  workload::GeneratedJobSource run_source(dist, cfg);
+  workload::GeneratedJobSource bound_source(dist, cfg);
+  const core::StreamRunResult res = run_scheduler_streamed(
+      run_source, core::parse_scheduler("opt"), machine16());
+  const core::LowerBoundSet bounds =
+      core::stream_lower_bounds(bound_source, machine16().processors);
+  EXPECT_EQ(res.scheduler_name, "opt-lower-bound");
+  EXPECT_EQ(res.jobs, cfg.num_jobs);
+  EXPECT_EQ(res.max_flow, bounds.opt_sim);
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ TEST(StressTest, FractionalSpeed) {
                                          {2, 0.5}, &trace);
     const auto report = metrics::audit_schedule(inst, {2, 0.5}, trace, res);
     ASSERT_TRUE(report.ok) << report.to_string();
-    EXPECT_GE(res.max_flow + 1e-9, 2.0 * core::span_lower_bound(inst));
+    EXPECT_GE(res.max_flow + 1e-9, 2.0 * core::lower_bounds(inst, 1).span);
   }
 }
 
@@ -119,7 +119,7 @@ TEST(StressTest, LargeRandomInstanceAllSchedulers) {
   auto inst = testutil::random_instance(74, 300, 500.0);
   for (const auto& spec : sweep_specs()) {
     const auto res = core::run_scheduler(inst, spec, {8, 1.0});
-    EXPECT_GE(res.max_flow + 1e-9, core::opt_sim_lower_bound(inst, 8))
+    EXPECT_GE(res.max_flow + 1e-9, core::lower_bounds(inst, 8).opt_sim)
         << res.scheduler_name;
   }
 }

@@ -130,7 +130,7 @@ TEST(TheoryValidation, Theorem31_RatioWithinThreeOverEps) {
   sched::FifoScheduler fifo;
   for (double eps : {0.5, 1.0, 2.0}) {
     const auto res = fifo.run(inst, {m, 1.0 + eps});
-    const double lb = core::combined_lower_bound(inst, m);
+    const double lb = core::lower_bounds(inst, m).combined;
     EXPECT_LE(res.max_flow / lb, 3.0 / eps + 1e-9) << "eps " << eps;
   }
 }

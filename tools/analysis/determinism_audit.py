@@ -73,7 +73,7 @@ FORMULA_PATTERNS = [
      BOUND_FILES),
     ("relaxed-length",
      re.compile(r"\b(?:work|W)\w*\s*/\s*\(?\s*m\b"),
-     "relaxed job length (`W / (m * s)`; use sim::relaxed_job_length)",
+     "relaxed job length (`W / m`; use sim::relaxed_job_length)",
      BOUND_FILES),
     ("fifo-frontier",
      re.compile(r"\bmax\s*\(\s*frontier\w*\s*,"),
