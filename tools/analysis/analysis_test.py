@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Tests for pjsched_analysis: every rule of the four passes has pass and
-fail fixtures in testdata/, staged into a temporary repo layout (the
-lock/blocking rules look at anything under src/, the determinism rules at
-src/sim + src/sched), plus gate tests that run the analyzer over the real
-tree with the committed golden lock-order graph — the same invocation the
-`lint` CMake target and CI use."""
+fail fixtures in testdata/, staged into a temporary repo layout so each
+rule's path scope engages, plus a gate test that runs the analyzer over
+the real tree with the committed golden lock-order graph — the same
+invocation the `lint` CMake target uses.
+
+ctest splits the file by class: `lint_test` runs ConventionCase, and
+`analysis_test` runs every other case class (tools/analysis/CMakeLists.txt
+names them).  Run without arguments, the file runs all of them."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,6 +22,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DRIVER = os.path.join(HERE, "pjsched_analysis.py")
 TESTDATA = os.path.join(HERE, "testdata")
 REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
+#: The gate's discovery floor: a clean result over fewer files means the
+#: export or root is wrong and the pass is vacuous (the tree has ~100).
+MIN_FILES = 60
+
+sys.path.insert(0, HERE)
+import compile_db  # noqa: E402
 
 
 def run_analysis(args, cwd=None):
@@ -27,7 +37,7 @@ def run_analysis(args, cwd=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-class FixtureCase(unittest.TestCase):
+class Staging(unittest.TestCase):
     """Stages fixtures into a tmp repo layout and runs one pass."""
 
     def setUp(self):
@@ -56,6 +66,7 @@ class FixtureCase(unittest.TestCase):
         self.assertGreaterEqual(
             len(hits), min_findings,
             f"expected >={min_findings} [{rule}] findings, got:\n{out}")
+        return hits
 
     def assert_clean(self, passname, extra=()):
         code, out, err = self.analyze(passname, *extra)
@@ -63,6 +74,11 @@ class FixtureCase(unittest.TestCase):
 
     def hierarchy(self, name="hierarchy.md"):
         return ("--hierarchy", os.path.join(TESTDATA, name))
+
+
+class FixtureCase(Staging):
+    """The lock-order, blocking, mutex-annotation and floating-point
+    determinism rules, and file discovery."""
 
     # lock-order -----------------------------------------------------------
     def test_lock_cycle_fail(self):
@@ -204,14 +220,6 @@ class FixtureCase(unittest.TestCase):
         self.stage("unordered_iter_fail.cc", "src/sched")
         self.assert_rule_fires("determinism", "unordered-iteration")
 
-    def test_entropy_fail(self):
-        self.stage("entropy_fail.cc", "src/sim")
-        self.assert_rule_fires("determinism", "entropy-source")
-
-    def test_entropy_rng_exempt(self):
-        self.stage("entropy_fail.cc", "src/sim", rename="rng.cc")
-        self.assert_clean("determinism")
-
     def _write_compile_commands(self, flag):
         tu = self.stage("determinism_pass.cc", "src/sim",
                         rename="engine.cc")
@@ -234,7 +242,9 @@ class FixtureCase(unittest.TestCase):
     # discovery ------------------------------------------------------------
     def test_build_dirs_excluded(self):
         self.stage("lock_cycle_fail.h", "src/runtime/build-scratch")
-        self.assert_clean("lock-order")
+        self.stage("implicit_order_fail.h", "src/runtime/build-scratch")
+        self.stage("implicit_order_pass.h", "src/runtime")
+        self.assert_clean("all")
 
     def test_stale_compile_commands(self):
         tu = self.stage("determinism_pass.cc", "src/sim",
@@ -250,35 +260,137 @@ class FixtureCase(unittest.TestCase):
         del tu
 
 
+class ConventionCase(Staging):
+    """The src/runtime/ conventions (memory orders, type erasure, false
+    sharing) of the annotations pass and the entropy-source ban of the
+    determinism pass; ctest runs these as `lint_test`."""
+
+    # annotations: src/runtime/ conventions --------------------------------
+    def test_implicit_order_fail(self):
+        # load, store, fetch_add without orders + single-order CAS = 4.
+        self.stage("implicit_order_fail.h", "src/runtime")
+        self.assert_rule_fires("annotations", "implicit-seq-cst",
+                               min_findings=4)
+
+    def test_implicit_order_pass(self):
+        self.stage("implicit_order_pass.h", "src/runtime")
+        self.assert_clean("annotations")
+
+    def test_runtime_rules_scoped_to_runtime(self):
+        # The same violating fixture outside src/runtime/ is not checked.
+        self.stage("implicit_order_fail.h", "src/sched")
+        self.assert_clean("annotations")
+
+    def test_relaxed_fail(self):
+        self.stage("relaxed_fail.h", "src/runtime")
+        self.assert_rule_fires("annotations", "unjustified-relaxed")
+
+    def test_relaxed_pass(self):
+        self.stage("relaxed_pass.h", "src/runtime")
+        self.assert_clean("annotations")
+
+    def test_atomic_operator_fail(self):
+        self.stage("atomic_operator_fail.h", "src/runtime")
+        self.assert_rule_fires("annotations", "atomic-operator",
+                               min_findings=2)
+
+    def test_std_function_fail(self):
+        self.stage("std_function_fail.h", "src/runtime")
+        self.assert_rule_fires("annotations", "std-function")
+
+    def test_std_function_pass(self):
+        self.stage("std_function_pass.h", "src/runtime")
+        self.assert_clean("annotations")
+
+    def test_interference_fail(self):
+        self.stage("interference_fail.h", "src/runtime")
+        self.assert_rule_fires("annotations", "interference")
+
+    def test_interference_pass(self):
+        self.stage("interference_pass.h", "src/runtime")
+        self.assert_clean("annotations")
+
+    # determinism: entropy sources -----------------------------------------
+    def test_entropy_fail(self):
+        # mt19937, random_device, rand(), system_clock, and the thread id
+        # (hashed, and read) = 6.
+        self.stage("entropy_fail.cc", "src/sim")
+        self.assert_rule_fires("determinism", "entropy-source",
+                               min_findings=6)
+
+    def test_entropy_fail_outside_sim_sched(self):
+        # Randomness and wall-clock reads are banned in all of src/.
+        self.stage("entropy_fail.cc", "src/util")
+        self.assert_rule_fires("determinism", "entropy-source",
+                               min_findings=4)
+
+    def test_entropy_mt19937_in_workload(self):
+        # The workload generator is part of the seed -> result contract.
+        self.stage("entropy_fail.cc", "src/workload")
+        hits = self.assert_rule_fires("determinism", "entropy-source")
+        self.assertTrue(any("std::mt19937" in h for h in hits), hits)
+
+    def test_thread_identity_scoped_to_sim_sched(self):
+        # The runtime hashes its own thread id to pick a FlowRecorder
+        # shard; only sim/sched results must not depend on it.
+        self.stage("entropy_fail.cc", "src/sched")
+        self.stage("entropy_fail.cc", "src/runtime")
+        hits = self.assert_rule_fires("determinism", "entropy-source")
+        self.assertEqual({h.split("/")[1] for h in hits if "get_id" in h},
+                         {"sched"}, hits)
+
+    def test_entropy_rng_exempt(self):
+        self.stage("entropy_fail.cc", "src/sim", rename="rng.cc")
+        self.assert_clean("determinism")
+
+
+class CompileDbCase(unittest.TestCase):
+    """compile_args_for reads both compile_commands.json entry forms."""
+
+    def test_compile_args_for_both_entry_forms(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            a = os.path.join(tmp, "src", "a.cc")
+            b = os.path.join(tmp, "src", "b.cc")
+            cc = os.path.join(tmp, "compile_commands.json")
+            with open(cc, "w", encoding="utf-8") as f:
+                json.dump([
+                    {"directory": tmp, "file": a,
+                     "arguments": ["c++", "-std=c++20", "-DA=1", "-Iinc",
+                                   "-O2", "-c", "src/a.cc"]},
+                    {"directory": tmp, "file": "src/b.cc",
+                     "command": "c++ -DB=2 -Wall -c src/b.cc"},
+                ], f)
+            self.assertEqual(compile_db.compile_args_for(a, cc, tmp),
+                             ["-std=c++20", "-DA=1", "-Iinc", f"-I{tmp}"])
+            self.assertEqual(compile_db.compile_args_for(b, cc, tmp),
+                             ["-DB=2", f"-I{tmp}"])
+
+
 class GateCase(unittest.TestCase):
-    """The real tree must be clean and match the committed golden graph —
-    the same check the lint target and CI run."""
+    """The real tree must be clean, match the committed golden lock-order
+    graph, and have been discovered at all — the lint target's run."""
 
-    def _args(self):
-        args = ["--root", REPO_ROOT]
-        compile_commands = os.path.join(REPO_ROOT, "build",
-                                        "compile_commands.json")
-        if os.path.isfile(compile_commands):
-            args += ["--compile-commands", compile_commands]
-        return args
-
-    def test_repo_is_clean_all_passes(self):
-        code, out, err = run_analysis(self._args())
-        self.assertEqual(
-            code, 0,
-            f"pjsched_analysis found violations in the tree:\n{out}\n{err}")
-
-    def test_committed_dot_matches_extraction(self):
+    def test_repo_is_clean(self):
         golden = os.path.join(REPO_ROOT, "docs", "lock-order.dot")
         self.assertTrue(os.path.isfile(golden),
                         "docs/lock-order.dot missing — run "
                         "tools/analysis/regen_lock_order.sh")
-        code, out, err = run_analysis(
-            self._args() + ["--pass", "lock-order", "--check-dot", golden])
+        args = ["--root", REPO_ROOT, "--check-dot", golden]
+        compile_commands = os.path.join(REPO_ROOT, "build",
+                                        "compile_commands.json")
+        if os.path.isfile(compile_commands):
+            args += ["--compile-commands", compile_commands]
+        code, out, err = run_analysis(args)
         self.assertEqual(
             code, 0,
-            "docs/lock-order.dot drifted from the code — run "
-            f"tools/analysis/regen_lock_order.sh:\n{out}\n{err}")
+            "pjsched_analysis found violations in the tree (a "
+            "lock-order-dot finding means docs/lock-order.dot drifted — "
+            f"run tools/analysis/regen_lock_order.sh):\n{out}\n{err}")
+        m = re.search(r"OK \((\d+) files clean", out)
+        self.assertIsNotNone(m, out)
+        self.assertGreaterEqual(
+            int(m.group(1)), MIN_FILES,
+            "discovery is broken, the clean result is vacuous:\n" + out)
 
 
 class LibclangEngineCase(unittest.TestCase):
@@ -295,18 +407,21 @@ class LibclangEngineCase(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             dst_dir = os.path.join(tmp, "src", "runtime")
             os.makedirs(dst_dir)
-            for fixture in ("lock_cycle_fail.h", "blocking_fail.cc"):
+            for fixture in ("lock_cycle_fail.h", "blocking_fail.cc",
+                            "implicit_order_fail.h"):
                 shutil.copy(os.path.join(TESTDATA, fixture),
                             os.path.join(dst_dir, fixture))
-            results = {}
-            for engine in ("libclang", "regex"):
-                code, out, _ = run_analysis(
-                    ["--root", tmp, "--engine", engine,
-                     "--pass", "lock-order"])
-                results[engine] = (code, sorted(
-                    l.split(": ", 1)[0] for l in out.splitlines()
-                    if ": [" in l))
-            self.assertEqual(results["libclang"], results["regex"])
+            for passname in ("lock-order", "annotations"):
+                results = {}
+                for engine in ("libclang", "regex"):
+                    code, out, _ = run_analysis(
+                        ["--root", tmp, "--engine", engine,
+                         "--pass", passname])
+                    results[engine] = (code, sorted(
+                        l.split(": ", 1)[0] for l in out.splitlines()
+                        if ": [" in l))
+                self.assertEqual(results["libclang"], results["regex"],
+                                 passname)
 
 
 if __name__ == "__main__":

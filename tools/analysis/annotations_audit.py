@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Annotation-completeness audit.
+"""Annotation-completeness and memory-order audit.
 
 Clang's thread-safety analysis (-Werror=thread-safety-analysis in clang
-builds) only checks what is annotated; this pass closes the gap by
-requiring the annotations to exist in the first place.
+builds) only checks what is annotated, and nothing in the compiler checks
+that an atomic access chose its memory order; this pass closes both gaps
+by requiring the annotations and the orders to be written down.
 
-Rules:
+Rules over all of src/:
   raw-mutex          a std::mutex-family member outside src/runtime/
                      mutex.h — use the annotated runtime::Mutex wrapper so
                      capability analysis sees it
@@ -19,13 +20,30 @@ Rules:
                      the class's methods but declared without GUARDED_BY —
                      multi-writer shared state must be visible to the
                      capability analysis
+
+Rules over src/runtime/ (docs/static-analysis.md, "The `// order:`
+convention"):
+  implicit-seq-cst     an atomic load/store/RMW that names no
+                     std::memory_order, or a compare_exchange naming only
+                     the success order.  Calls that forward a caller's
+                     order carry ``// lint: allow(implicit-order): <reason>``
+  unjustified-relaxed  memory_order_relaxed with no ``// order:`` comment on
+                     the line or within JUSTIFY_WINDOW lines above
+  atomic-operator      ++/--/+=/-= on a std::atomic member: a seq_cst RMW
+                     in disguise
+  std-function         std::function (tasks use InlineFn); cold-path uses
+                     carry ``// lint: allow(std-function): <reason>``
+  interference         a Worker*/Shard* struct holding atomics or a mutex
+                     that is not alignas(kDestructiveInterference);
+                     snapshots carry ``// lint: allow(alignment): <reason>``
 """
 
 from __future__ import annotations
 
 import re
 
-from compile_db import ALLOW_WINDOW, Finding, has_marker
+from compile_db import (ALLOW_WINDOW, JUSTIFY_WINDOW, Finding, has_marker,
+                        line_of_offset)
 
 RAW_MUTEX = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
@@ -90,6 +108,11 @@ def run(model, raw_texts: dict[str, str]):
                     "<reason>` if it only pairs with a condition "
                     "variable"))
             findings += _unguarded_fields(model, info, body)
+
+    for rel in sorted(model.file_code):
+        if rel.startswith("src/runtime/"):
+            findings += _runtime_conventions(
+                rel, model.file_code[rel], raw_texts[rel].splitlines())
     return findings
 
 
@@ -158,3 +181,94 @@ def _held_region_text(model, fn, class_locks) -> str:
             pieces.append(body[max(0, abs_line_start - start):])
             break
     return "".join(pieces)
+
+
+ATOMIC_OPS = ("load", "store", "exchange", "fetch_add", "fetch_sub",
+              "fetch_and", "fetch_or", "fetch_xor", "compare_exchange_weak",
+              "compare_exchange_strong")
+ATOMIC_CALL = re.compile(r"[.>]\s*(" + "|".join(ATOMIC_OPS) + r")\s*\(")
+ATOMIC_DECL = re.compile(r"std::atomic<[^<>]+>\s+(\w+)")
+STRUCT_DEF = re.compile(
+    r"\b(?:struct|class)\s+(alignas\s*\([^)]*\)\s*)?(\w+)\s*"
+    r"(?::[^&|{;]*)?\{")
+
+
+def _balanced_end(code: str, open_at: int) -> int:
+    """Offset of the bracket closing the one at `open_at`."""
+    opener = code[open_at]
+    closer = {"(": ")", "{": "}"}[opener]
+    depth = 0
+    for j in range(open_at, len(code)):
+        if code[j] == opener:
+            depth += 1
+        elif code[j] == closer:
+            depth -= 1
+            if depth == 0:
+                return j
+    return len(code)
+
+
+def _runtime_conventions(rel: str, code: str, raw_lines: list[str]):
+    findings: list[Finding] = []
+
+    def report(line, rule, marker, message):
+        if marker is None or not has_marker(raw_lines, line - 1, marker,
+                                            ALLOW_WINDOW):
+            findings.append(Finding(rel, line, rule, message))
+
+    for m in ATOMIC_CALL.finditer(code):
+        op = m.group(1)
+        orders = code[m.end():_balanced_end(code, m.end() - 1)].count(
+            "memory_order")
+        if orders == 0:
+            message = (f"atomic {op}() without an explicit "
+                       "std::memory_order (implicit seq_cst); every order "
+                       "must be spelled out")
+        elif op.startswith("compare_exchange") and orders < 2:
+            message = (f"{op}() names only the success order; the failure "
+                       "order must be explicit too")
+        else:
+            continue
+        report(line_of_offset(code, m.start()), "implicit-seq-cst",
+               "lint: allow(implicit-order)", message)
+
+    for idx, line in enumerate(code.splitlines()):
+        if "memory_order_relaxed" in line and not has_marker(
+                raw_lines, idx, "order:", JUSTIFY_WINDOW):
+            report(idx + 1, "unjustified-relaxed", None,
+                   "memory_order_relaxed without an `// order:` "
+                   "justification comment on the line or within "
+                   f"{JUSTIFY_WINDOW} lines above")
+        if "std::function" in line:
+            report(idx + 1, "std-function", "lint: allow(std-function)",
+                   "std::function in src/runtime/ (hot-path callables "
+                   "must be InlineFn); if this is a justified cold-path "
+                   "use, add `// lint: allow(std-function): <reason>`")
+
+    names = set(ATOMIC_DECL.findall(code))
+    if names:
+        alt = "|".join(re.escape(n) for n in sorted(names))
+        for m in re.finditer(r"(?:(?:\+\+|--)\s*(?:\w+\.)*(" + alt +
+                             r")\b|\b(" + alt + r")\s*(?:\+\+|--|\+=|-=))",
+                             code):
+            report(line_of_offset(code, m.start()), "atomic-operator", None,
+                   "operator ++/--/+=/-= on std::atomic "
+                   f"`{m.group(1) or m.group(2)}` is an implicit seq_cst "
+                   "RMW; use an explicit fetch_add/fetch_sub with a named "
+                   "order")
+
+    for m in STRUCT_DEF.finditer(code):
+        alignas_spec, name = m.group(1), m.group(2)
+        if not re.search(r"Worker|Shard", name) or (
+                alignas_spec and "kDestructiveInterference" in alignas_spec):
+            continue
+        body = code[m.end():_balanced_end(code, m.end() - 1)]
+        if re.search(r"std::atomic<|(?:^|\s)Mutex\s+\w+|std::mutex", body):
+            report(line_of_offset(code, m.start()), "interference",
+                   "lint: allow(alignment)",
+                   f"shared mutable per-worker struct `{name}` "
+                   "(atomic/mutex members) must be "
+                   "alignas(kDestructiveInterference) so false sharing is "
+                   "structurally impossible, or carry `// lint: "
+                   "allow(alignment): <reason>`")
+    return findings

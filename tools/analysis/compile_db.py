@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Shared compile_commands.json loader for the repo's static-analysis tools.
+"""Shared compile_commands.json loader for the static-analysis passes.
 
 One implementation of file discovery, build-dir exclusion, compile-arg
-extraction, and stale-export detection, imported by tools/lint/
-pjsched_lint.py and every pass under tools/analysis/ — previously each tool
-re-implemented discovery and they could disagree on what "the tree" is.
+extraction, and stale-export detection, imported by the pjsched_analysis
+driver and every one of its passes, so they all agree on what "the tree"
+is.
 
 Conventions shared by every consumer:
 
@@ -19,8 +19,8 @@ Conventions shared by every consumer:
     instead of silently analyzing a phantom tree.
 
 Also home to the comment/string stripper and marker-window helpers every
-rule engine uses, so "does this line carry a ``// lint: allow(...)``"
-means the same thing in every tool.
+rule uses, so "does this line carry a ``// lint: allow(...)``" means the
+same thing in every pass.
 """
 
 from __future__ import annotations
@@ -184,27 +184,11 @@ def discover_files(root: str, compile_commands: str | None,
                   if not is_in_build_dir(os.path.relpath(p, root)))
 
 
-def compile_args_for(path: str, compile_commands: str | None,
-                     root: str) -> list[str]:
-    """Best-effort include/std flags for libclang-backed engines."""
-    args = ["-std=c++20", f"-I{root}"]
-    if compile_commands and os.path.isfile(compile_commands):
-        try:
-            for entry in _load_entries(compile_commands):
-                if os.path.normpath(entry["file"]) == path:
-                    toks = entry.get("command", "").split()
-                    args = [t for t in toks[1:]
-                            if t.startswith(("-I", "-D", "-std="))]
-                    args.append(f"-I{root}")
-                    break
-        except (OSError, json.JSONDecodeError, KeyError):
-            pass
-    return args
-
-
-def command_for(path: str, compile_commands: str | None) -> str | None:
-    """The full compiler command line for `path`, or None when the export
-    is absent or has no entry (headers, generated files)."""
+def argv_for(path: str, compile_commands: str | None) -> list[str] | None:
+    """The compiler argv of `path`'s compile_commands.json entry, or None
+    when the export is absent or has no entry (headers, generated files).
+    Handles both entry forms (``command`` string or ``arguments`` list) and
+    a ``file`` relative to the entry's ``directory``."""
     if not compile_commands or not os.path.isfile(compile_commands):
         return None
     try:
@@ -214,10 +198,21 @@ def command_for(path: str, compile_commands: str | None) -> str | None:
                 entry_path = os.path.join(entry.get("directory", ""),
                                           entry_path)
             if os.path.normpath(entry_path) == os.path.normpath(path):
-                cmd = entry.get("command")
-                if cmd is None and "arguments" in entry:
-                    cmd = " ".join(entry["arguments"])
-                return cmd
+                if "arguments" in entry:
+                    return list(entry["arguments"])
+                return entry.get("command", "").split()
     except (OSError, json.JSONDecodeError, KeyError):
         return None
     return None
+
+
+def compile_args_for(path: str, compile_commands: str | None,
+                     root: str) -> list[str]:
+    """Include/define/std flags for the libclang stripper: the entry's own,
+    or just -std=c++20 for files the export does not list."""
+    argv = argv_for(path, compile_commands)
+    if argv is None:
+        args = ["-std=c++20"]
+    else:
+        args = [t for t in argv[1:] if t.startswith(("-I", "-D", "-std="))]
+    return args + [f"-I{root}"]

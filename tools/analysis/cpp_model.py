@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """A lightweight whole-program C++ model for the concurrency passes.
 
-Parses the tree the same way pjsched_lint does (comment-aware text over
-compile_commands-discovered files — see compile_db.py) but goes one level
-deeper: brace-matched namespace/class/function scopes, a registry of
-classes with their members and mutex fields, per-function lock-acquisition
-events with scope extents, receiver-resolved call sites, and fixpoint
-"may acquire"/"may block" summaries for interprocedural edges.
+Reads the tree as comment-aware text over compile_commands-discovered
+files (see compile_db.py) and recovers its structure: brace-matched
+namespace/class/function scopes, a registry of classes with their members
+and mutex fields, per-function lock-acquisition events with scope extents,
+receiver-resolved call sites, and fixpoint "may acquire"/"may block"
+summaries for interprocedural edges.
 
 The model is deliberately conservative where C++ is undecidable from text:
 

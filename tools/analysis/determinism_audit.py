@@ -17,9 +17,11 @@ quietly break that contract; each gets a rule:
                      code — iteration order varies across libstdc++
                      versions and hash seeds; results folded in that order
                      are not reproducible
-  entropy-source     randomness or wall-clock entropy outside sim/rng.h —
-                     all sim randomness flows through the seeded Rng so a
-                     run is its seed
+  entropy-source     randomness or wall-clock reads anywhere in src/, and
+                     thread identity in sim/sched code, outside
+                     src/sim/rng.{h,cc} — all randomness flows through the
+                     seeded Rng and all runtime timing from steady_clock, so
+                     a run is a pure function of its seed
 
 Sites with a ``// lint: allow(<rule>): <reason>`` marker within
 ALLOW_WINDOW lines are skipped.
@@ -31,7 +33,7 @@ import glob
 import os
 import re
 
-from compile_db import ALLOW_WINDOW, Finding, command_for, has_marker
+from compile_db import ALLOW_WINDOW, Finding, argv_for, has_marker
 
 #: Watchlist of FP formulas that must exist at exactly one program point.
 #: Each entry: (rule-suffix, regex, description, files in scope).  Scope is
@@ -88,12 +90,22 @@ UNORDERED_DECL = re.compile(
 
 RANGE_FOR = re.compile(r"\bfor\s*\(\s*[^;)]*?:\s*([^)]+)\)")
 
-ENTROPY = re.compile(
-    r"\bstd::(?:random_device|mt19937(?:_64)?|default_random_engine|"
-    r"minstd_rand0?|knuth_b)\b"
-    r"|\bsystem_clock\s*::\s*now\b"
-    r"|\bthis_thread::get_id\b"
-    r"|\bhash\s*<\s*std::thread::id\s*>")
+SIM_SCHED = ("src/sim/", "src/sched/")
+
+#: Entropy sources and the path prefixes each is banned under.  Thread
+#: identity is banned in sim/sched only: the runtime hashes its own thread
+#: id to pick a FlowRecorder shard, which never reaches a result.
+ENTROPY = [
+    (re.compile(r"\b(?:s?rand\s*\(|drand48\b|random_device\b)"), ("src/",)),
+    (re.compile(r"\bstd::(?:mt19937(?:_64)?|default_random_engine|"
+                r"minstd_rand0?|knuth_b)\b"), ("src/",)),
+    (re.compile(r"\b(?:system_clock|gettimeofday|localtime|gmtime)\b"),
+     ("src/",)),
+    (re.compile(r"(?<![\w:])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"),
+     ("src/",)),
+    (re.compile(r"\bthis_thread::get_id\b|\bhash\s*<\s*std::thread::id\s*>"),
+     SIM_SCHED),
+]
 
 RNG_HOME = ("src/sim/rng.h", "src/sim/rng.cc")
 
@@ -119,8 +131,8 @@ def _check_fp_contract(compile_commands, root):
     sim_tus = sorted(glob.glob(os.path.join(root, "src", "sim", "*.cc")))
     for tu in sim_tus:
         rel = os.path.relpath(tu, root).replace(os.sep, "/")
-        cmd = command_for(tu, compile_commands)
-        if cmd is None:
+        argv = argv_for(tu, compile_commands)
+        if argv is None:
             if compile_commands and os.path.isfile(compile_commands):
                 findings.append(Finding(
                     rel, 1, "fp-contract",
@@ -128,7 +140,7 @@ def _check_fp_contract(compile_commands, root):
                     "is not built with the pjsched target's "
                     "-ffp-contract=off; add it to the target"))
             continue
-        if "-ffp-contract=off" not in cmd:
+        if "-ffp-contract=off" not in argv:
             findings.append(Finding(
                 rel, 1, "fp-contract",
                 "compiled without -ffp-contract=off — FMA contraction "
@@ -161,7 +173,7 @@ def _check_dup_formulas(model, raw_texts):
 def _check_unordered_iteration(model, raw_texts):
     findings = []
     for rel in sorted(model.file_code):
-        if not (rel.startswith("src/sim/") or rel.startswith("src/sched/")):
+        if not rel.startswith(SIM_SCHED):
             continue
         code = model.file_code[rel]
         unordered_names = {m.group(1)
@@ -187,18 +199,21 @@ def _check_unordered_iteration(model, raw_texts):
 def _check_entropy(model, raw_texts):
     findings = []
     for rel in sorted(model.file_code):
-        if not (rel.startswith("src/sim/") or rel.startswith("src/sched/")):
-            continue
         if rel in RNG_HOME:
             continue
         code = model.file_code[rel]
-        for m in ENTROPY.finditer(code):
-            line = code.count("\n", 0, m.start()) + 1
-            if _allowed(raw_texts, rel, line, "entropy-source"):
+        for pat, scope in ENTROPY:
+            if not rel.startswith(scope):
                 continue
-            findings.append(Finding(
-                rel, line, "entropy-source",
-                f"`{m.group(0)}` introduces entropy outside "
-                "src/sim/rng.h — sim results must be a pure function of "
-                "the seed; thread all randomness through sim::Rng"))
+            for m in pat.finditer(code):
+                line = code.count("\n", 0, m.start()) + 1
+                if _allowed(raw_texts, rel, line, "entropy-source"):
+                    continue
+                findings.append(Finding(
+                    rel, line, "entropy-source",
+                    f"`{m.group(0).strip()}` outside src/sim/rng.{{h,cc}} "
+                    "breaks reproducibility — a run must be a pure function "
+                    "of its seed; draw from the seeded sim::Rng / "
+                    "steady_clock, or add `// lint: allow(entropy-source): "
+                    "<reason>`"))
     return findings

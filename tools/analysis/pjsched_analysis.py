@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""pjsched_analysis — whole-program concurrency & determinism analyzer.
+"""pjsched_analysis — the repo's concurrency & determinism analyzer.
 
 Four CI-gating passes over the tree described by compile_commands.json
 (see docs/static-analysis.md for the rules and policy):
@@ -9,17 +9,18 @@ Four CI-gating passes over the tree described by compile_commands.json
   blocking       blocking syscalls / CV waits / transitively-blocking
                  calls while a lock is held
   annotations    every mutex wrapped+annotated, multi-writer fields
-                 GUARDED_BY
+                 GUARDED_BY; in src/runtime/, explicit memory orders,
+                 `// order:` justifications, InlineFn over std::function,
+                 interference-aligned per-worker structs
   determinism    -ffp-contract=off on sim TUs, one-program-point FP
-                 formulas, no unordered iteration or stray entropy in
-                 sim/sched results
+                 formulas, no unordered iteration in sim/sched results, no
+                 entropy source in src/ outside sim/rng
 
-Engines, same architecture as tools/lint/pjsched_lint.py: with the python
-libclang bindings importable, comments and string literals are blanked by
-exact token extents; otherwise a comment-aware regex stripper does the
-same job.  Both feed the identical textual model (tools/analysis/
-cpp_model.py), so findings do not depend on the engine — only stripping
-precision does.
+Engines: with the python libclang bindings importable, comments and
+string literals are blanked by exact token extents; otherwise a
+comment-aware regex stripper does the same job.  Both feed the identical
+textual model (tools/analysis/cpp_model.py), so findings do not depend on
+the engine — only stripping precision does.
 
 Usage:
   pjsched_analysis.py [--root R] [--compile-commands CC]

@@ -1,13 +1,33 @@
-// Fixture: staged under src/sim/ (not rng.cc) — a free-running mt19937
-// seeded outside the Rng; the run is no longer a function of its seed.
-// Expect [entropy-source].
+// Fixture: ambient randomness, wall-clock reads and thread identity — the
+// run is no longer a function of its seed.  Staged anywhere in src/ (not
+// sim/rng.cc) the first four functions fire [entropy-source];
+// thread_slot() fires only under src/sim or src/sched.
+#include <chrono>
+#include <cstdlib>
+#include <functional>
 #include <random>
+#include <thread>
 
 namespace pjsched::sim {
 
 double jitter() {
-  std::mt19937 gen(42);
+  std::mt19937 gen(42);  // seeded outside the Rng
   return static_cast<double>(gen()) / 4294967296.0;
+}
+
+unsigned ambient_seed() {
+  std::random_device rd;
+  return rd();
+}
+
+int ambient_rand() { return rand() % 6; }
+
+long wall_clock_ns() {
+  return std::chrono::system_clock::now().time_since_epoch().count();
+}
+
+std::size_t thread_slot() {
+  return std::hash<std::thread::id>{}(std::this_thread::get_id()) % 8;
 }
 
 }  // namespace pjsched::sim
