@@ -117,6 +117,19 @@ class Job {
     while (!finished_.load(std::memory_order_acquire)) cv_.wait(mu_);
   }
 
+  /// wait() bounded by `timeout`: true once the job is terminal, false if
+  /// the timeout passed first.  Spurious wakes re-wait for the remainder.
+  bool wait_for(Clock::duration timeout) const {
+    const Clock::time_point deadline = Clock::now() + timeout;
+    MutexLock lock(mu_);
+    while (!finished_.load(std::memory_order_acquire)) {
+      const Clock::time_point now = Clock::now();
+      if (now >= deadline) return false;
+      cv_.wait_for(mu_, deadline - now);
+    }
+    return true;
+  }
+
   /// Flow time in seconds (valid after completion).
   double flow_seconds() const {
     return std::chrono::duration<double>(completion_time_ - submit_time_)
@@ -196,10 +209,18 @@ class Job {
     return false;
   }
 
+  /// Retired = the pool has made its last access to the job (finish_job,
+  /// after the recorder).  finished() is not enough: finish_one notifies
+  /// cv_ after publishing finished_.  Only a retired job may lose the
+  /// pool's reference.
+  bool retired() const { return retired_.load(std::memory_order_acquire); }
+  void mark_retired() { retired_.store(true, std::memory_order_release); }
+
   const std::uint64_t id_;
   const double weight_;
   std::atomic<std::uint64_t> pending_{0};
   std::atomic<bool> finished_{false};
+  std::atomic<bool> retired_{false};
   std::atomic<JobOutcome> outcome_{JobOutcome::kRunning};
   Clock::time_point submit_time_{};
   Clock::time_point completion_time_{};

@@ -138,6 +138,12 @@ JobHandle ThreadPool::submit(TaskFn root, const SubmitOptions& options) {
   job->add_pending();  // the root task
   {
     MutexLock lock(done_mu_);
+    // Amortized O(1) per submit; the completion path stays lock-free.
+    if (live_jobs_.size() >= live_prune_at_) {
+      std::erase_if(live_jobs_,
+                    [](const JobHandle& j) { return j->retired(); });
+      live_prune_at_ = std::max(kLivePruneFloor, 2 * live_jobs_.size());
+    }
     live_jobs_.push_back(job);
   }
   Task* task;
@@ -181,6 +187,9 @@ void ThreadPool::terminate_unadmitted(Task* task, bool rejected) {
 void ThreadPool::finish_job(Job* job, unsigned recorder_shard) {
   if (job->finish_one()) {
     recorder_.record(*job, recorder_shard);
+    // The last access to *job: from here submit() may drop the pool's
+    // reference, and with it the job.
+    job->mark_retired();
     // Hot path: one RMW per job, no lock.  Only the completion that
     // observes itself as the *last outstanding job* touches done_mu_.
     // order: acq_rel — release publishes this job's recorder write before

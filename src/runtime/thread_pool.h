@@ -343,9 +343,14 @@ class ThreadPool {
   CondVar idle_cv_;     ///< idle-backoff wakeup; notified by submit()
   mutable Mutex done_mu_;  // dump_state() is const and snapshots jobs
   CondVar done_cv_;
-  /// Keeps every submitted job alive until shutdown even if the caller
-  /// drops its handle (tasks hold raw Job pointers).
+  /// The pool's reference to each job it has not yet retired (tasks hold
+  /// raw Job pointers, so a job must outlive them even if the caller drops
+  /// its handle).  submit() drops retired jobs once the vector has doubled
+  /// since the last prune, so it stays within ~2x the unretired jobs (at
+  /// least kLivePruneFloor) instead of growing with every job ever run.
   std::vector<JobHandle> live_jobs_ PJSCHED_GUARDED_BY(done_mu_);
+  static constexpr std::size_t kLivePruneFloor = 1024;
+  std::size_t live_prune_at_ PJSCHED_GUARDED_BY(done_mu_) = kLivePruneFloor;
 
   // lint: allow(std-function): cold-path copy of PoolOptions::watchdog_sink.
   std::function<void(const std::string&)> watchdog_sink_;

@@ -30,6 +30,12 @@ constexpr std::size_t kParseBatchEntries = 256;
 /// estimate stays exact for the first 1024 completions.
 constexpr std::size_t kTenantFlowReservoir = 1024;
 
+/// The dispatcher's longest sleep, and the age up to which a full window
+/// waits on its oldest job rather than on arrivals.  It bounds a missed
+/// arrival wake-up, and the time a long oldest job keeps the dispatcher
+/// from noticing the slots of younger jobs that finished first.
+constexpr std::chrono::milliseconds kDispatchBackstop{1};
+
 int make_wake_pipe(int* rd, int* wr) {
   int fds[2];
   if (::pipe(fds) != 0) return -1;
@@ -285,13 +291,39 @@ void Daemon::dispatcher_main() {
                                  : static_cast<std::size_t>(pool_.workers()) * 4;
   QueuedRecord rec;
   while (true) {
-    if (reap_finished() < window && router_.try_pop(&rec)) {
+    const bool full = reap_finished() >= window;
+    if (!full && router_.try_pop(&rec)) {
       dispatch(std::move(rec));
       continue;
     }
     if (stop_.load(std::memory_order_acquire)) return;
-    runtime::MutexLock lock(work_mu_);
-    work_cv_.wait_for(work_mu_, std::chrono::milliseconds(1));
+    // Full window: wait on the oldest in-flight job (pending_ is in
+    // dispatch order) until it is kDispatchBackstop old.  A backlog
+    // already queued sends no arrival wake-up, so that job's completion is
+    // what frees a slot.  An older job is a long one that younger jobs
+    // outlive; their freed slots are found on arrivals, as when the
+    // window has room.
+    runtime::JobHandle oldest;
+    Clock::duration left{};
+    if (full) {
+      runtime::MutexLock lock(state_mu_);
+      if (pending_.size() < window) continue;  // reaped meanwhile elsewhere
+      const runtime::JobHandle& front = pending_.front().handle;
+      left = front->submit_time() + kDispatchBackstop - Clock::now();
+      if (left > Clock::duration::zero()) {
+        oldest = front;
+        ++window_waits_;
+      }
+    }
+    if (!oldest) {
+      runtime::MutexLock lock(work_mu_);
+      work_cv_.wait_for(work_mu_, kDispatchBackstop);
+      continue;
+    }
+    if (!oldest->wait_for(left)) {
+      runtime::MutexLock lock(state_mu_);
+      ++window_timeouts_;
+    }
   }
 }
 
@@ -433,6 +465,8 @@ DaemonSnapshot Daemon::snapshot() const {
   snap.feed = feed_;
   snap.tenants = tenants_;
   snap.inflight = pending_.size();
+  snap.window_waits = window_waits_;
+  snap.window_timeouts = window_timeouts_;
   snap.quarantine.assign(quarantine_.begin(), quarantine_.end());
   for (const auto& [name, stats] : flow_) {
     const auto it = snap.tenants.find(name);
@@ -458,6 +492,8 @@ std::string Daemon::metrics_text() const {
       << " timeouts=" << s.feed.read_timeouts
       << " slow_drip=" << s.feed.slow_drip << " batches=" << s.feed.batches
       << "]"
+      << " dispatch[window_waits=" << s.window_waits
+      << " window_timeouts=" << s.window_timeouts << "]"
       << " inflight=" << s.inflight << "\n";
   for (const auto& [name, t] : s.tenants) {
     out << "  tenant " << name << ": submitted=" << t.submitted
@@ -505,7 +541,9 @@ std::string Daemon::metrics_machine() const {
       << "ingest.disconnects " << s.feed.disconnects << "\n"
       << "ingest.read_timeouts " << s.feed.read_timeouts << "\n"
       << "ingest.slow_drip " << s.feed.slow_drip << "\n"
-      << "ingest.commands " << s.feed.commands << "\n";
+      << "ingest.commands " << s.feed.commands << "\n"
+      << "dispatch.window_waits " << s.window_waits << "\n"
+      << "dispatch.window_timeouts " << s.window_timeouts << "\n";
   for (const auto& [name, t] : s.tenants) {
     const std::string prefix = "tenant." + name + ".";
     out << prefix << "submitted " << t.submitted << "\n"

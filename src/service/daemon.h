@@ -5,8 +5,13 @@
 // Threads owned by a Daemon:
 //
 //   dispatcher   pops weighted-fair from the router and submits to the
-//                pool; enforces per-record deadline budgets (time already
-//                spent queued in the router counts against the budget);
+//                pool, at most dispatch_window jobs in flight; enforces
+//                per-record deadline budgets (time already spent queued in
+//                the router counts against the budget).  It sleeps until
+//                a record arrives (work_cv_) or, with the window full and
+//                its oldest in-flight job younger than 1 ms, until that
+//                job finishes (its Job condvar); no wait lasts over 1 ms
+//                (docs/service.md, "Dispatch");
 //   maintenance  ticks the degradation ladder (utilization + watchdog
 //                stall signal), accounts tick-time evictions, and reaps
 //                finished pool jobs into per-tenant counters;
@@ -82,7 +87,9 @@ struct DaemonConfig {
   /// Max jobs dispatched to the pool but not yet reaped (0 = 4x workers).
   /// The dispatcher stops popping at the window so the backlog stays in
   /// the ROUTER — where weighted fairness and the ladder's utilization
-  /// signal live — instead of leaking into the pool's FIFO queue.
+  /// signal live — instead of leaking into the pool's FIFO queue.  A full
+  /// window waits for its oldest in-flight job to finish, and for
+  /// arrivals once that job is 1 ms old.
   std::size_t dispatch_window = 0;
   /// How many recent malformed-line samples to keep for diagnosis.
   std::size_t quarantine_keep = 16;
@@ -145,6 +152,10 @@ struct DaemonSnapshot {
   FeedStats feed;
   std::map<std::string, TenantCounters> tenants;
   std::size_t inflight = 0;  ///< dispatched to the pool, not yet reaped
+  /// Full-window waits on the oldest in-flight job, and those that ended
+  /// at the job's 1 ms mark rather than at its completion.
+  std::uint64_t window_waits = 0;
+  std::uint64_t window_timeouts = 0;
   std::vector<std::string> quarantine;  ///< recent malformed-line samples
 };
 
@@ -284,6 +295,8 @@ class Daemon {
   std::vector<PendingJob> pending_ PJSCHED_GUARDED_BY(state_mu_);
   FeedStats feed_ PJSCHED_GUARDED_BY(state_mu_);
   std::deque<std::string> quarantine_ PJSCHED_GUARDED_BY(state_mu_);
+  std::uint64_t window_waits_ PJSCHED_GUARDED_BY(state_mu_) = 0;
+  std::uint64_t window_timeouts_ PJSCHED_GUARDED_BY(state_mu_) = 0;
 
   /// Dispatcher wakeup: submit_record notifies after a successful push.
   // lint: allow(wait-lock): pairs with work_cv_ only; guards no data — the

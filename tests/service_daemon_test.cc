@@ -173,6 +173,8 @@ TEST(ServiceDaemon, MetricsCommandRepliesInMachineFormat) {
   EXPECT_NE(reply.find("ingest.commands 1\n"), std::string::npos) << reply;
   EXPECT_NE(reply.find("router.accepted "), std::string::npos);
   EXPECT_NE(reply.find("pool.tasks_executed "), std::string::npos);
+  EXPECT_NE(reply.find("dispatch.window_waits "), std::string::npos);
+  EXPECT_NE(reply.find("dispatch.window_timeouts "), std::string::npos);
 
   ASSERT_TRUE(daemon.drain(5000ms));
   const DaemonSnapshot snap = daemon.snapshot();
@@ -263,6 +265,61 @@ TEST(ServiceDaemon, DeadlineBudgetExpiresSlowJobs) {
   EXPECT_EQ(snap.tenants.at("sla").deadline_expired, 1u);
   EXPECT_EQ(snap.tenants.at("sla").completed, 1u);
   expect_books_balance(snap);
+}
+
+TEST(ServiceDaemon, FullWindowWakesOnCompletion) {
+  // With a one-job window nearly every dispatch waits for the job ahead
+  // of it.  The job's completion wakes the dispatcher, so the 1 ms
+  // backstop ends few of those waits; a dispatcher that only slept on the
+  // backstop would time out on nearly every one.
+  DaemonConfig config = small_config();
+  config.dispatch_window = 1;
+  config.router.capacity = 4096;  // the whole burst fits: nothing shed
+  Daemon daemon(config);
+
+  constexpr std::uint64_t kRecords = 300;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    JobRecord r;
+    r.tenant = "burst";
+    r.work = 1;
+    daemon.submit_record(r);
+  }
+  ASSERT_TRUE(daemon.drain(10000ms));
+  const DaemonSnapshot snap = daemon.snapshot();
+  EXPECT_EQ(snap.tenants.at("burst").completed, kRecords);
+  expect_books_balance(snap);
+  EXPECT_GT(snap.window_waits, 0u);
+  EXPECT_LE(snap.window_timeouts, 30u) << "of " << snap.window_waits;
+}
+
+TEST(ServiceDaemon, LongOldestJobLeavesRefillsToArrivals) {
+  // Window 2: a 300 ms job holds the oldest slot while a steady stream of
+  // short jobs cycles through the other.  The full-window wait on the long
+  // job ends once it is 1 ms old, and arrivals refill the slot from then
+  // on.  A dispatcher that kept waiting on the long job would hit the 1 ms
+  // backstop once per short job and refill one slot per millisecond.
+  DaemonConfig config = small_config();
+  config.dispatch_window = 2;
+  config.router.capacity = 4096;  // nothing shed
+  Daemon daemon(config);
+
+  JobRecord long_job;
+  long_job.tenant = "mix";  // one tenant: the router pops it first
+  long_job.work = 1'500'000;  // 300 ms at 200 ns/unit
+  daemon.submit_record(long_job);
+  constexpr std::uint64_t kShort = 100;
+  for (std::uint64_t i = 0; i < kShort; ++i) {
+    JobRecord r;
+    r.tenant = "mix";
+    r.work = 1;
+    daemon.submit_record(r);
+    std::this_thread::sleep_for(500us);
+  }
+  ASSERT_TRUE(daemon.drain(10000ms));
+  const DaemonSnapshot snap = daemon.snapshot();
+  EXPECT_EQ(snap.tenants.at("mix").completed, kShort + 1);
+  expect_books_balance(snap);
+  EXPECT_LE(snap.window_timeouts, 10u) << "of " << snap.window_waits;
 }
 
 TEST(ServiceDaemon, ReplayFileFeedSubmitsEveryInstanceJob) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -160,6 +161,27 @@ TEST(ThreadPoolTest, WeightedFlowRecorded) {
   pool.wait_all();
   EXPECT_GE(pool.recorder().max_weighted_flow_seconds(),
             pool.recorder().max_flow_seconds());
+}
+
+TEST(ThreadPoolTest, SubmitPrunesRetiredJobsButKeepsRunningOnes) {
+  // The pool holds each job only until it retires, so a long-lived pool
+  // does not keep every job it ever ran alive.
+  ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 3});
+  const std::weak_ptr<Job> done = pool.submit([](TaskContext&) {});
+  pool.wait_all();  // every job so far has retired
+
+  std::atomic<bool> release{false};
+  const std::weak_ptr<Job> running = pool.submit([&](TaskContext&) {
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  // Enough submissions for the live-job vector to pass its prune floor.
+  for (int i = 0; i < 4096; ++i) pool.submit([](TaskContext&) {});
+  EXPECT_TRUE(done.expired());
+  EXPECT_FALSE(running.expired());  // its task still holds a raw Job*
+
+  release.store(true, std::memory_order_release);
+  pool.wait_all();
+  EXPECT_EQ(pool.recorder().count(), 4098u);
 }
 
 TEST(ThreadPoolTest, SubmitAfterShutdownRejected) {
