@@ -50,8 +50,11 @@ class ChaseLevDeque {
   ChaseLevDeque(const ChaseLevDeque&) = delete;
   ChaseLevDeque& operator=(const ChaseLevDeque&) = delete;
 
-  /// Owner only: push onto the bottom.
-  void push(T item) {
+  /// Owner only: push onto the bottom.  Returns true when this push took
+  /// the deque from empty to non-empty, as of the owner's read of top_ (a
+  /// thief that empties it concurrently may go unseen); the pool wakes a
+  /// parked worker only on that transition.
+  bool push(T item) {
     // order: relaxed — bottom_ and buffer_ are owner-written; the owner
     // reads its own writes.  top_ is acquire to observe thieves' steals
     // before judging fullness (PPoPP'13 fig. 1).
@@ -74,6 +77,7 @@ class ChaseLevDeque {
     // the paper) orders the slot write before the bottom_ publication.
     std::atomic_thread_fence(std::memory_order_release);
     bottom_.store(b + 1, std::memory_order_relaxed);
+    return b == t;
   }
 
   /// Owner only: pop from the bottom.  Returns false when empty.

@@ -19,6 +19,18 @@ thread_local const ThreadPool* t_worker_of_pool = nullptr;
 // evidence of an idle system rather than one unlucky coin flip.
 constexpr unsigned kStealProbes = 4;
 
+// Spin-then-park budget, in idle rounds (one try_run_one plus one
+// cpu_relax each).  Parking pays off only when an idle spell outlasts one
+// park plus one wake-up, so each worker tunes its budget from the spells it
+// sees: a spell that ends with work found while spinning lengthens the
+// next spin by a step, and each park halves it.  Closed loops that idle
+// for about one wake-up between jobs settle near the top; open-loop
+// traffic with idle spells of hundreds of microseconds settles near the
+// bottom.
+constexpr unsigned kSpinRoundsMin = 4;
+constexpr unsigned kSpinRoundsMax = 256;
+constexpr unsigned kSpinRoundsStep = 32;
+
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -32,7 +44,9 @@ inline void cpu_relax() {
 
 void TaskContext::spawn(TaskFn fn) {
   job_->add_pending();
-  state_->deque.push(state_->task_pool.allocate(job_, std::move(fn), nullptr));
+  if (state_->deque.push(
+          state_->task_pool.allocate(job_, std::move(fn), nullptr)))
+    pool_->wake_one_if_parked();
 }
 
 void TaskContext::spawn(TaskFn fn, WaitGroup& wg) {
@@ -41,7 +55,8 @@ void TaskContext::spawn(TaskFn fn, WaitGroup& wg) {
   // The WaitGroup rides on the Task, not inside the body: execute() signals
   // it on every exit path (ran / threw / skipped-as-cancelled), which is
   // what lets wait_help guarantee a full drain before unwinding.
-  state_->deque.push(state_->task_pool.allocate(job_, std::move(fn), &wg));
+  if (state_->deque.push(state_->task_pool.allocate(job_, std::move(fn), &wg)))
+    pool_->wake_one_if_parked();
 }
 
 void TaskContext::wait_help(WaitGroup& wg) {
@@ -156,7 +171,7 @@ JobHandle ThreadPool::submit(TaskFn root, const SubmitOptions& options) {
   if (evicted != nullptr) terminate_unadmitted(evicted, /*rejected=*/false);
   if (result == AdmissionQueue::PushResult::kRejected)
     terminate_unadmitted(task, /*rejected=*/true);
-  idle_cv_.notify_one();
+  wake_one_if_parked();
   return job;
 }
 
@@ -230,7 +245,10 @@ void ThreadPool::shutdown() {
   wait_all();
   stop_.store(true, std::memory_order_release);
   admission_.close();  // unblock submitters stuck on a full bounded queue
-  idle_cv_.notify_all();
+  // Every parked worker must see stop_: the epoch bump under idle_mu_
+  // orders the store before any later snapshot, and ends every wait on an
+  // earlier one.
+  wake(/*all=*/true);
   for (auto& w : workers_)
     if (w->thread.joinable()) w->thread.join();
   // A submit() racing shutdown() may have enqueued a task after the final
@@ -267,6 +285,8 @@ std::vector<ThreadPool::WorkerSnapshot> ThreadPool::snapshot_workers() const {
     s.tasks_executed = w->counters.tasks_executed.load(std::memory_order_relaxed);
     s.tasks_cancelled =
         w->counters.tasks_cancelled.load(std::memory_order_relaxed);
+    // order: relaxed — same single-writer diagnostic contract.
+    s.parks = w->counters.parks.load(std::memory_order_relaxed);
     s.slab_blocks = w->task_pool.blocks_carved();
     s.remote_frees = w->task_pool.remote_frees();
     snaps.push_back(s);
@@ -282,6 +302,7 @@ PoolStats ThreadPool::stats() const {
     total.admissions += s.admissions;
     total.tasks_executed += s.tasks_executed;
     total.tasks_cancelled += s.tasks_cancelled;
+    total.parks += s.parks;
     total.task_slab_blocks += s.slab_blocks;
     total.task_remote_frees += s.remote_frees;
   }
@@ -336,13 +357,18 @@ std::string ThreadPool::dump_state() const {
       << " capacity=" << admission_.capacity() << " ("
       << to_string(admission_.policy()) << ") accepted=" << qs.accepted
       << " popped=" << qs.popped << " shed=" << qs.shed
-      << " rejected=" << qs.rejected_full + qs.rejected_closed << "\n";
+      << " rejected=" << qs.rejected_full + qs.rejected_closed << "\n"
+      // order: relaxed — a diagnostic reading; parked workers beside a
+      // non-empty queue are what a lost wake-up looks like.
+      << "  parked workers=" << sleepers_.load(std::memory_order_relaxed)
+      << "\n";
   for (std::size_t i = 0; i < snaps.size(); ++i) {
     const WorkerSnapshot& s = snaps[i];
     out << "  worker " << i << ": deque~=" << s.deque_hint
         << " tasks=" << s.tasks_executed << " cancelled=" << s.tasks_cancelled
         << " steals=" << s.successful_steals << "/" << s.steal_attempts
-        << " admissions=" << s.admissions << " slab_blocks=" << s.slab_blocks
+        << " admissions=" << s.admissions << " parks=" << s.parks
+        << " slab_blocks=" << s.slab_blocks
         << " remote_frees=" << s.remote_frees << "\n";
   }
   constexpr std::size_t kMaxJobsListed = 16;
@@ -471,7 +497,18 @@ Task* ThreadPool::try_steal(unsigned thief, WorkerState& me) {
   if (victim >= thief) ++victim;
   for (unsigned p = 0; p < probes; ++p) {
     Task* task = nullptr;
-    if (workers_[victim]->deque.steal(task)) return task;
+    if (workers_[victim]->deque.steal(task)) {
+      // Pushes onto a non-empty deque wake nobody, so a thief that leaves
+      // work behind passes the wake on: a burst of spawns reaches every
+      // parked worker one steal at a time.  A hint, not a protocol step —
+      // the victim still runs whatever nobody takes.
+      // order: relaxed — no publication rides on this read; a stale value
+      // costs one wake or one missed helper, never a task.
+      if (sleepers_.load(std::memory_order_relaxed) != 0 &&
+          !workers_[victim]->deque.empty_hint())
+        wake(/*all=*/false);
+      return task;
+    }
     ++victim;
     if (victim == thief) ++victim;
     if (victim >= n) victim = thief == 0 ? 1 : 0;
@@ -521,28 +558,75 @@ bool ThreadPool::try_run_one(unsigned index, WorkerState& w, bool helping) {
 void ThreadPool::worker_main(unsigned index) {
   t_worker_of_pool = this;
   WorkerState& w = *workers_[index];
-  // Idle backoff ladder: spin (pause), then yield, then exponentially
-  // growing timed waits on the idle CV (64 µs up to ~1 ms).  submit()
-  // notifies the CV, so a fresh job still wakes a deeply idle worker
-  // immediately; the ladder only bounds how hard an idle pool burns CPU.
+  unsigned spin_budget = kSpinRoundsStep;
   unsigned idle_rounds = 0;
   while (!stop_.load(std::memory_order_acquire)) {
     if (try_run_one(index, w, /*helping=*/false)) {
+      if (idle_rounds > 0)
+        spin_budget = std::min(spin_budget + kSpinRoundsStep, kSpinRoundsMax);
       idle_rounds = 0;
       continue;
     }
-    ++idle_rounds;
-    if (idle_rounds <= 32) {
+    // A failed round leaves fail_count > steal_k_ only when it was allowed
+    // to admit and still found the admission queue empty and nothing to
+    // steal.  Only such a round may end in a park: steal-k-first's window
+    // keeps spinning however small the budget.
+    if (++idle_rounds < spin_budget || w.fail_count <= steal_k_) {
       cpu_relax();
-    } else if (idle_rounds <= 64) {
-      std::this_thread::yield();
-    } else {
-      const unsigned shift = std::min(idle_rounds - 65, 4u);
-      MutexLock lock(idle_mu_);
-      idle_cv_.wait_for(idle_mu_,
-                        std::chrono::microseconds(std::uint64_t{64} << shift));
+      continue;
+    }
+    spin_budget = std::max(spin_budget / 2, kSpinRoundsMin);
+    park(w);
+    idle_rounds = 0;
+  }
+}
+
+void ThreadPool::park(WorkerState& w) {
+  // order: seq_cst RMW, then a seq_cst fence — the announcement is ordered
+  // before the re-check's loads below, and wake_one_if_parked() orders
+  // each publication before its read of sleepers_, so either the re-check
+  // sees the work or the waker sees this sleeper.
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  std::uint64_t epoch = 0;
+  {
+    MutexLock lock(idle_mu_);
+    epoch = idle_epoch_;
+  }
+  // Outside idle_mu_, which is a leaf: admission_.empty() takes
+  // AdmissionQueue::mu_.  stop_ counts as visible work: a shutdown whose
+  // epoch bump came before the snapshot above will not bump it again.
+  bool visible = stop_.load(std::memory_order_acquire) || !admission_.empty();
+  for (std::size_t i = 0; !visible && i < workers_.size(); ++i)
+    visible = !workers_[i]->deque.empty_hint();
+  if (!visible) {
+    MutexLock lock(idle_mu_);
+    if (idle_epoch_ == epoch) {
+      detail::WorkerCounters::bump(w.counters.parks);
+      while (idle_epoch_ == epoch) idle_cv_.wait(idle_mu_);
     }
   }
+  // order: seq_cst — pairs with the announcement above.
+  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+void ThreadPool::wake_one_if_parked() {
+  // order: seq_cst fence, then a relaxed load — the fence orders the
+  // caller's publication (a deque or admission push) before the read and
+  // pairs with the fence in park(); the load itself needs no ordering.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_relaxed) != 0) wake(/*all=*/false);
+}
+
+void ThreadPool::wake(bool all) {
+  {
+    MutexLock lock(idle_mu_);
+    ++idle_epoch_;
+  }
+  if (all)
+    idle_cv_.notify_all();
+  else
+    idle_cv_.notify_one();
 }
 
 }  // namespace pjsched::runtime

@@ -12,6 +12,10 @@
 //     under steal-k-first a worker admits only after k consecutive failed
 //     steal attempts, under admit-first (k = 0) it checks the global queue
 //     as soon as its deque is empty;
+//   * a worker that finds nothing even in a round allowed to admit spins
+//     for a short self-tuned budget, then parks until a submit, a spawn
+//     onto an empty deque, a thief that leaves work behind, or shutdown
+//     wakes it (see park());
 //   * tasks spawn subtasks onto their worker's deque (TaskContext::spawn)
 //     and join with help-first waiting (TaskContext::wait_help), which
 //     executes other tasks instead of blocking the thread;
@@ -88,6 +92,8 @@ struct PoolStats {
   std::uint64_t successful_steals = 0;
   std::uint64_t admissions = 0;
   std::uint64_t tasks_executed = 0;
+  /// Times a worker blocked on the idle condition variable (see park()).
+  std::uint64_t parks = 0;
 
   // Task-slab allocator health (see task_pool.h).
   std::uint64_t task_slab_blocks = 0;  ///< blocks carved across all pools
@@ -132,6 +138,7 @@ struct alignas(kDestructiveInterference) WorkerCounters {
   std::atomic<std::uint64_t> admissions{0};
   std::atomic<std::uint64_t> tasks_executed{0};
   std::atomic<std::uint64_t> tasks_cancelled{0};
+  std::atomic<std::uint64_t> parks{0};
 
   /// Owner-only increment: safe without an RMW because each counter has
   /// exactly one writer.
@@ -284,12 +291,26 @@ class ThreadPool {
     std::uint64_t admissions = 0;
     std::uint64_t tasks_executed = 0;
     std::uint64_t tasks_cancelled = 0;
+    std::uint64_t parks = 0;
     std::uint64_t slab_blocks = 0;
     std::uint64_t remote_frees = 0;
   };
   std::vector<WorkerSnapshot> snapshot_workers() const;
 
   void worker_main(unsigned index);
+  /// Blocks the idle worker `w` until work may be visible or stop_ is set.
+  /// Event count: announce in sleepers_, snapshot idle_epoch_, re-check
+  /// every deque and the admission queue, then wait while the epoch is
+  /// unchanged.  A waker publishes its work first and then reads
+  /// sleepers_, so either the re-check sees the work or the waker sees the
+  /// sleeper and bumps the epoch.
+  void park(WorkerState& w);
+  /// Waker side, after work was published: a seq_cst fence orders the
+  /// publication before the sleepers_ read (the re-check pairs with it).
+  /// Costs the fence and one load when nobody sleeps.
+  void wake_one_if_parked();
+  /// Bumps the epoch under idle_mu_ and wakes one (or every) sleeper.
+  void wake(bool all);
   void watchdog_main(std::chrono::milliseconds interval);
   /// One acquire-execute round; returns true if a task was executed.
   /// `helping` suppresses admission (a helper joining a WaitGroup must not
@@ -336,11 +357,17 @@ class ThreadPool {
   std::atomic<std::uint64_t> jobs_shed_{0};
   std::atomic<std::uint64_t> jobs_rejected_{0};
   std::atomic<std::uint64_t> watchdog_dumps_{0};
-  // lint: allow(wait-lock): pairs with idle_cv_ only; guards no data — the
-  // idle-backoff predicate reads atomics, the lock just closes the
-  // check-then-block window.
+  /// Workers announced in park(); read by every waker, written only when a
+  /// worker parks or unparks.  On its own cache line, away from the
+  /// counters every completion writes (jobs_completed_).
+  alignas(kDestructiveInterference) std::atomic<unsigned> sleepers_{0};
+  /// The event count's epoch: bumped by every wake, so a worker that
+  /// snapshotted it before its re-check never sleeps through a wake that
+  /// came after.  A leaf lock: nothing else is taken under it (see
+  /// docs/static-analysis.md), which is why park() re-checks outside it.
   Mutex idle_mu_;
-  CondVar idle_cv_;     ///< idle-backoff wakeup; notified by submit()
+  std::uint64_t idle_epoch_ PJSCHED_GUARDED_BY(idle_mu_) = 0;
+  CondVar idle_cv_;  ///< parked workers wait here; notified by wake()
   mutable Mutex done_mu_;  // dump_state() is const and snapshots jobs
   CondVar done_cv_;
   /// The pool's reference to each job it has not yet retired (tasks hold

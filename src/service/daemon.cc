@@ -292,9 +292,15 @@ void Daemon::dispatcher_main() {
   QueuedRecord rec;
   while (true) {
     const bool full = reap_finished() >= window;
-    if (!full && router_.try_pop(&rec)) {
-      dispatch(std::move(rec));
-      continue;
+    if (!full) {
+      // order: relaxed — the router pop's unlock publishes the store to a
+      // drain() that then sees the emptied router; the release store below
+      // publishes the pending_ entry (or the expiry) with its reset.
+      dispatching_.store(true, std::memory_order_relaxed);
+      const bool popped = router_.try_pop(&rec);
+      if (popped) dispatch(std::move(rec));
+      dispatching_.store(false, std::memory_order_release);
+      if (popped) continue;
     }
     if (stop_.load(std::memory_order_acquire)) return;
     // Full window: wait on the oldest in-flight job (pending_ is in
@@ -435,9 +441,13 @@ bool Daemon::drain(std::chrono::milliseconds timeout) {
   router_.begin_drain();
   const Clock::time_point deadline = Clock::now() + timeout;
   while (Clock::now() < deadline) {
+    // In this order: a record the dispatcher popped after the depth read
+    // shows in dispatching_, and one it entered in pending_ before that
+    // read was reset shows in reap_finished().
     const std::size_t queued = router_.depth();
+    const bool dispatching = dispatching_.load(std::memory_order_acquire);
     const std::size_t inflight = reap_finished();
-    if (queued == 0 && inflight == 0) return true;
+    if (queued == 0 && !dispatching && inflight == 0) return true;
     work_cv_.notify_one();  // keep the dispatcher popping
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -484,7 +494,8 @@ std::string Daemon::metrics_text() const {
       << " popped=" << s.router.popped << " shed=" << s.router.total_shed()
       << " peak=" << s.router.peak_depth << "]"
       << " pool[executed=" << s.pool.tasks_executed
-      << " shed=" << s.pool.jobs_shed << " rejected=" << s.pool.jobs_rejected
+      << " parks=" << s.pool.parks << " shed=" << s.pool.jobs_shed
+      << " rejected=" << s.pool.jobs_rejected
       << " expired=" << s.pool.jobs_deadline_expired
       << " failed=" << s.pool.jobs_failed << "]"
       << " feed[records=" << s.feed.records << " malformed=" << s.feed.malformed
@@ -527,6 +538,7 @@ std::string Daemon::metrics_machine() const {
       << "router.rejected_tenant " << s.router.rejected_tenant << "\n"
       << "router.rejected_drain " << s.router.rejected_drain << "\n"
       << "pool.tasks_executed " << s.pool.tasks_executed << "\n"
+      << "pool.parks " << s.pool.parks << "\n"
       << "pool.jobs_failed " << s.pool.jobs_failed << "\n"
       << "pool.jobs_deadline_expired " << s.pool.jobs_deadline_expired << "\n"
       << "pool.jobs_shed " << s.pool.jobs_shed << "\n"

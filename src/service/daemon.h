@@ -306,6 +306,11 @@ class Daemon {
   runtime::CondVar work_cv_;
 
   std::atomic<bool> stop_{false};
+  /// True while the dispatcher holds a record it popped from the router
+  /// but has not yet entered in pending_ (or expired).  drain() reads it
+  /// between the router depth and pending_, so a record in the
+  /// dispatcher's hand keeps drain() from reporting the daemon empty.
+  std::atomic<bool> dispatching_{false};
   std::atomic<std::uint64_t> last_watchdog_dumps_{0};
   /// Open connections across all io shards (max_connections gate).
   std::atomic<std::size_t> open_conns_{0};

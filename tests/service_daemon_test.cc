@@ -173,6 +173,7 @@ TEST(ServiceDaemon, MetricsCommandRepliesInMachineFormat) {
   EXPECT_NE(reply.find("ingest.commands 1\n"), std::string::npos) << reply;
   EXPECT_NE(reply.find("router.accepted "), std::string::npos);
   EXPECT_NE(reply.find("pool.tasks_executed "), std::string::npos);
+  EXPECT_NE(reply.find("pool.parks "), std::string::npos);
   EXPECT_NE(reply.find("dispatch.window_waits "), std::string::npos);
   EXPECT_NE(reply.find("dispatch.window_timeouts "), std::string::npos);
 

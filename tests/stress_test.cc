@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -249,6 +251,51 @@ TEST(RuntimeStressTest, ConcurrentSubmittersWithFaultInjection) {
   EXPECT_GT(counts.failed, 0u);     // p = 0.2 across ~thousands of tasks
   EXPECT_GT(counts.completed, 0u);  // but plenty survive
   pool.shutdown();
+}
+
+// Bursts of submits and spawns into pools whose workers have parked, over
+// every steal-k window.  The pool has no timed backstop, so a missed wake
+// leaves jobs pending with nothing executing: the pool's own watchdog
+// reports it, and its sink submits one more job, whose own wake rescues
+// the pool, so the test fails instead of hanging.
+void spawn_tree(runtime::TaskContext& ctx, int depth) {
+  if (depth == 0) return;
+  runtime::WaitGroup wg;
+  for (int i = 0; i < 3; ++i)
+    ctx.spawn([depth](runtime::TaskContext& c) { spawn_tree(c, depth - 1); },
+              wg);
+  ctx.wait_help(wg);
+}
+
+TEST(RuntimeStressTest, BurstsIntoParkedPools) {
+  constexpr unsigned kStealK[] = {0, 1, 4, 16};
+  for (unsigned round = 0; round < 24; ++round) {
+    std::atomic<int> stalls{0};
+    runtime::PoolOptions options;
+    options.workers = 1 + round % 4;
+    options.steal_k = kStealK[round / 4 % 4];
+    options.seed = 50 + round;
+    options.watchdog_interval = std::chrono::seconds(2);
+    runtime::ThreadPool* self = nullptr;
+    options.watchdog_sink = [&](const std::string&) {
+      stalls.fetch_add(1);
+      self->submit([](runtime::TaskContext&) {});
+    };
+    runtime::ThreadPool pool(options);
+    self = &pool;
+    for (unsigned batch = 0; batch < 40; ++batch) {
+      // Idle gaps of 0-300 us: short ones end while workers still spin,
+      // long ones after they parked.
+      std::this_thread::sleep_for(
+          std::chrono::microseconds((round * 37 + batch * 53) % 300));
+      for (unsigned j = 0; j <= (round + batch) % 5; ++j)
+        pool.submit([depth = static_cast<int>((round + j) % 4)](
+                        runtime::TaskContext& ctx) { spawn_tree(ctx, depth); });
+      pool.wait_all();
+    }
+    pool.shutdown();
+    EXPECT_EQ(stalls.load(), 0) << "round " << round << ": a missed wake";
+  }
 }
 
 }  // namespace

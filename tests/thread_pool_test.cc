@@ -227,6 +227,99 @@ TEST(ThreadPoolTest, ZeroWorkersClampedToOne) {
 }
 
 // ---------------------------------------------------------------------------
+// The park protocol: idle workers block until a submit, a spawn onto an
+// empty deque, a thief that leaves work behind, or shutdown wakes them.
+// The pool keeps no timed backstop, so each deadline below fails the test
+// on a missed wake.
+
+// Polls until the workers have parked `parks` times in all: once each, for
+// a fresh pool nobody wakes.
+bool wait_until_parked(const ThreadPool& pool, std::uint64_t parks) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pool.stats().parks < parks) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ThreadPoolParkTest, SpawnWakesParkedWorker) {
+  ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 40});
+  ASSERT_TRUE(wait_until_parked(pool, 2)) << pool.dump_state();
+  std::atomic<bool> child_started{false};
+  std::atomic<bool> timed_out{false};
+  auto job = pool.submit([&](TaskContext& ctx) {
+    ctx.spawn([&](TaskContext&) { child_started.store(true); });
+    // No wait_help: this worker never runs the child, so only the parked
+    // worker can, and only if the spawn woke it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+    while (!child_started.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
+      }
+    }
+  });
+  job->wait();
+  EXPECT_FALSE(timed_out.load()) << "the spawn did not wake the parked worker";
+  EXPECT_TRUE(child_started.load());
+}
+
+TEST(ThreadPoolParkTest, SpawnBurstReachesEveryParkedWorker) {
+  // Only the first of the three pushes is sure to find the deque empty;
+  // the thieves pass the wake on, so all three children run at once.
+  ThreadPool pool({.workers = 4, .steal_k = 0, .seed = 44});
+  ASSERT_TRUE(wait_until_parked(pool, 4)) << pool.dump_state();
+  std::atomic<int> running{0};
+  std::atomic<bool> timed_out{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+  auto all_running = [&] {
+    while (running.load() < 3) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
+      }
+    }
+  };
+  auto job = pool.submit([&](TaskContext& ctx) {
+    for (int i = 0; i < 3; ++i)
+      ctx.spawn([&](TaskContext&) {
+        running.fetch_add(1);
+        all_running();
+      });
+    // No wait_help: the children need the three other workers.
+    all_running();
+  });
+  job->wait();
+  EXPECT_FALSE(timed_out.load()) << "a parked worker missed the burst";
+}
+
+TEST(ThreadPoolParkTest, ShutdownWakesParkedWorkers) {
+  ThreadPool pool({.workers = 4, .steal_k = 0, .seed = 41});
+  ASSERT_TRUE(wait_until_parked(pool, 4)) << pool.dump_state();
+  const auto start = std::chrono::steady_clock::now();
+  pool.shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(250));
+}
+
+TEST(ThreadPoolParkTest, IdlePoolStaysParked) {
+  ThreadPool pool({.workers = 4, .steal_k = 0, .seed = 42});
+  ASSERT_TRUE(wait_until_parked(pool, 4)) << pool.dump_state();
+  const std::uint64_t before = pool.stats().parks;
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  // At most one more park per worker: the one it may have been entering.
+  EXPECT_LE(pool.stats().parks - before, 4u);
+  // Parked workers still pick up work.
+  auto job = pool.submit([](TaskContext&) {});
+  job->wait();
+  EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
+}
+
+// ---------------------------------------------------------------------------
 // Fault tolerance: exception containment, cancellation, deadlines,
 // bounded admission with backpressure, and the watchdog.
 
@@ -444,6 +537,8 @@ TEST(ThreadPoolFaultTest, DumpStateIsReadableAnyTime) {
   ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 29});
   const std::string idle_dump = pool.dump_state();
   EXPECT_NE(idle_dump.find("jobs: submitted=0"), std::string::npos);
+  EXPECT_NE(idle_dump.find("parked workers="), std::string::npos);
+  EXPECT_NE(idle_dump.find(" parks="), std::string::npos);
   pool.submit([](TaskContext&) {});
   pool.wait_all();
   EXPECT_NE(pool.dump_state().find("submitted=1"), std::string::npos);
