@@ -7,7 +7,6 @@
 // Expected shape: burstiness inflates every scheduler's max flow, but the
 // FIFO-like policies (FIFO, steal-16-first) degrade most gracefully, and
 // admit-first's sequential-execution pathology is amplified.
-#include <algorithm>
 #include <iostream>
 
 #include "src/core/run.h"
@@ -56,14 +55,11 @@ int main() {
       auto spec = core::parse_scheduler(name);
       spec.seed = 13;
       const auto res = core::run_scheduler(inst, spec, {m, 1.0});
-      const double slo = metrics::tightest_slo(res.flow, 0.001);
-      std::vector<double> sorted = res.flow;
-      std::sort(sorted.begin(), sorted.end());
+      const double slo = metrics::tightest_slo(res.job_flow, 0.001);
       table.add_row(
           {res.scheduler_name,
            metrics::Table::cell(res.max_flow / gen.units_per_ms),
-           metrics::Table::cell(metrics::quantile_sorted(sorted, 0.99) /
-                                gen.units_per_ms),
+           metrics::Table::cell(res.flow.p99 / gen.units_per_ms),
            metrics::Table::cell(slo / gen.units_per_ms)});
     }
     table.print(std::cout);

@@ -37,7 +37,7 @@ int main() {
     spec.seed = 11;
     const auto res = core::run_scheduler(inst, spec, {m, 1.0});
     // Cheap p99 proxy: sort flows.
-    std::vector<double> flows = res.flow;
+    std::vector<double> flows = res.job_flow;
     std::sort(flows.begin(), flows.end());
     const double p99 = flows[flows.size() * 99 / 100];
     table.add_row({res.scheduler_name,

@@ -36,7 +36,7 @@ int main() {
     metrics::Table table(
         {"scheduler", "wmax_flow_ms", "max_flow_ms", "mean_flow_ms"});
 
-    const auto add = [&](core::ScheduleResult res) {
+    const auto add = [&](const core::StreamRunResult& res) {
       table.add_row({res.scheduler_name,
                      metrics::Table::cell(res.max_weighted_flow / gen.units_per_ms),
                      metrics::Table::cell(res.max_flow / gen.units_per_ms),

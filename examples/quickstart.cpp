@@ -58,9 +58,9 @@ int main() {
     const auto res = core::run_scheduler(instance, spec, machine);
     table.add_row({res.scheduler_name, metrics::Table::cell(res.max_flow),
                    metrics::Table::cell(res.mean_flow),
-                   metrics::Table::cell(res.flow[0]),
-                   metrics::Table::cell(res.flow[1]),
-                   metrics::Table::cell(res.flow[2])});
+                   metrics::Table::cell(res.job_flow[0]),
+                   metrics::Table::cell(res.job_flow[1]),
+                   metrics::Table::cell(res.job_flow[2])});
   }
   std::cout << "\nResults on m=4, speed 1:\n";
   table.print(std::cout);

@@ -59,6 +59,16 @@ core::MachineConfig make_machine(const Options& opt) {
   return machine;
 }
 
+/// The report's "machine:" line: base (m, speed), then the degradation
+/// timeline.  Materialized and streamed runs print it alike.
+void print_machine(const core::MachineConfig& machine, std::ostream& out) {
+  out << "machine:          m=" << machine.processors << ", speed "
+      << machine.speed;
+  for (const core::MachineEvent& e : machine.degradation)
+    out << ", @" << e.time << "->m=" << e.processors << "/s=" << e.speed;
+  out << "\n";
+}
+
 [[noreturn]] void usage_error(const std::string& message) {
   throw std::invalid_argument(message);
 }
@@ -325,9 +335,9 @@ int cmd_run_stream(const Options& opt, std::ostream& out) {
     table.print_csv(out);
   } else {
     out << "scheduler:        " << res.run.scheduler_name << " (streamed)\n"
-        << "jobs:             " << res.run.jobs << "\n"
-        << "machine:          m=" << opt.m << ", speed " << opt.speed << "\n"
-        << "max flow:         " << res.run.max_flow / u << " ms (job "
+        << "jobs:             " << res.run.jobs << "\n";
+    print_machine(machine, out);
+    out << "max flow:         " << res.run.max_flow / u << " ms (job "
         << res.run.argmax_flow << ")\n"
         << "mean flow:        " << res.run.mean_flow / u << " ms\n"
         << "p99 flow:         " << res.run.flow.p99 / u << " ms ("
@@ -397,12 +407,9 @@ int cmd_run(const Options& opt, std::ostream& out) {
     table.print_csv(out);
   } else {
     out << "scheduler:        " << res.scheduler_name << "\n"
-        << "jobs:             " << inst.size() << "\n"
-        << "machine:          m=" << opt.m << ", speed " << opt.speed;
-    for (const core::MachineEvent& e : machine.degradation)
-      out << ", @" << e.time << "->m=" << e.processors << "/s=" << e.speed;
-    out << "\n"
-        << "max flow:         " << res.max_flow / opt.units_per_ms
+        << "jobs:             " << inst.size() << "\n";
+    print_machine(machine, out);
+    out << "max flow:         " << res.max_flow / opt.units_per_ms
         << " ms (job " << res.argmax_flow << ")\n"
         << "mean flow:        " << res.mean_flow / opt.units_per_ms << " ms\n"
         << "max weighted:     " << res.max_weighted_flow / opt.units_per_ms

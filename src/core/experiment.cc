@@ -28,12 +28,12 @@ std::vector<ExperimentRow> run_experiment(const workload::WorkDistribution& dist
     const Instance instance = workload::generate_instance(dist, gen);
 
     // The paper's OPT comparator, once per cell.
-    const ScheduleResult opt =
+    const StreamRunResult opt =
         run_scheduler(instance, {SchedulerKind::kOptBound}, machine);
     const double opt_ms = opt.max_flow / cfg.units_per_ms;
 
     for (const SchedulerSpec& spec : cfg.schedulers) {
-      const ScheduleResult res = run_scheduler(instance, spec, machine);
+      const StreamRunResult res = run_scheduler(instance, spec, machine);
       ExperimentRow row;
       row.workload = dist.name();
       row.qps = qps;
@@ -42,9 +42,9 @@ std::vector<ExperimentRow> run_experiment(const workload::WorkDistribution& dist
       row.max_flow_ms = res.max_flow / cfg.units_per_ms;
       row.mean_flow_ms = res.mean_flow / cfg.units_per_ms;
       row.max_weighted_flow_ms = res.max_weighted_flow / cfg.units_per_ms;
-      std::vector<double> flows_ms(res.flow.size());
-      for (std::size_t i = 0; i < res.flow.size(); ++i)
-        flows_ms[i] = res.flow[i] / cfg.units_per_ms;
+      std::vector<double> flows_ms(res.job_flow.size());
+      for (std::size_t i = 0; i < res.job_flow.size(); ++i)
+        flows_ms[i] = res.job_flow[i] / cfg.units_per_ms;
       row.p99_flow_ms = metrics::quantile_select(flows_ms, 0.99);
       row.opt_bound_ms = opt_ms;
       row.ratio_to_opt = opt_ms > 0.0 ? row.max_flow_ms / opt_ms : 0.0;

@@ -6,32 +6,6 @@
 
 namespace pjsched::core {
 
-void ScheduleResult::finalize(const std::vector<JobSpec>& jobs) {
-  if (completion.size() != jobs.size())
-    throw std::logic_error("ScheduleResult::finalize: completion size mismatch");
-  flow.resize(jobs.size());
-  max_flow = 0.0;
-  max_weighted_flow = 0.0;
-  mean_flow = 0.0;
-  makespan = 0.0;
-  argmax_flow = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (completion[i] < jobs[i].arrival)
-      throw std::logic_error(
-          "ScheduleResult::finalize: job completes before it arrives");
-    flow[i] = completion[i] - jobs[i].arrival;
-    mean_flow += flow[i];
-    makespan = std::max(makespan, completion[i]);
-    max_flow = std::max(max_flow, flow[i]);
-    const Time wf = jobs[i].weight * flow[i];
-    if (wf > max_weighted_flow) {
-      max_weighted_flow = wf;
-      argmax_flow = static_cast<JobId>(i);
-    }
-  }
-  if (!jobs.empty()) mean_flow /= static_cast<Time>(jobs.size());
-}
-
 dag::Work Instance::total_work() const {
   dag::Work w = 0;
   for (const JobSpec& j : jobs) w += j.graph.total_work();

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/core/types.h"
 #include "src/metrics/stats.h"
@@ -46,7 +47,7 @@ class JobSource {
   virtual ~JobSource() = default;
 
   /// Total number of jobs this source will yield (all in-repo sources know
-  /// it up front; it sizes per-id result vectors for materialized runs).
+  /// it up front; it sizes materialize()'s job list).
   virtual std::size_t size() const = 0;
 
   /// True once every job has been taken.
@@ -106,16 +107,17 @@ class InstanceSource final : public JobSource {
 /// inverse of InstanceSource; generate_instance is implemented with it.
 Instance materialize(JobSource& source);
 
-/// Outcome of a streamed run: exact extremes plus bounded-memory summary
-/// statistics — the streaming counterpart of ScheduleResult, with
-/// O(reservoir) instead of O(all jobs) state behind it.
+/// Outcome of running one scheduler: the one result type every run
+/// returns, built by metrics::StreamingFlowStats from the run's
+/// completions.
 ///
 /// max_flow, max_weighted_flow, argmax_flow (smallest id on weighted-flow
-/// ties), and makespan are exact and bit-identical to what
-/// ScheduleResult::finalize computes for the same schedule.  mean_flow is
-/// exact up to summation order (completion order here, id order there).
+/// ties), makespan and mean_flow (summed in completion order) are exact.
 /// flow's quantiles come from StreamingFlowStats' reservoir: exact while
-/// jobs <= the reservoir capacity, an unbiased estimate beyond.
+/// jobs <= the reservoir capacity (always, for a run over an Instance), an
+/// unbiased estimate beyond.  The per-job vectors are indexed by job id and
+/// filled only on request (StreamingFlowStats::Options::per_job): a run
+/// over an Instance fills them, every streamed run leaves them empty.
 struct StreamRunResult {
   std::string scheduler_name;
   std::size_t jobs = 0;  ///< jobs completed (0 is legal: an empty source)
@@ -126,6 +128,8 @@ struct StreamRunResult {
   JobId argmax_flow = 0;        ///< job attaining max_i w_i F_i
   metrics::Summary flow;        ///< reservoir-backed order statistics
   bool flow_quantiles_exact = false;  ///< reservoir held every sample
+  std::vector<Time> completion;  ///< c_i by id (empty unless requested)
+  std::vector<Time> job_flow;    ///< F_i = c_i - r_i by id (ditto)
   EngineStats stats;
 };
 

@@ -41,7 +41,7 @@ TrialPoint run_one_trial(const workload::WorkDistribution& dist,
 
   SchedulerSpec spec = cfg.scheduler;
   spec.seed = cfg.scheduler.seed + t;
-  const ScheduleResult res = run_scheduler(*instance, spec, cfg.machine);
+  const StreamRunResult res = run_scheduler(*instance, spec, cfg.machine);
 
   TrialPoint point;
   point.max_flow = res.max_flow;

@@ -95,9 +95,9 @@ SchedulerSpec parse_scheduler(const std::string& name_in) {
   return spec;
 }
 
-ScheduleResult run_scheduler(const Instance& instance,
-                             const SchedulerSpec& spec,
-                             const MachineConfig& machine, sim::Trace* trace) {
+StreamRunResult run_scheduler(const Instance& instance,
+                              const SchedulerSpec& spec,
+                              const MachineConfig& machine, sim::Trace* trace) {
   return make_scheduler(spec)->run(instance, machine, trace);
 }
 

@@ -1,8 +1,8 @@
 // One-call public API: name a scheduler, hand it an instance (or a job
-// source) and a machine, get a ScheduleResult (or a StreamRunResult).  This
-// is the entry point examples and benches use; the individual scheduler
-// classes in src/sched remain available for callers that need more
-// control.
+// source) and a machine, get a StreamRunResult (with per-job vectors for
+// an instance, without for a source).  This is the entry point examples
+// and benches use; the individual scheduler classes in src/sched remain
+// available for callers that need more control.
 #pragma once
 
 #include <charconv>
@@ -71,11 +71,11 @@ T parse_unsigned(const std::string& text) {
   return value;
 }
 
-/// Convenience: build-and-run in one call.
-ScheduleResult run_scheduler(const Instance& instance,
-                             const SchedulerSpec& spec,
-                             const MachineConfig& machine,
-                             sim::Trace* trace = nullptr);
+/// Convenience: build-and-run in one call (see sched::Scheduler::run).
+StreamRunResult run_scheduler(const Instance& instance,
+                              const SchedulerSpec& spec,
+                              const MachineConfig& machine,
+                              sim::Trace* trace = nullptr);
 
 /// Memory-bounded counterpart: streams `source` through the named
 /// scheduler with O(live jobs) resident state (see sched::Scheduler::run).

@@ -20,14 +20,14 @@ void apply_stretch_weights(Instance& instance, StretchKind kind) {
     job.weight = 1.0 / stretch_denominator(job, kind);
 }
 
-double max_stretch(const Instance& instance, const ScheduleResult& result,
+double max_stretch(const Instance& instance, const StreamRunResult& result,
                    StretchKind kind) {
-  if (result.flow.size() != instance.size())
+  if (result.job_flow.size() != instance.size())
     throw std::invalid_argument("max_stretch: result/instance size mismatch");
   double best = 0.0;
   for (std::size_t i = 0; i < instance.size(); ++i)
-    best = std::max(best,
-                    result.flow[i] / stretch_denominator(instance.jobs[i], kind));
+    best = std::max(best, result.job_flow[i] /
+                              stretch_denominator(instance.jobs[i], kind));
   return best;
 }
 

@@ -12,6 +12,7 @@
 // maximum stretch in either interpretation.
 #pragma once
 
+#include "src/core/job_source.h"
 #include "src/core/types.h"
 
 namespace pjsched::core {
@@ -31,7 +32,7 @@ void apply_stretch_weights(Instance& instance, StretchKind kind);
 /// max_i F_i / denom_i for a finished schedule (uses the instance's DAGs,
 /// not its weights, so it is meaningful regardless of what weights the
 /// scheduler saw).
-double max_stretch(const Instance& instance, const ScheduleResult& result,
+double max_stretch(const Instance& instance, const StreamRunResult& result,
                    StretchKind kind);
 
 /// Lower bound on the optimal max stretch at speed 1:

@@ -2,11 +2,14 @@
 //
 //   r_i  arrival (release) time of job J_i     -> JobSpec::arrival
 //   w_i  weight of J_i                         -> JobSpec::weight
-//   c_i  completion time in a schedule         -> ScheduleResult::completion
-//   F_i  flow time c_i - r_i                   -> ScheduleResult::flow
+//   c_i  completion time in a schedule         -> StreamRunResult::completion
+//   F_i  flow time c_i - r_i                   -> StreamRunResult::job_flow
 //   W_i  total work of J_i                     -> JobSpec::graph.total_work()
 //   P_i  critical-path length of J_i           -> JobSpec::graph.critical_path()
 //   m    number of processors                  -> MachineConfig::processors
+//
+// The objective max_i w_i F_i is StreamRunResult::max_weighted_flow; that
+// struct (src/core/job_source.h) is the one result type a run returns.
 //
 // Times are in abstract *unit-work time*: a speed-1 processor performs one
 // unit of work per unit of time; a speed-s processor performs one unit per
@@ -16,7 +19,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "src/dag/dag.h"
@@ -78,25 +80,6 @@ struct EngineStats {
   std::uint64_t peak_live_jobs = 0;    ///< both engines: maximum jobs simultaneously
                                        ///< live (arrived, not yet completed)
   double idle_processor_time = 0.0;    ///< event engine: processor-time spent idle
-};
-
-/// Outcome of running one scheduler on one instance.
-struct ScheduleResult {
-  std::string scheduler_name;
-  std::vector<Time> completion;  ///< c_i per job, kNoTime if unfinished (never in a valid run)
-  std::vector<Time> flow;        ///< F_i = c_i - r_i
-
-  Time max_flow = 0.0;           ///< max_i F_i
-  Time max_weighted_flow = 0.0;  ///< max_i w_i F_i
-  Time mean_flow = 0.0;
-  Time makespan = 0.0;           ///< max_i c_i
-  JobId argmax_flow = 0;         ///< job attaining max_i w_i F_i
-
-  EngineStats stats;
-
-  /// Fills the summary fields from `completion` and the instance's arrivals
-  /// and weights.  Call after populating `completion`.
-  void finalize(const std::vector<JobSpec>& jobs);
 };
 
 /// A full online problem instance.

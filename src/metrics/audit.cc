@@ -27,7 +27,7 @@ std::string describe(const sim::WorkInterval& iv) {
 AuditReport audit_schedule(const core::Instance& instance,
                            const core::MachineConfig& machine,
                            const sim::Trace& trace,
-                           const core::ScheduleResult& result,
+                           const std::vector<core::Time>& completion,
                            double tolerance) {
   AuditReport report;
   const std::size_t n = instance.size();
@@ -44,6 +44,9 @@ AuditReport audit_schedule(const core::Instance& instance,
     if (iv.node >= instance.jobs[iv.job].graph.node_count())
       report.fail("node out of range: " + describe(iv));
   }
+  if (completion.size() != n)  // check 7 indexes completions by job id
+    report.fail(std::to_string(completion.size()) + " completion times for " +
+                std::to_string(n) + " jobs");
   if (!report.ok) return report;  // ids unsafe to index below
 
   // --- 2. Per-processor exclusivity. ---
@@ -135,10 +138,9 @@ AuditReport audit_schedule(const core::Instance& instance,
       }
     }
     // --- 7. Completion bookkeeping. ---
-    if (j < result.completion.size() &&
-        std::abs(result.completion[j] - job_last_end) > tolerance) {
+    if (std::abs(completion[j] - job_last_end) > tolerance) {
       std::ostringstream oss;
-      oss << "job " << j << " completion " << result.completion[j]
+      oss << "job " << j << " completion " << completion[j]
           << " != last execution end " << job_last_end;
       report.fail(oss.str());
     }

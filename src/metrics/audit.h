@@ -14,8 +14,9 @@
 //      intervals end.
 //   6. Non-clairvoyance of arrivals: no node of a job runs before the job
 //      arrives.
-//   7. Completion bookkeeping: the reported completion time of each job
-//      equals the end of its last interval (within tolerance).
+//   7. Completion bookkeeping: there is one reported completion time per
+//      job, and each equals the end of its job's last interval (within
+//      tolerance).
 #pragma once
 
 #include <string>
@@ -39,13 +40,14 @@ struct AuditReport {
   std::string to_string() const;
 };
 
-/// Audits `trace` as an execution of `instance` on `machine` that produced
-/// `result`.  `tolerance` is the absolute slack allowed in work/time
-/// comparisons (the engines' arithmetic is exact to ~1e-9).
+/// Audits `trace` as an execution of `instance` on `machine` that reported
+/// `completion` (c_i by job id, as StreamRunResult::completion).
+/// `tolerance` is the absolute slack allowed in work/time comparisons (the
+/// engines' arithmetic is exact to ~1e-9).
 AuditReport audit_schedule(const core::Instance& instance,
                            const core::MachineConfig& machine,
                            const sim::Trace& trace,
-                           const core::ScheduleResult& result,
+                           const std::vector<core::Time>& completion,
                            double tolerance = 1e-6);
 
 }  // namespace pjsched::metrics

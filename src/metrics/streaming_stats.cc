@@ -12,6 +12,8 @@ StreamingFlowStats::StreamingFlowStats(const Options& options)
     throw std::invalid_argument("StreamingFlowStats: reservoir must be >= 1");
   samples_.capacity_limit_ = options.reservoir;
   samples_.values.reserve(options.reservoir);
+  completion_.assign(options.per_job, core::kNoTime);
+  job_flow_.assign(options.per_job, core::kNoTime);
 }
 
 void StreamingFlowStats::record(core::JobId id, double arrival, double weight,
@@ -20,6 +22,10 @@ void StreamingFlowStats::record(core::JobId id, double arrival, double weight,
     throw std::logic_error("StreamingFlowStats: completion precedes arrival");
   const double flow = completion - arrival;
   const double weighted = weight * flow;
+  if (!completion_.empty()) {
+    completion_.at(id) = completion;
+    job_flow_[id] = flow;
+  }
 
   if (count_ == 0) {
     min_flow_ = flow;
@@ -27,10 +33,10 @@ void StreamingFlowStats::record(core::JobId id, double arrival, double weight,
     max_weighted_flow_ = weighted;
   } else {
     if (flow < min_flow_) min_flow_ = flow;
-    // Strictly-greater, or equal with a smaller id: reproduces the job
-    // ScheduleResult::finalize picks (its id-order scan keeps the first
-    // strict maximum, i.e. the smallest id among exact ties) regardless of
-    // the completion order jobs are recorded in.
+    // Strictly-greater, or equal with a smaller id: the job an id-order
+    // scan picks (it keeps the first strict maximum, i.e. the smallest id
+    // among exact ties) regardless of the completion order jobs are
+    // recorded in.
     if (weighted > max_weighted_flow_ ||
         (weighted == max_weighted_flow_ && id < argmax_flow_)) {
       max_weighted_flow_ = weighted;
@@ -91,6 +97,8 @@ core::StreamRunResult StreamingFlowStats::result(
   out.argmax_flow = argmax_flow();
   out.flow = summary();
   out.flow_quantiles_exact = quantiles_exact();
+  out.completion = completion_;
+  out.job_flow = job_flow_;
   out.stats = stats;
   return out;
 }

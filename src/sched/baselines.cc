@@ -92,49 +92,40 @@ template <typename Policy>
 core::StreamRunResult run_with(core::JobSource& source,
                                const core::MachineConfig& machine,
                                metrics::StreamingFlowStats* stats,
-                               sim::Trace* trace,
-                               std::vector<core::Time>* completion,
-                               bool exact_engine) {
+                               sim::Trace* trace, bool exact_engine) {
   Policy policy;
   sim::EventEngineOptions opt;
   opt.machine = machine;
   opt.trace = trace;
   opt.exact = exact_engine;
-  return sim::run_event_engine(source, policy, opt, stats, completion);
+  return sim::run_event_engine(source, policy, opt, stats);
 }
 
 }  // namespace
 
 core::StreamRunResult LifoScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace,
-    std::vector<core::Time>* completion) {
-  return run_with<LifoPolicy>(source, machine, stats, trace, completion,
-                              exact_engine_);
+    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
+  return run_with<LifoPolicy>(source, machine, stats, trace, exact_engine_);
 }
 
 core::StreamRunResult SjfScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace,
-    std::vector<core::Time>* completion) {
-  return run_with<SjfPolicy>(source, machine, stats, trace, completion,
-                             exact_engine_);
+    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
+  return run_with<SjfPolicy>(source, machine, stats, trace, exact_engine_);
 }
 
 core::StreamRunResult RoundRobinScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace,
-    std::vector<core::Time>* completion) {
-  return run_with<RoundRobinPolicy>(source, machine, stats, trace, completion,
+    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
+  return run_with<RoundRobinPolicy>(source, machine, stats, trace,
                                     exact_engine_);
 }
 
 core::StreamRunResult EquiScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace,
-    std::vector<core::Time>* completion) {
-  return run_with<EquiPolicy>(source, machine, stats, trace, completion,
-                              exact_engine_);
+    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
+  return run_with<EquiPolicy>(source, machine, stats, trace, exact_engine_);
 }
 
 }  // namespace pjsched::sched

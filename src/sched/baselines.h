@@ -38,8 +38,7 @@ class LifoScheduler final : public Scheduler {
   core::StreamRunResult simulate(core::JobSource& source,
                                  const core::MachineConfig& machine,
                                  metrics::StreamingFlowStats* stats,
-                                 sim::Trace* trace,
-                                 std::vector<core::Time>* completion) override;
+                                 sim::Trace* trace) override;
 
   bool exact_engine_;
 };
@@ -56,8 +55,7 @@ class SjfScheduler final : public Scheduler {
   core::StreamRunResult simulate(core::JobSource& source,
                                  const core::MachineConfig& machine,
                                  metrics::StreamingFlowStats* stats,
-                                 sim::Trace* trace,
-                                 std::vector<core::Time>* completion) override;
+                                 sim::Trace* trace) override;
 
   bool exact_engine_;
 };
@@ -74,8 +72,7 @@ class RoundRobinScheduler final : public Scheduler {
   core::StreamRunResult simulate(core::JobSource& source,
                                  const core::MachineConfig& machine,
                                  metrics::StreamingFlowStats* stats,
-                                 sim::Trace* trace,
-                                 std::vector<core::Time>* completion) override;
+                                 sim::Trace* trace) override;
 
   bool exact_engine_;
 };
@@ -92,8 +89,7 @@ class EquiScheduler final : public Scheduler {
   core::StreamRunResult simulate(core::JobSource& source,
                                  const core::MachineConfig& machine,
                                  metrics::StreamingFlowStats* stats,
-                                 sim::Trace* trace,
-                                 std::vector<core::Time>* completion) override;
+                                 sim::Trace* trace) override;
 
   bool exact_engine_;
 };

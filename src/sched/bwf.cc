@@ -33,14 +33,13 @@ class BwfPolicy final : public sim::OrderPolicy {
 
 core::StreamRunResult BwfScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace,
-    std::vector<core::Time>* completion) {
+    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
   BwfPolicy policy;
   sim::EventEngineOptions opt;
   opt.machine = machine;
   opt.trace = trace;
   opt.exact = exact_engine_;
-  return sim::run_event_engine(source, policy, opt, stats, completion);
+  return sim::run_event_engine(source, policy, opt, stats);
 }
 
 }  // namespace pjsched::sched

@@ -29,14 +29,13 @@ class FifoPolicy final : public sim::OrderPolicy {
 
 core::StreamRunResult FifoScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace,
-    std::vector<core::Time>* completion) {
+    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
   FifoPolicy policy;
   sim::EventEngineOptions opt;
   opt.machine = machine;
   opt.trace = trace;
   opt.exact = exact_engine_;
-  return sim::run_event_engine(source, policy, opt, stats, completion);
+  return sim::run_event_engine(source, policy, opt, stats);
 }
 
 }  // namespace pjsched::sched

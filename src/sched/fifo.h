@@ -27,8 +27,7 @@ class FifoScheduler final : public Scheduler {
   core::StreamRunResult simulate(core::JobSource& source,
                                  const core::MachineConfig& machine,
                                  metrics::StreamingFlowStats* stats,
-                                 sim::Trace* trace,
-                                 std::vector<core::Time>* completion) override;
+                                 sim::Trace* trace) override;
 
   bool exact_engine_;
 };

@@ -31,8 +31,7 @@ class OptLowerBound final : public Scheduler {
   core::StreamRunResult simulate(core::JobSource& source,
                                  const core::MachineConfig& machine,
                                  metrics::StreamingFlowStats* stats,
-                                 sim::Trace* trace,
-                                 std::vector<core::Time>* completion) override;
+                                 sim::Trace* trace) override;
 };
 
 }  // namespace pjsched::sched

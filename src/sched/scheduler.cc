@@ -1,20 +1,25 @@
 #include "src/sched/scheduler.h"
 
-#include <utility>
+#include <stdexcept>
+
+#include "src/metrics/streaming_stats.h"
 
 namespace pjsched::sched {
 
-core::ScheduleResult Scheduler::run(const core::Instance& instance,
-                                    const core::MachineConfig& machine,
-                                    sim::Trace* trace) {
+core::StreamRunResult Scheduler::run(const core::Instance& instance,
+                                     const core::MachineConfig& machine,
+                                     sim::Trace* trace) {
   instance.validate();
   core::InstanceSource source(instance);
-  core::ScheduleResult result;
-  core::StreamRunResult streamed =
-      simulate(source, machine, nullptr, trace, &result.completion);
-  result.scheduler_name = std::move(streamed.scheduler_name);
-  result.stats = streamed.stats;
-  result.finalize(instance.jobs);
+  // A reservoir of n keeps every sample, so the flow Summary is exact; the
+  // per-id capture fills the per-job vectors.
+  const std::size_t n = instance.size();
+  metrics::StreamingFlowStats stats(
+      metrics::StreamingFlowStats::Options{.reservoir = n, .per_job = n});
+  core::StreamRunResult result = simulate(source, machine, &stats, trace);
+  if (result.jobs != n)
+    throw std::logic_error("Scheduler::run: " + std::to_string(result.jobs) +
+                           " of " + std::to_string(n) + " jobs completed");
   return result;
 }
 

@@ -5,18 +5,18 @@
 //
 // Each scheduler implements one private virtual, simulate(), which pulls
 // the source with O(live jobs) resident state.  The two public run()
-// overloads are non-virtual front ends over it:
+// overloads are non-virtual front ends over it, and both return a
+// core::StreamRunResult:
 //  * run(JobSource&, ...) returns exact extremes plus reservoir-backed
-//    summary statistics (core::StreamRunResult);
+//    summary statistics, with no per-job state;
 //  * run(const Instance&, ...) validates the instance, streams it through
-//    a core::InstanceSource, and returns the classic per-job
-//    core::ScheduleResult.
+//    a core::InstanceSource, and also fills the per-job completion and
+//    flow vectors by id, with an exact flow Summary.
 // Streamed and materialized runs are therefore one code path, and a
 // subclass overriding simulate() cannot hide either overload.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "src/core/job_source.h"
 #include "src/core/types.h"
@@ -37,10 +37,11 @@ class Scheduler {
 
   /// Simulates the instance to completion on the given machine.  If `trace`
   /// is non-null, records the execution for auditing.  Throws
-  /// std::invalid_argument on an invalid instance or machine.
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr);
+  /// std::invalid_argument on an invalid instance or machine, and
+  /// std::logic_error if the run does not complete every job.
+  core::StreamRunResult run(const core::Instance& instance,
+                            const core::MachineConfig& machine,
+                            sim::Trace* trace = nullptr);
 
   /// Simulates `source` to exhaustion with O(live jobs) resident state;
   /// completions land in `stats` (a local StreamingFlowStats when null).
@@ -52,19 +53,16 @@ class Scheduler {
                             const core::MachineConfig& machine,
                             metrics::StreamingFlowStats* stats = nullptr,
                             sim::Trace* trace = nullptr) {
-    return simulate(source, machine, stats, trace, nullptr);
+    return simulate(source, machine, stats, trace);
   }
 
  private:
   /// The one simulation method.  Records every completion into `stats` (a
-  /// local StreamingFlowStats when null) and, when `completion` is
-  /// non-null, resizes it to source.size() and stores each job's
-  /// completion time at its streamed id (an id outside that range throws
-  /// std::out_of_range).
-  virtual core::StreamRunResult simulate(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats, sim::Trace* trace,
-      std::vector<core::Time>* completion) = 0;
+  /// local StreamingFlowStats when null) and returns that sink's result.
+  virtual core::StreamRunResult simulate(core::JobSource& source,
+                                         const core::MachineConfig& machine,
+                                         metrics::StreamingFlowStats* stats,
+                                         sim::Trace* trace) = 0;
 };
 
 }  // namespace pjsched::sched

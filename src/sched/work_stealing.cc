@@ -15,8 +15,7 @@ std::string WorkStealingScheduler::name() const {
 
 core::StreamRunResult WorkStealingScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace,
-    std::vector<core::Time>* completion) {
+    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
   sim::StepEngineOptions opt;
   opt.machine = machine;
   opt.steal_k = steal_k_;
@@ -24,7 +23,7 @@ core::StreamRunResult WorkStealingScheduler::simulate(
   opt.admit_by_weight = admit_by_weight_;
   opt.steal_half = steal_half_;
   opt.trace = trace;
-  return sim::run_step_engine(source, opt, stats, completion);
+  return sim::run_step_engine(source, opt, stats);
 }
 
 }  // namespace pjsched::sched

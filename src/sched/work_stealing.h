@@ -45,8 +45,7 @@ class WorkStealingScheduler final : public Scheduler {
   core::StreamRunResult simulate(core::JobSource& source,
                                  const core::MachineConfig& machine,
                                  metrics::StreamingFlowStats* stats,
-                                 sim::Trace* trace,
-                                 std::vector<core::Time>* completion) override;
+                                 sim::Trace* trace) override;
 
   unsigned steal_k_;
   std::uint64_t seed_;

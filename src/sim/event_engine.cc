@@ -84,11 +84,9 @@ class Engine {
  public:
   Engine(core::JobSource& source, OrderPolicy& policy,
          const EventEngineOptions& options,
-         std::vector<core::Time>* completion_out,
          metrics::StreamingFlowStats& stream)
       : source_(source), policy_(policy), opts_(options), ctx_(*this),
-        completion_out_(completion_out), stream_(stream),
-        spans_(options.trace) {}
+        stream_(stream), spans_(options.trace) {}
 
   core::EngineStats run();
 
@@ -121,7 +119,6 @@ class Engine {
   double bound_dt(double dt);
   void advance(double dt);
   void complete_node(std::uint32_t s, dag::NodeId v);
-  void record_completion(std::uint32_t s);
   void insert_ordered(std::uint32_t s);
   void erase_ordered(std::uint32_t s);
   double next_completion_dt_fast();
@@ -132,7 +129,6 @@ class Engine {
   OrderPolicy& policy_;
   const EventEngineOptions& opts_;
   Context ctx_;
-  std::vector<core::Time>* completion_out_;   // optional per-id completions
   metrics::StreamingFlowStats& stream_;
 
   unsigned m_ = 1;
@@ -353,12 +349,6 @@ void Engine::advance(double dt) {
   t_ = t_end;
 }
 
-void Engine::record_completion(std::uint32_t s) {
-  const JobArena::Slot& slot = arena_[s];
-  if (completion_out_ != nullptr) completion_out_->at(slot.id) = t_;
-  stream_.record(slot.id, slot.arrival, slot.weight, t_);
-}
-
 // Completion bookkeeping at the current time t_.  When the job's last node
 // finishes, the completion is recorded and the slot retired — the slot's
 // packed arrays are released for the next occupant right here, which is
@@ -386,7 +376,8 @@ void Engine::complete_node(std::uint32_t s, dag::NodeId v) {
   arena_[s].graph.complete(v);
   absorb_ready(s);
   if (arena_[s].graph.done()) {
-    record_completion(s);
+    const JobArena::Slot& slot = arena_[s];
+    stream_.record(slot.id, slot.arrival, slot.weight, t_);
     if (fast_)
       erase_ordered(s);
     else
@@ -596,12 +587,10 @@ core::EngineStats Engine::run() {
 core::StreamRunResult run_event_engine(core::JobSource& source,
                                        OrderPolicy& policy,
                                        const EventEngineOptions& options,
-                                       metrics::StreamingFlowStats* stats,
-                                       std::vector<core::Time>* completion) {
+                                       metrics::StreamingFlowStats* stats) {
   metrics::StreamingFlowStats local;
   metrics::StreamingFlowStats& sink = stats != nullptr ? *stats : local;
-  if (completion != nullptr) completion->assign(source.size(), core::kNoTime);
-  Engine engine(source, policy, options, completion, sink);
+  Engine engine(source, policy, options, sink);
   const core::EngineStats counters = engine.run();
   return sink.result(policy.name(), counters);
 }

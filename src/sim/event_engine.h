@@ -41,8 +41,9 @@
 // runs fit in memory (see docs/simulation-model.md, "Scaling to 10^6+
 // jobs").  run_event_engine is the one entry point: a materialized
 // Instance runs through it as a core::InstanceSource (borrowing the DAGs),
-// and the optional per-job completion vector is what
-// sched::Scheduler::run(Instance) turns into the classic ScheduleResult.
+// and each finished job is reported once, to metrics::StreamingFlowStats,
+// whose per-id capture is what gives sched::Scheduler::run(Instance) its
+// per-job vectors.
 //
 // Thread safety: each run keeps all simulation state on the stack of the
 // calling thread and only reads the (immutable, sealed) source DAGs, so
@@ -156,9 +157,7 @@ struct EventEngineOptions {
 };
 
 /// Runs `source` to exhaustion under the given policy, recording each
-/// completion into `stats` (a local StreamingFlowStats when null) and, when
-/// `completion` is non-null, into (*completion)[id] after resizing it to
-/// source.size() (an id outside that range throws std::out_of_range).  The
+/// completion into `stats` (a local StreamingFlowStats when null).  The
 /// result is built from those statistics; its extremes (max flow, max
 /// weighted flow, argmax, makespan) are exact — see StreamRunResult for the
 /// remaining fields.  Throws std::invalid_argument on invalid jobs
@@ -167,7 +166,6 @@ struct EventEngineOptions {
 core::StreamRunResult run_event_engine(
     core::JobSource& source, OrderPolicy& policy,
     const EventEngineOptions& options,
-    metrics::StreamingFlowStats* stats = nullptr,
-    std::vector<core::Time>* completion = nullptr);
+    metrics::StreamingFlowStats* stats = nullptr);
 
 }  // namespace pjsched::sim

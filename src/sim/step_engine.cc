@@ -90,7 +90,6 @@ class GlobalQueue {
 
 core::EngineStats run_impl(core::JobSource& source,
                            const StepEngineOptions& options,
-                           std::vector<core::Time>* completion_out,
                            metrics::StreamingFlowStats& stream) {
   const unsigned m = options.machine.processors;
   const double s = options.machine.speed;
@@ -396,8 +395,6 @@ core::EngineStats run_impl(core::JobSource& source,
         if (!enabled.empty()) take_ready(w, slot, step + 1);
         if (graph.done()) {
           const core::Time completion = step_time(step + 1, s);
-          if (completion_out != nullptr)
-            completion_out->at(arena[slot].id) = completion;
           stream.record(arena[slot].id, arena[slot].arrival,
                         arena[slot].weight, completion);
           arena.retire(slot);
@@ -426,13 +423,10 @@ std::string step_scheduler_name(const StepEngineOptions& options) {
 
 core::StreamRunResult run_step_engine(core::JobSource& source,
                                       const StepEngineOptions& options,
-                                      metrics::StreamingFlowStats* stats,
-                                      std::vector<core::Time>* completion) {
+                                      metrics::StreamingFlowStats* stats) {
   metrics::StreamingFlowStats local;
   metrics::StreamingFlowStats& sink = stats != nullptr ? *stats : local;
-  if (completion != nullptr) completion->assign(source.size(), core::kNoTime);
-  const core::EngineStats counters =
-      run_impl(source, options, completion, sink);
+  const core::EngineStats counters = run_impl(source, options, sink);
   return sink.result(step_scheduler_name(options), counters);
 }
 

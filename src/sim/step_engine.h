@@ -47,7 +47,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/core/job_source.h"
 #include "src/core/types.h"
@@ -97,16 +96,12 @@ struct StepEngineOptions {
 
 /// Runs `source` to exhaustion under steal-k-first work stealing,
 /// recording each completion into `stats` (a local StreamingFlowStats when
-/// null) and, when `completion` is non-null, into (*completion)[id] after
-/// resizing it to source.size() (an id outside that range throws
-/// std::out_of_range).  The result carries the steal/admission counters and
-/// is built from those statistics; see StreamRunResult for the exactness
-/// contract of its fields.  The automatic step budget (max_steps == 0)
-/// grows with the jobs acquired so far, ending at the whole-instance
-/// formula.
+/// null).  The result carries the steal/admission counters and is built
+/// from those statistics; see StreamRunResult for the exactness contract of
+/// its fields.  The automatic step budget (max_steps == 0) grows with the
+/// jobs acquired so far, ending at the whole-instance formula.
 core::StreamRunResult run_step_engine(
     core::JobSource& source, const StepEngineOptions& options,
-    metrics::StreamingFlowStats* stats = nullptr,
-    std::vector<core::Time>* completion = nullptr);
+    metrics::StreamingFlowStats* stats = nullptr);
 
 }  // namespace pjsched::sim

@@ -20,22 +20,20 @@ struct Fixture {
       {1.0, dag::single_node(3)},
   });
   core::MachineConfig machine{2, 1.0};
-  core::ScheduleResult result;
+  std::vector<core::Time> completion{4.0, 4.0};
   sim::Trace trace;
 
   Fixture() {
     trace.add_interval({0, 0, 0, 0.0, 2.0});
     trace.add_interval({0, 1, 0, 2.0, 4.0});
     trace.add_interval({1, 0, 1, 1.0, 4.0});
-    result.completion = {4.0, 4.0};
-    result.finalize(inst.jobs);
   }
 };
 
 TEST(AuditTest, CleanSchedulePasses) {
   Fixture f;
   const auto report =
-      metrics::audit_schedule(f.inst, f.machine, f.trace, f.result);
+      metrics::audit_schedule(f.inst, f.machine, f.trace, f.completion);
   EXPECT_TRUE(report.ok) << report.to_string();
   EXPECT_TRUE(report.to_string().empty());
 }
@@ -46,10 +44,8 @@ TEST(AuditTest, DetectsProcessorOverlap) {
   bad.add_interval({0, 0, 0, 0.0, 2.0});
   bad.add_interval({0, 1, 0, 1.0, 3.0});  // overlaps on proc 0
   bad.add_interval({1, 0, 1, 1.0, 4.0});
-  core::ScheduleResult res;
-  res.completion = {3.0, 4.0};
-  res.finalize(f.inst.jobs);
-  const auto report = metrics::audit_schedule(f.inst, f.machine, bad, res);
+  const auto report =
+      metrics::audit_schedule(f.inst, f.machine, bad, {3.0, 4.0});
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.to_string().find("overlap"), std::string::npos);
 }
@@ -60,10 +56,8 @@ TEST(AuditTest, DetectsPrecedenceViolation) {
   bad.add_interval({0, 1, 0, 0.0, 2.0});  // node 1 before node 0!
   bad.add_interval({0, 0, 0, 2.0, 4.0});
   bad.add_interval({1, 0, 1, 1.0, 4.0});
-  core::ScheduleResult res;
-  res.completion = {4.0, 4.0};
-  res.finalize(f.inst.jobs);
-  const auto report = metrics::audit_schedule(f.inst, f.machine, bad, res);
+  const auto report =
+      metrics::audit_schedule(f.inst, f.machine, bad, {4.0, 4.0});
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.to_string().find("precedence"), std::string::npos);
 }
@@ -74,10 +68,8 @@ TEST(AuditTest, DetectsEarlyStart) {
   bad.add_interval({0, 0, 0, 0.0, 2.0});
   bad.add_interval({0, 1, 0, 2.0, 4.0});
   bad.add_interval({1, 0, 1, 0.5, 3.5});  // job 1 arrives at t = 1
-  core::ScheduleResult res;
-  res.completion = {4.0, 3.5};
-  res.finalize(f.inst.jobs);
-  const auto report = metrics::audit_schedule(f.inst, f.machine, bad, res);
+  const auto report =
+      metrics::audit_schedule(f.inst, f.machine, bad, {4.0, 3.5});
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.to_string().find("before arrival"), std::string::npos);
 }
@@ -88,10 +80,8 @@ TEST(AuditTest, DetectsWrongWorkAmount) {
   bad.add_interval({0, 0, 0, 0.0, 2.0});
   bad.add_interval({0, 1, 0, 2.0, 3.0});  // node 1 gets 1 unit, needs 2
   bad.add_interval({1, 0, 1, 1.0, 4.0});
-  core::ScheduleResult res;
-  res.completion = {3.0, 4.0};
-  res.finalize(f.inst.jobs);
-  const auto report = metrics::audit_schedule(f.inst, f.machine, bad, res);
+  const auto report =
+      metrics::audit_schedule(f.inst, f.machine, bad, {3.0, 4.0});
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.to_string().find("work mismatch"), std::string::npos);
 }
@@ -101,10 +91,8 @@ TEST(AuditTest, DetectsMissingNode) {
   sim::Trace bad;
   bad.add_interval({0, 0, 0, 0.0, 2.0});
   bad.add_interval({1, 0, 1, 1.0, 4.0});  // job 0 node 1 never runs
-  core::ScheduleResult res;
-  res.completion = {2.0, 4.0};
-  res.finalize(f.inst.jobs);
-  const auto report = metrics::audit_schedule(f.inst, f.machine, bad, res);
+  const auto report =
+      metrics::audit_schedule(f.inst, f.machine, bad, {2.0, 4.0});
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.to_string().find("never executed"), std::string::npos);
 }
@@ -114,32 +102,38 @@ TEST(AuditTest, DetectsNodeSelfOverlapAcrossProcessors) {
   sim::Trace bad;
   bad.add_interval({0, 0, 0, 0.0, 2.0});
   bad.add_interval({0, 0, 1, 1.0, 3.0});  // same node on two procs at once
-  core::ScheduleResult res;
-  res.completion = {3.0};
-  res.finalize(inst.jobs);
-  const auto report = metrics::audit_schedule(inst, {2, 1.0}, bad, res);
+  const auto report = metrics::audit_schedule(inst, {2, 1.0}, bad, {3.0});
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.to_string().find("self-overlap"), std::string::npos);
 }
 
 TEST(AuditTest, DetectsCompletionMismatch) {
   Fixture f;
-  core::ScheduleResult res;
-  res.completion = {4.0, 5.0};  // job 1 actually ends at 4
-  res.finalize(f.inst.jobs);
-  const auto report = metrics::audit_schedule(f.inst, f.machine, f.trace, res);
+  // Job 1 actually ends at 4.
+  const auto report =
+      metrics::audit_schedule(f.inst, f.machine, f.trace, {4.0, 5.0});
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.to_string().find("completion"), std::string::npos);
+}
+
+// A streamed result has no per-job vectors: auditing it must fail, not
+// pass check 7 vacuously.  A mis-sized vector fails too.
+TEST(AuditTest, DetectsMissingCompletions) {
+  Fixture f;
+  const auto report = metrics::audit_schedule(f.inst, f.machine, f.trace, {});
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.to_string().find("0 completion times for 2 jobs"),
+            std::string::npos);
+  EXPECT_FALSE(
+      metrics::audit_schedule(f.inst, f.machine, f.trace, {4, 4, 4}).ok);
 }
 
 TEST(AuditTest, DetectsOutOfRangeIds) {
   Fixture f;
   sim::Trace bad;
   bad.add_interval({7, 0, 0, 0.0, 1.0});  // no job 7
-  core::ScheduleResult res;
-  res.completion = {4.0, 4.0};
-  res.finalize(f.inst.jobs);
-  const auto report = metrics::audit_schedule(f.inst, f.machine, bad, res);
+  const auto report =
+      metrics::audit_schedule(f.inst, f.machine, bad, {4.0, 4.0});
   EXPECT_FALSE(report.ok);
 }
 
@@ -148,12 +142,10 @@ TEST(AuditTest, RespectsSpeedInWorkAccounting) {
   auto inst = make_instance({{0.0, dag::single_node(4)}});
   sim::Trace trace;
   trace.add_interval({0, 0, 0, 0.0, 2.0});
-  core::ScheduleResult res;
-  res.completion = {2.0};
-  res.finalize(inst.jobs);
-  EXPECT_TRUE(metrics::audit_schedule(inst, {1, 2.0}, trace, res).ok);
+  const std::vector<core::Time> completion{2.0};
+  EXPECT_TRUE(metrics::audit_schedule(inst, {1, 2.0}, trace, completion).ok);
   // The same trace at speed 1 under-delivers.
-  EXPECT_FALSE(metrics::audit_schedule(inst, {1, 1.0}, trace, res).ok);
+  EXPECT_FALSE(metrics::audit_schedule(inst, {1, 1.0}, trace, completion).ok);
 }
 
 }  // namespace

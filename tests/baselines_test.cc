@@ -39,7 +39,7 @@ TEST(LifoTest, StarvesOldJobsUnderStream) {
   const auto l = lifo.run(inst, {1, 1.0});
   const auto f = fifo.run(inst, {1, 1.0});
   EXPECT_GT(l.max_flow, f.max_flow);
-  EXPECT_GT(l.flow[0], 20.0);  // the first job starves behind the stream
+  EXPECT_GT(l.job_flow[0], 20.0);  // the first job starves behind the stream
 }
 
 TEST(SjfTest, ShortestRemainingWorkFirst) {

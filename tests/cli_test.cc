@@ -133,6 +133,17 @@ TEST(CliTest, StreamedOptRun) {
   EXPECT_EQ(value("max flow:         "), value("opt-sim bound:    "));
 }
 
+// A streamed run prints the --degrade timeline on its machine line, as a
+// materialized run does.
+TEST(CliTest, StreamedRunPrintsDegradation) {
+  const auto r =
+      run({"run", "--streamed", "--jobs=200", "--m=4", "--degrade=100:2"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("machine:          m=4, speed 1, @100->m=2/s=1\n"),
+            std::string::npos)
+      << r.out;
+}
+
 TEST(CliTest, BoundsCommand) {
   const auto r = run({"bounds", "--jobs=25", "--workload=finance", "--m=8"});
   EXPECT_EQ(r.code, 0) << r.err;

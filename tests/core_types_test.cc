@@ -1,10 +1,13 @@
 // Tests for the fundamental types (src/core/types.h), mirroring the
-// paper's Table 1 definitions: F_i = c_i - r_i, objective max_i w_i F_i.
+// paper's Table 1 definitions: F_i = c_i - r_i, objective max_i w_i F_i,
+// as a run over an Instance reports them.
 #include "src/core/types.h"
 
 #include <gtest/gtest.h>
 
 #include "src/dag/builders.h"
+#include "src/metrics/streaming_stats.h"
+#include "src/sched/scheduler.h"
 #include "tests/test_util.h"
 
 namespace pjsched {
@@ -13,32 +16,60 @@ namespace {
 using testutil::make_instance;
 using testutil::make_weighted_instance;
 
-TEST(ScheduleResultTest, FinalizeComputesTableOneQuantities) {
+// A stand-in engine: completes job i at completion[i] (never if kNoTime)
+// and reports it under id i + shift.  Driven through run(const Instance&).
+class ScriptedScheduler final : public sched::Scheduler {
+ public:
+  explicit ScriptedScheduler(std::vector<core::Time> c, core::JobId shift = 0)
+      : completion_(std::move(c)), shift_(shift) {}
+  std::string name() const override { return "scripted"; }
+
+ private:
+  core::StreamRunResult simulate(core::JobSource& source,
+                                 const core::MachineConfig& /*machine*/,
+                                 metrics::StreamingFlowStats* stats,
+                                 sim::Trace* /*trace*/) override {
+    while (!source.done()) {
+      const core::StreamedJob j = source.take();
+      if (completion_[j.id] != core::kNoTime)
+        stats->record(j.id + shift_, j.arrival, j.weight, completion_[j.id]);
+    }
+    return stats->result(name(), core::EngineStats{});
+  }
+
+  std::vector<core::Time> completion_;
+  core::JobId shift_;
+};
+
+TEST(InstanceRunTest, ComputesTableOneQuantities) {
   auto inst = make_weighted_instance({
       {0.0, 1.0, dag::single_node(1)},
       {2.0, 3.0, dag::single_node(1)},
       {5.0, 1.0, dag::single_node(1)},
   });
-  core::ScheduleResult res;
-  res.completion = {4.0, 6.0, 9.0};
-  res.finalize(inst.jobs);
-  EXPECT_DOUBLE_EQ(res.flow[0], 4.0);
-  EXPECT_DOUBLE_EQ(res.flow[1], 4.0);
-  EXPECT_DOUBLE_EQ(res.flow[2], 4.0);
+  const auto res = ScriptedScheduler({4.0, 6.0, 9.0}).run(inst, {1, 1.0});
+  EXPECT_EQ(res.completion, (std::vector<core::Time>{4.0, 6.0, 9.0}));
+  EXPECT_EQ(res.job_flow, (std::vector<core::Time>{4.0, 4.0, 4.0}));
   EXPECT_DOUBLE_EQ(res.max_flow, 4.0);
   EXPECT_DOUBLE_EQ(res.max_weighted_flow, 12.0);  // job 1: w=3, F=4
   EXPECT_EQ(res.argmax_flow, 1u);
   EXPECT_DOUBLE_EQ(res.mean_flow, 4.0);
   EXPECT_DOUBLE_EQ(res.makespan, 9.0);
+  EXPECT_EQ(res.flow.count, 3u);
+  EXPECT_DOUBLE_EQ(res.flow.stddev, 0.0);
+  EXPECT_DOUBLE_EQ(res.flow.p50, 4.0);
+  EXPECT_DOUBLE_EQ(res.flow.p99, 4.0);
 }
 
-TEST(ScheduleResultTest, FinalizeRejectsBadData) {
-  auto inst = make_instance({{5.0, dag::single_node(1)}});
-  core::ScheduleResult res;
-  res.completion = {};
-  EXPECT_THROW(res.finalize(inst.jobs), std::logic_error);  // size mismatch
-  res.completion = {4.0};  // completes before arrival
-  EXPECT_THROW(res.finalize(inst.jobs), std::logic_error);
+TEST(InstanceRunTest, RejectsBadCompletions) {
+  auto inst =
+      make_instance({{0.0, dag::single_node(1)}, {5.0, dag::single_node(1)}});
+  const core::MachineConfig m{1, 1.0};
+  // Job 1 never completes; completes before it arrives; is reported as id 2.
+  EXPECT_THROW(ScriptedScheduler({4, core::kNoTime}).run(inst, m),
+               std::logic_error);
+  EXPECT_THROW(ScriptedScheduler({4, 4}).run(inst, m), std::logic_error);
+  EXPECT_THROW(ScriptedScheduler({4, 9}, 1).run(inst, m), std::out_of_range);
 }
 
 TEST(InstanceTest, Aggregates) {

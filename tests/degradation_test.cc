@@ -17,15 +17,15 @@ namespace {
 
 using testutil::make_instance;
 
-core::ScheduleResult run_fifo(const core::Instance& inst,
-                              const core::MachineConfig& machine) {
+core::StreamRunResult run_fifo(const core::Instance& inst,
+                               const core::MachineConfig& machine) {
   sched::FifoScheduler fifo;
   return fifo.run(inst, machine);
 }
 
-core::ScheduleResult run_ws(const core::Instance& inst,
-                            const core::MachineConfig& machine,
-                            unsigned k = 0, std::uint64_t seed = 1) {
+core::StreamRunResult run_ws(const core::Instance& inst,
+                             const core::MachineConfig& machine,
+                             unsigned k = 0, std::uint64_t seed = 1) {
   sim::StepEngineOptions opt;
   opt.machine = machine;
   opt.steal_k = k;
@@ -91,7 +91,7 @@ TEST(StepEngineDegradationTest, AllJobsCompleteUnderWorkerLoss) {
   const auto res = run_ws(inst, {4, 1.0, {{3.0, 2, 1.0}}});
   for (std::size_t j = 0; j < inst.size(); ++j) {
     EXPECT_GT(res.completion[j], 0.0) << "job " << j;
-    EXPECT_GE(res.flow[j], 0.0) << "job " << j;
+    EXPECT_GE(res.job_flow[j], 0.0) << "job " << j;
   }
   // Losing half the workers mid-run cannot beat the healthy machine.
   const auto healthy = run_ws(inst, {4, 1.0, {}});

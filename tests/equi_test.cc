@@ -42,7 +42,8 @@ TEST(EquiTest, LeftoverProcessorsRedistributed) {
   EXPECT_DOUBLE_EQ(res.completion[1], 14.0);
   EXPECT_DOUBLE_EQ(res.completion[0], 12.0);
   // And the schedule is legal.
-  const auto report = metrics::audit_schedule(inst, {4, 1.0}, trace, res);
+  const auto report =
+      metrics::audit_schedule(inst, {4, 1.0}, trace, res.completion);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
@@ -83,7 +84,8 @@ TEST(EquiTest, AuditCleanOnRandomInstances) {
     sim::Trace trace;
     sched::EquiScheduler equi;
     const auto res = equi.run(inst, {3, 1.0}, &trace);
-    const auto report = metrics::audit_schedule(inst, {3, 1.0}, trace, res);
+    const auto report =
+        metrics::audit_schedule(inst, {3, 1.0}, trace, res.completion);
     EXPECT_TRUE(report.ok) << report.to_string();
     EXPECT_GE(res.max_flow + 1e-9, core::lower_bounds(inst, 1).span);
   }

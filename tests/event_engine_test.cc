@@ -15,8 +15,9 @@ namespace {
 
 using testutil::make_instance;
 
-core::ScheduleResult run_fifo(const core::Instance& inst, unsigned m,
-                              double speed = 1.0, sim::Trace* trace = nullptr) {
+core::StreamRunResult run_fifo(const core::Instance& inst, unsigned m,
+                               double speed = 1.0,
+                               sim::Trace* trace = nullptr) {
   sched::FifoScheduler fifo;
   return fifo.run(inst, {m, speed}, trace);
 }
@@ -54,7 +55,7 @@ TEST(EventEngineTest, LateArrivalWaits) {
   auto inst = make_instance({{10.0, dag::single_node(4)}});
   const auto res = run_fifo(inst, 1);
   EXPECT_DOUBLE_EQ(res.completion[0], 14.0);
-  EXPECT_DOUBLE_EQ(res.flow[0], 4.0);
+  EXPECT_DOUBLE_EQ(res.job_flow[0], 4.0);
   // The machine idles the first 10 units.
   EXPECT_DOUBLE_EQ(res.stats.idle_processor_time, 10.0);
 }
@@ -108,7 +109,8 @@ TEST(EventEngineTest, TraceAuditsCleanOnHandInstance) {
   });
   sim::Trace trace;
   const auto res = run_fifo(inst, 2, 1.0, &trace);
-  const auto report = metrics::audit_schedule(inst, {2, 1.0}, trace, res);
+  const auto report =
+      metrics::audit_schedule(inst, {2, 1.0}, trace, res.completion);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
@@ -119,7 +121,8 @@ TEST(EventEngineTest, TraceAuditsCleanWithSpeed) {
   });
   sim::Trace trace;
   const auto res = run_fifo(inst, 3, 1.5, &trace);
-  const auto report = metrics::audit_schedule(inst, {3, 1.5}, trace, res);
+  const auto report =
+      metrics::audit_schedule(inst, {3, 1.5}, trace, res.completion);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
@@ -164,7 +167,8 @@ TEST(EventEngineTest, AvailableSetOrderIsNotSemantic) {
   sim::Trace trace;
   sched::FifoScheduler fifo;
   const auto res = fifo.run(inst, {2, 1.0}, &trace);
-  const auto report = metrics::audit_schedule(inst, {2, 1.0}, trace, res);
+  const auto report =
+      metrics::audit_schedule(inst, {2, 1.0}, trace, res.completion);
   EXPECT_TRUE(report.ok) << report.to_string();
   // Work = 1 (root) + 57 (bodies) + 1 (join); the root and join are
   // sequential bottlenecks and the bodies need >= 57/2 time on 2

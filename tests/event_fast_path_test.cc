@@ -29,16 +29,16 @@ using testutil::random_instance;
 // Runs the scheduler in both engine modes and asserts bitwise-identical
 // results.  Returns the fast run so callers can additionally assert the
 // fast path actually engaged (stats.fast_decisions > 0) where expected.
-core::ScheduleResult expect_modes_identical(sched::Scheduler& fast_s,
-                                            sched::Scheduler& exact_s,
-                                            const core::Instance& inst,
-                                            const core::MachineConfig& mc) {
+core::StreamRunResult expect_modes_identical(sched::Scheduler& fast_s,
+                                             sched::Scheduler& exact_s,
+                                             const core::Instance& inst,
+                                             const core::MachineConfig& mc) {
   sim::Trace fast_trace, exact_trace;
   const auto fast = fast_s.run(inst, mc, &fast_trace);
   const auto exact = exact_s.run(inst, mc, &exact_trace);
 
   EXPECT_EQ(fast.completion, exact.completion);
-  EXPECT_EQ(fast.flow, exact.flow);
+  EXPECT_EQ(fast.job_flow, exact.job_flow);
   EXPECT_EQ(fast.max_flow, exact.max_flow);
   EXPECT_EQ(fast.max_weighted_flow, exact.max_weighted_flow);
   EXPECT_EQ(fast.mean_flow, exact.mean_flow);
@@ -64,8 +64,8 @@ core::ScheduleResult expect_modes_identical(sched::Scheduler& fast_s,
 }
 
 template <typename S>
-core::ScheduleResult check(const core::Instance& inst,
-                           const core::MachineConfig& mc) {
+core::StreamRunResult check(const core::Instance& inst,
+                            const core::MachineConfig& mc) {
   S fast_s(false);
   S exact_s(true);
   return expect_modes_identical(fast_s, exact_s, inst, mc);

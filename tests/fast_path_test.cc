@@ -20,8 +20,8 @@ using testutil::make_weighted_instance;
 // Runs the instance in both modes and asserts bitwise-identical results.
 // Returns the fast run so callers can additionally assert that the fast
 // path actually engaged (stats.macro_jumps > 0) where they expect it to.
-core::ScheduleResult expect_modes_identical(const core::Instance& inst,
-                                            sim::StepEngineOptions opt) {
+core::StreamRunResult expect_modes_identical(const core::Instance& inst,
+                                             sim::StepEngineOptions opt) {
   sim::Trace fast_trace, exact_trace;
   sim::StepEngineOptions fast_opt = opt;
   fast_opt.exact_steps = false;

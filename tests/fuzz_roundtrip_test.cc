@@ -65,7 +65,8 @@ TEST_P(ForkJoinFuzz, ScheduledAndAuditedAcrossEngines) {
     spec.seed = GetParam() + 1;
     sim::Trace trace;
     const auto res = core::run_scheduler(inst, spec, {m, 1.0}, &trace);
-    const auto report = metrics::audit_schedule(inst, {m, 1.0}, trace, res);
+    const auto report =
+        metrics::audit_schedule(inst, {m, 1.0}, trace, res.completion);
     ASSERT_TRUE(report.ok) << name << "\n" << report.to_string();
   }
 }

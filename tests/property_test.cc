@@ -54,7 +54,8 @@ TEST_P(SchedulerProperty, LegalScheduleAndBoundsRespected) {
     const auto res = core::run_scheduler(inst, spec, machine, &trace);
 
     // (1) The schedule is machine-model legal.
-    const auto report = metrics::audit_schedule(inst, machine, trace, res);
+    const auto report =
+        metrics::audit_schedule(inst, machine, trace, res.completion);
     ASSERT_TRUE(report.ok)
         << res.scheduler_name << " produced an illegal schedule:\n"
         << report.to_string();
@@ -62,10 +63,10 @@ TEST_P(SchedulerProperty, LegalScheduleAndBoundsRespected) {
     // (2) Per-job physics: flow >= span/s and >= work/(m*s).
     for (std::size_t i = 0; i < inst.jobs.size(); ++i) {
       const auto& g = inst.jobs[i].graph;
-      EXPECT_GE(res.flow[i] + 1e-6,
+      EXPECT_GE(res.job_flow[i] + 1e-6,
                 static_cast<double>(g.critical_path()) / cell.speed)
           << res.scheduler_name << " job " << i;
-      EXPECT_GE(res.flow[i] + 1e-6,
+      EXPECT_GE(res.job_flow[i] + 1e-6,
                 static_cast<double>(g.total_work()) / (cell.m * cell.speed))
           << res.scheduler_name << " job " << i;
     }
@@ -132,7 +133,8 @@ TEST_P(WorkStealingProperty, AuditedAndConserving) {
 
   sim::Trace trace;
   const auto res = core::run_scheduler(inst, spec, machine, &trace);
-  const auto report = metrics::audit_schedule(inst, machine, trace, res);
+  const auto report =
+      metrics::audit_schedule(inst, machine, trace, res.completion);
   ASSERT_TRUE(report.ok) << report.to_string();
   EXPECT_EQ(res.stats.work_steps, inst.total_work());
   // Admissions == number of jobs (each admitted exactly once).

@@ -26,7 +26,8 @@ TEST(StealHalfTest, AuditCleanAndWorkConserving) {
   sim::Trace trace;
   sched::WorkStealingScheduler ws(0, 7, false, true);
   const auto res = ws.run(inst, {4, 1.0}, &trace);
-  const auto report = metrics::audit_schedule(inst, {4, 1.0}, trace, res);
+  const auto report =
+      metrics::audit_schedule(inst, {4, 1.0}, trace, res.completion);
   ASSERT_TRUE(report.ok) << report.to_string();
   EXPECT_EQ(res.scheduler_name, "admit-first-half");
   EXPECT_EQ(res.stats.work_steps, inst.total_work());

@@ -14,10 +14,10 @@ namespace {
 
 using testutil::make_instance;
 
-core::ScheduleResult run_ws(const core::Instance& inst, unsigned m,
-                            unsigned k = 0, double speed = 1.0,
-                            std::uint64_t seed = 1,
-                            sim::Trace* trace = nullptr) {
+core::StreamRunResult run_ws(const core::Instance& inst, unsigned m,
+                             unsigned k = 0, double speed = 1.0,
+                             std::uint64_t seed = 1,
+                             sim::Trace* trace = nullptr) {
   sim::StepEngineOptions opt;
   opt.machine = {m, speed};
   opt.steal_k = k;
@@ -96,7 +96,8 @@ TEST(StepEngineTest, AuditCleanAdmitFirst) {
   auto inst = testutil::random_instance(7, 25, 50.0);
   sim::Trace trace;
   const auto res = run_ws(inst, 3, 0, 1.0, 11, &trace);
-  const auto report = metrics::audit_schedule(inst, {3, 1.0}, trace, res);
+  const auto report =
+      metrics::audit_schedule(inst, {3, 1.0}, trace, res.completion);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
@@ -104,7 +105,8 @@ TEST(StepEngineTest, AuditCleanStealKFirstWithSpeed) {
   auto inst = testutil::random_instance(8, 25, 50.0);
   sim::Trace trace;
   const auto res = run_ws(inst, 4, 8, 2.0, 13, &trace);
-  const auto report = metrics::audit_schedule(inst, {4, 2.0}, trace, res);
+  const auto report =
+      metrics::audit_schedule(inst, {4, 2.0}, trace, res.completion);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
@@ -121,7 +123,7 @@ TEST(StepEngineTest, IdleGapFastForwardKeepsTimesExact) {
       {100000.0, dag::single_node(3)},
   });
   const auto res = run_ws(inst, 2, 4, 1.0, 5);
-  EXPECT_DOUBLE_EQ(res.flow[0] + 0.0, res.completion[0]);
+  EXPECT_DOUBLE_EQ(res.job_flow[0] + 0.0, res.completion[0]);
   EXPECT_DOUBLE_EQ(res.completion[1], 100003.0);  // admitted immediately:
   // the fast-forward saturates fail counters, so no k-step delay recurs.
 }
@@ -132,9 +134,9 @@ TEST(StepEngineTest, FlowNeverBeatsCriticalPathOverSpeed) {
   const auto res = run_ws(inst, 4, 0, s, 23);
   for (std::size_t i = 0; i < inst.jobs.size(); ++i) {
     const double span = static_cast<double>(inst.jobs[i].graph.critical_path());
-    EXPECT_GE(res.flow[i] + 1e-9, span / s);
+    EXPECT_GE(res.job_flow[i] + 1e-9, span / s);
     const double work = static_cast<double>(inst.jobs[i].graph.total_work());
-    EXPECT_GE(res.flow[i] + 1e-9, work / (4 * s));
+    EXPECT_GE(res.job_flow[i] + 1e-9, work / (4 * s));
   }
 }
 

@@ -74,7 +74,7 @@ TEST(StreamBoundsTest, OptSimEqualsOptSchedulerRun) {
   const auto dist = workload::default_lognormal_distribution();
   const workload::GeneratorConfig cfg = base_config(300);
   const core::Instance inst = workload::generate_instance(dist, cfg);
-  const core::ScheduleResult opt =
+  const core::StreamRunResult opt =
       run_scheduler(inst, core::parse_scheduler("opt"), machine16());
 
   workload::GeneratedJobSource source(dist, cfg);

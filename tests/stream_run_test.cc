@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,20 +42,27 @@ core::MachineConfig machine16() {
   return m;
 }
 
-void expect_identical(const core::ScheduleResult& mat,
+void expect_identical(const core::StreamRunResult& mat,
                       const core::StreamRunResult& str) {
   SCOPED_TRACE(mat.scheduler_name);
   EXPECT_EQ(str.scheduler_name, mat.scheduler_name);
   EXPECT_EQ(str.jobs, mat.completion.size());
+  // Per-job vectors come with the Instance run only.
+  EXPECT_TRUE(str.completion.empty());
+  EXPECT_TRUE(str.job_flow.empty());
   // The paper's objective and its argmax: exact, bitwise.
   EXPECT_EQ(str.max_flow, mat.max_flow);
   EXPECT_EQ(str.max_weighted_flow, mat.max_weighted_flow);
   EXPECT_EQ(str.argmax_flow, mat.argmax_flow);
   EXPECT_EQ(str.makespan, mat.makespan);
-  // Mean: same value up to floating-point summation order (completion order
-  // streamed, id order materialized).
-  EXPECT_NEAR(str.mean_flow, mat.mean_flow,
-              1e-9 * (1.0 + std::abs(mat.mean_flow)));
+  // Both runs fold the same completions in the same order, so the moments
+  // agree bitwise too, and the quantiles while both reservoirs hold every
+  // sample.
+  EXPECT_EQ(str.mean_flow, mat.mean_flow);
+  EXPECT_EQ(str.flow.stddev, mat.flow.stddev);
+  EXPECT_EQ(str.flow.p50, mat.flow.p50);
+  EXPECT_EQ(str.flow.p90, mat.flow.p90);
+  EXPECT_EQ(str.flow.p99, mat.flow.p99);
   // The engines must have taken the same decisions: every counter agrees.
   EXPECT_EQ(str.stats.steal_attempts, mat.stats.steal_attempts);
   EXPECT_EQ(str.stats.successful_steals, mat.stats.successful_steals);
@@ -90,7 +96,7 @@ TEST_P(StreamRunCrossCheck, StreamedMatchesMaterialized) {
     SCOPED_TRACE(dist->name());
     workload::GeneratorConfig cfg = base_config(400);
     const core::Instance inst = workload::generate_instance(*dist, cfg);
-    const core::ScheduleResult mat = run_scheduler(inst, spec, machine);
+    const core::StreamRunResult mat = run_scheduler(inst, spec, machine);
 
     workload::GeneratedJobSource source(*dist, cfg);
     const core::StreamRunResult str =
@@ -99,7 +105,7 @@ TEST_P(StreamRunCrossCheck, StreamedMatchesMaterialized) {
     // 400 jobs fit the default reservoir: quantiles are exact and must
     // reproduce summarize() over the materialized flows bitwise.
     ASSERT_TRUE(str.flow_quantiles_exact);
-    const metrics::Summary direct = metrics::summarize(mat.flow);
+    const metrics::Summary direct = metrics::summarize(mat.job_flow);
     EXPECT_EQ(str.flow.p50, direct.p50);
     EXPECT_EQ(str.flow.p90, direct.p90);
     EXPECT_EQ(str.flow.p99, direct.p99);
@@ -207,7 +213,7 @@ TEST(StreamRunTest, BurstArrivalsBatchedAdmissionMatchesMaterialized) {
   for (const char* name : {"steal-16-first", "admit-first", "fifo", "bwf"}) {
     SCOPED_TRACE(name);
     const core::Instance inst = workload::generate_instance(dist, cfg);
-    const core::ScheduleResult mat =
+    const core::StreamRunResult mat =
         run_scheduler(inst, core::parse_scheduler(name), machine16());
     workload::GeneratedJobSource source(dist, cfg);
     const core::StreamRunResult str =

@@ -36,8 +36,8 @@ std::vector<Completion> tied_stream() {
   };
 }
 
-// Reference computation the way ScheduleResult::finalize does it: flows in
-// id order, first strict maximum of weighted flow wins.
+// The oracle: an id-order scan over the completions, flows in id order,
+// first strict maximum of weighted flow wins.
 struct Reference {
   std::vector<double> flows;  // id order
   double max_flow = 0.0;
@@ -66,7 +66,7 @@ Reference reference_of(std::vector<Completion> cs) {
   return r;
 }
 
-TEST(StreamingFlowStatsTest, ExtremesMatchFinalizeSemantics) {
+TEST(StreamingFlowStatsTest, ExtremesMatchIdOrderScan) {
   const auto cs = tied_stream();
   StreamingFlowStats stats;
   for (const Completion& c : cs)

@@ -41,7 +41,7 @@ void run_all_and_audit(const core::Instance& inst, unsigned m,
     sim::Trace trace;
     const auto res = core::run_scheduler(inst, spec, {m, speed}, &trace);
     const auto report =
-        metrics::audit_schedule(inst, {m, speed}, trace, res);
+        metrics::audit_schedule(inst, {m, speed}, trace, res.completion);
     ASSERT_TRUE(report.ok) << res.scheduler_name << ":\n" << report.to_string();
     EXPECT_GE(res.max_flow, 0.0);
   }
@@ -98,7 +98,8 @@ TEST(StressTest, FractionalSpeed) {
     sim::Trace trace;
     const auto res = core::run_scheduler(inst, core::parse_scheduler(name),
                                          {2, 0.5}, &trace);
-    const auto report = metrics::audit_schedule(inst, {2, 0.5}, trace, res);
+    const auto report =
+        metrics::audit_schedule(inst, {2, 0.5}, trace, res.completion);
     ASSERT_TRUE(report.ok) << report.to_string();
     EXPECT_GE(res.max_flow + 1e-9, 2.0 * core::lower_bounds(inst, 1).span);
   }

@@ -93,7 +93,7 @@ TEST(StretchTest, BwfWithStretchWeightsBeatsFifoOnAdversarialMix) {
 
 TEST(StretchTest, SizeMismatchRejected) {
   auto inst = make_instance({{0.0, dag::single_node(1)}});
-  core::ScheduleResult res;  // empty flow vector
+  core::StreamRunResult res;  // streamed: no per-job vectors
   EXPECT_THROW(core::max_stretch(inst, res, core::StretchKind::kByWork),
                std::invalid_argument);
 }

@@ -10,6 +10,7 @@
 #include "src/core/types.h"
 #include "src/dag/builders.h"
 #include "src/dag/dag.h"
+#include "src/metrics/streaming_stats.h"
 #include "src/sim/step_engine.h"
 
 namespace pjsched::testutil {
@@ -65,20 +66,16 @@ inline core::Instance random_instance(std::uint64_t seed, std::size_t num_jobs,
 
 /// Runs the step engine over a materialized instance the way
 /// sched::Scheduler::run(Instance) runs its engine: validates the instance,
-/// streams it through an InstanceSource, and finalizes the per-job
-/// completions.  For tests that need StepEngineOptions knobs no Scheduler
-/// exposes (exact_steps, max_steps).
-inline core::ScheduleResult run_step_engine_on(
+/// streams it through an InstanceSource, and records into stats that keep
+/// every sample and the per-job vectors.  For tests that need
+/// StepEngineOptions knobs no Scheduler exposes (exact_steps, max_steps).
+inline core::StreamRunResult run_step_engine_on(
     const core::Instance& inst, const sim::StepEngineOptions& opt) {
   inst.validate();
   core::InstanceSource source(inst);
-  core::ScheduleResult res;
-  const core::StreamRunResult run =
-      sim::run_step_engine(source, opt, nullptr, &res.completion);
-  res.scheduler_name = run.scheduler_name;
-  res.stats = run.stats;
-  res.finalize(inst.jobs);
-  return res;
+  metrics::StreamingFlowStats stats(metrics::StreamingFlowStats::Options{
+      .reservoir = inst.size(), .per_job = inst.size()});
+  return sim::run_step_engine(source, opt, &stats);
 }
 
 }  // namespace pjsched::testutil
