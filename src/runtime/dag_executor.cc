@@ -1,10 +1,14 @@
 #include "src/runtime/dag_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <memory>
+#include <new>
 #include <stdexcept>
-#include <vector>
+
+#include "src/runtime/interference.h"
 
 namespace pjsched::runtime {
 
@@ -21,57 +25,149 @@ void spin_for_units(dag::Work units, double ns_per_unit) {
 
 namespace {
 
-// Shared per-job execution state: dependence counters plus the body.
-// Owned by shared_ptr captured in every node task, so it lives until the
-// last task finishes regardless of completion order.
-struct DagRun {
-  DagRun(dag::Dag g, NodeBody b)
-      : graph(std::move(g)), body(std::move(b)), pending(graph.node_count()) {
-    // order: relaxed — single-threaded initialization; the DagRun is
-    // published to workers via submit()'s queue, which carries the edge.
-    for (std::size_t v = 0; v < graph.node_count(); ++v)
-      pending[v].store(static_cast<std::uint32_t>(graph.in_degree(
-                           static_cast<dag::NodeId>(v))),
-                       std::memory_order_relaxed);
-  }
+constexpr std::size_t round_up(std::size_t bytes, std::size_t to) {
+  return (bytes + to - 1) / to * to;
+}
 
-  const dag::Dag graph;  // owned: the run may outlive the caller's copy
-  NodeBody body;
-  std::vector<std::atomic<std::uint32_t>> pending;
+// Byte offsets, from the start of a DAG's block, of the arrays that follow
+// the DagRun header, and the block's size.
+struct BlockLayout {
+  explicit BlockLayout(const dag::Dag& graph);
+  std::size_t work, succ_off, succ, sources, pending, bytes;
 };
 
-void run_node(TaskContext& ctx, const std::shared_ptr<DagRun>& run,
-              dag::NodeId v) {
-  // Cooperative cancellation: once the job is cancelled (failure, deadline,
-  // shedding), remaining nodes are skipped rather than executed.  Successor
-  // resolution is skipped too — the job can never complete, and the pool
-  // drains the already-spawned tasks the same way.
-  if (ctx.cancelled()) return;
-  run->body(v, run->graph.work_of(v));
-  for (dag::NodeId w : run->graph.successors(v)) {
+// One DAG job's execution state, in one allocation aligned to a cache line:
+//
+//   DagRun | work[n] | succ_off[n + 1] | succ[edges] | sources[s] | pad |
+//   pending[n] | pad to a line boundary
+//
+// The header and the arrays up to `sources` are written once, by the
+// constructor, and only read afterwards.  The dependence counters, the
+// only part node tasks write, start on a fresh cache line and the block
+// ends on a line boundary, so a counter write never invalidates a line
+// that holds the read-only part.  Node tasks point at the run by raw
+// pointer: the block is the job's SubmitOptions::state, which the pool
+// frees only after the job's last task has exited.
+struct DagRun {
+  static constexpr std::align_val_t kAlign{kDestructiveInterference};
+
+  static DagRun* make(const dag::Dag& graph, NodeBody body) {
+    const BlockLayout at(graph);
+    return new (::operator new(at.bytes, kAlign))
+        DagRun(graph, std::move(body), at);
+  }
+  static void destroy(DagRun* run) {
+    run->~DagRun();
+    ::operator delete(run, kAlign);
+  }
+
+  DagRun(const DagRun&) = delete;
+  DagRun& operator=(const DagRun&) = delete;
+
+  NodeBody body;
+  const dag::Work* const work;          // per node
+  const std::uint32_t* const succ_off;  // successors of v: succ[succ_off[v]
+  const dag::NodeId* const succ;        //                   .. succ_off[v + 1])
+  const dag::NodeId* const sources;
+  const std::uint32_t source_count;
+  std::atomic<std::uint32_t>* const pending;  // per node: unmet predecessors
+
+ private:
+  DagRun(const dag::Dag& graph, NodeBody b, const BlockLayout& at) noexcept;
+
+  template <typename T>
+  T* array_at(std::size_t offset) {
+    return reinterpret_cast<T*>(reinterpret_cast<std::byte*>(this) + offset);
+  }
+};
+
+BlockLayout::BlockLayout(const dag::Dag& graph) {
+  const std::size_t n = graph.node_count();
+  work = round_up(sizeof(DagRun), alignof(dag::Work));
+  succ_off = work + n * sizeof(dag::Work);
+  succ = succ_off + (n + 1) * sizeof(std::uint32_t);
+  sources = succ + graph.edge_count() * sizeof(dag::NodeId);
+  pending = round_up(sources + graph.sources().size() * sizeof(dag::NodeId),
+                     kDestructiveInterference);
+  bytes = round_up(pending + n * sizeof(std::atomic<std::uint32_t>),
+                   kDestructiveInterference);
+}
+
+DagRun::DagRun(const dag::Dag& graph, NodeBody b,
+               const BlockLayout& at) noexcept
+    : body(std::move(b)),
+      work(array_at<dag::Work>(at.work)),
+      succ_off(array_at<std::uint32_t>(at.succ_off)),
+      succ(array_at<dag::NodeId>(at.succ)),
+      sources(array_at<dag::NodeId>(at.sources)),
+      source_count(static_cast<std::uint32_t>(graph.sources().size())),
+      pending(array_at<std::atomic<std::uint32_t>>(at.pending)) {
+  auto* const work_out = array_at<dag::Work>(at.work);
+  auto* const off_out = array_at<std::uint32_t>(at.succ_off);
+  auto* const succ_out = array_at<dag::NodeId>(at.succ);
+  std::uint32_t edges = 0;
+  for (dag::NodeId v = 0; v < graph.node_count(); ++v) {
+    work_out[v] = graph.work_of(v);
+    off_out[v] = edges;
+    for (dag::NodeId w : graph.successors(v)) succ_out[edges++] = w;
+    // Constructed, not stored: the block reaches the workers through
+    // submit()'s admission queue, which orders these writes.
+    new (&pending[v]) std::atomic<std::uint32_t>(
+        static_cast<std::uint32_t>(graph.in_degree(v)));
+  }
+  off_out[graph.node_count()] = edges;
+  std::copy(graph.sources().begin(), graph.sources().end(),
+            array_at<dag::NodeId>(at.sources));
+}
+
+void run_node(TaskContext& ctx, DagRun* run, dag::NodeId v);
+
+void spawn_node(TaskContext& ctx, DagRun* run, dag::NodeId v) {
+  ctx.spawn([run, v](TaskContext& inner) { run_node(inner, run, v); });
+}
+
+void run_node(TaskContext& ctx, DagRun* run, dag::NodeId v) {
+  // Cooperative cancellation needs no check here: the pool skips every task
+  // of a cancelled job (failure, deadline, shedding) before its body runs,
+  // so the remaining nodes never execute and never resolve successors.
+  run->body(v, run->work[v]);
+  const std::uint32_t end = run->succ_off[v + 1];
+  for (std::uint32_t i = run->succ_off[v]; i < end; ++i) {
+    const dag::NodeId w = run->succ[i];
     // order: acq_rel — release publishes this node's effects to the
     // successor's spawner; acquire makes the last-resolving predecessor
     // see every other predecessor's effects before the successor runs.
-    if (run->pending[w].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      ctx.spawn([run, w](TaskContext& inner) { run_node(inner, run, w); });
-    }
+    if (run->pending[w].fetch_sub(1, std::memory_order_acq_rel) == 1)
+      spawn_node(ctx, run, w);
   }
 }
 
 }  // namespace
 
 JobHandle submit_dag(ThreadPool& pool, const dag::Dag& graph, NodeBody body,
-                     double weight) {
+                     SubmitOptions options) {
   if (!graph.sealed())
     throw std::invalid_argument("submit_dag: DAG must be sealed");
-  auto run = std::make_shared<DagRun>(graph, std::move(body));
+  if (options.state)
+    throw std::invalid_argument(
+        "submit_dag: options.state must be empty; the run's block takes it");
+  DagRun* const run = DagRun::make(graph, std::move(body));
+  // Should the control block's allocation throw, shared_ptr runs destroy.
+  options.state = std::shared_ptr<void>(run, &DagRun::destroy);
   return pool.submit(
       [run](TaskContext& ctx) {
         // Spawn every source; the spawning task itself is the job root.
-        for (dag::NodeId s : run->graph.sources())
-          ctx.spawn([run, s](TaskContext& inner) { run_node(inner, run, s); });
+        for (std::uint32_t i = 0; i < run->source_count; ++i)
+          spawn_node(ctx, run, run->sources[i]);
       },
-      weight);
+      std::move(options));
+}
+
+JobHandle submit_dag(ThreadPool& pool, const dag::Dag& graph, NodeBody body,
+                     double weight) {
+  SubmitOptions options;
+  options.weight = weight;
+  return submit_dag(pool, graph, std::move(body), std::move(options));
 }
 
 JobHandle submit_dag_spinning(ThreadPool& pool, const dag::Dag& graph,

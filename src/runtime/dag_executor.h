@@ -3,10 +3,16 @@
 // TBB implementation executes the same benchmark jobs the simulated OPT is
 // computed on.
 //
-// Each DAG node becomes one task; when a task finishes it resolves its
-// successors' dependence counters and spawns those that became ready onto
-// its worker's deque — the dynamic-unfolding contract of Section 2,
-// realized with atomics instead of the simulator's ReadyTracker.
+// submit_dag packs the sealed DAG into one flat execution block per job:
+// node work, the successor CSR, the sources, per-node dependence counters
+// and the NodeBody, in a single allocation.  The block rides in the job's
+// SubmitOptions::state, so the pool frees it exactly once, after the job's
+// last task has exited, whatever the job's outcome.  Each DAG node becomes
+// one task that carries only a raw pointer to the block and its node id.
+// When a task finishes it resolves its successors' dependence counters and
+// spawns those that became ready onto its worker's deque: the dynamic
+// unfolding of Section 2, realized with atomics instead of the simulator's
+// ReadyTracker.
 #pragma once
 
 #include <cstdint>
@@ -19,20 +25,25 @@ namespace pjsched::runtime {
 
 /// Called once per node when it executes; receives the node id and its
 /// processing time in work units.  The default body (see spin_for_units)
-/// burns CPU proportional to the work.
-// lint: allow(std-function): one copy per DAG *job*, shared by every node
-// task through the DagRun — not a per-task callable; copyability is
-// required (each node task captures the shared_ptr'd run, and user bodies
-// are std::function-shaped lambdas), so InlineFn does not fit.
+/// spins for a wall time proportional to the work.
+// lint: allow(std-function): one body per DAG *job*, stored once in the
+// job's execution block and called through it by every node task; no task
+// copies it.  Copyable because callers may hand one lvalue body to many
+// submissions, which the move-only InlineFn would forbid.
 using NodeBody = std::function<void(dag::NodeId, dag::Work)>;
 
-/// Busy-spins for roughly `units * ns_per_unit` nanoseconds of CPU time —
-/// the CPU-bound stand-in for real node work.
+/// Busy-spins until roughly `units * ns_per_unit` nanoseconds of
+/// steady_clock (wall) time have passed: the CPU-bound stand-in for real
+/// node work.  Time the thread spends descheduled counts toward it.
 void spin_for_units(dag::Work units, double ns_per_unit);
 
-/// Submits `graph` as one job (the run keeps its own copy of the DAG, so
-/// temporaries are fine).  Returns the pool's job handle (flow time lands
-/// in the pool's recorder).
+/// Submits `graph` as one job with `options` (weight, deadline).  The job's
+/// execution block holds everything the run reads from the DAG, so
+/// `graph` may be destroyed as soon as this returns.  `options.state` must
+/// be empty: the block takes that slot.  Returns the pool's job handle
+/// (flow time lands in the pool's recorder).
+JobHandle submit_dag(ThreadPool& pool, const dag::Dag& graph, NodeBody body,
+                     SubmitOptions options);
 JobHandle submit_dag(ThreadPool& pool, const dag::Dag& graph, NodeBody body,
                      double weight = 1.0);
 

@@ -226,6 +226,9 @@ class Job {
   Clock::time_point completion_time_{};
   Clock::time_point deadline_{};
   bool has_deadline_ = false;  // written before the job is visible to workers
+  /// SubmitOptions::state: set by submit() before the job is visible to
+  /// workers, dropped by the job's last finish_job (see there).
+  std::shared_ptr<void> state_;
   mutable Mutex mu_;
   mutable CondVar cv_;
   std::string error_ PJSCHED_GUARDED_BY(mu_);  // first failure wins

@@ -120,10 +120,10 @@ ThreadPool::~ThreadPool() { shutdown(); }
 JobHandle ThreadPool::submit(TaskFn root, double weight) {
   SubmitOptions options;
   options.weight = weight;
-  return submit(std::move(root), options);
+  return submit(std::move(root), std::move(options));
 }
 
-JobHandle ThreadPool::submit(TaskFn root, const SubmitOptions& options) {
+JobHandle ThreadPool::submit(TaskFn root, SubmitOptions options) {
   if (!accepting_.load(std::memory_order_acquire))
     throw std::logic_error(
         "ThreadPool::submit: pool is shut down; submissions after shutdown() "
@@ -150,6 +150,7 @@ JobHandle ThreadPool::submit(TaskFn root, const SubmitOptions& options) {
   job->mark_submitted();
   if (options.deadline.has_value())
     job->set_deadline(job->submit_time() + *options.deadline);
+  job->state_ = std::move(options.state);  // before any task can see the job
   job->add_pending();  // the root task
   {
     MutexLock lock(done_mu_);
@@ -202,6 +203,10 @@ void ThreadPool::terminate_unadmitted(Task* task, bool rejected) {
 void ThreadPool::finish_job(Job* job, unsigned recorder_shard) {
   if (job->finish_one()) {
     recorder_.record(*job, recorder_shard);
+    // Every task of the job has exited (each held a pending count until
+    // then), so nothing points into its state any more.  Dropped before the
+    // count below, so wait_all() returning means every state is gone.
+    job->state_.reset();
     // The last access to *job: from here submit() may drop the pool's
     // reference, and with it the job.
     job->mark_retired();

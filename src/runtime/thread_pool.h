@@ -120,6 +120,13 @@ struct SubmitOptions {
   /// Enforcement is cooperative: checked before every task of the job
   /// executes (long task bodies should poll TaskContext::cancelled()).
   std::optional<Clock::duration> deadline;
+  /// State that must live exactly as long as the job's tasks.  submit()
+  /// moves it into the job, and finish_job drops it once the job's last
+  /// task has exited: after the recorder write, before wait_all() can count
+  /// the job.  That holds for every terminal outcome, including shed and
+  /// rejected jobs whose root never ran.  So tasks may point into it by raw
+  /// pointer (submit_dag keeps its per-job execution block here).
+  std::shared_ptr<void> state;
 };
 
 class ThreadPool;
@@ -244,8 +251,9 @@ class ThreadPool {
   /// worker blocking on a full queue cannot drain it, and with every
   /// worker blocked the pool deadlocks.  Such calls throw std::logic_error
   /// deterministically (full queue or not); use TaskContext::spawn or a
-  /// non-blocking policy instead.
-  JobHandle submit(TaskFn root, const SubmitOptions& options);
+  /// non-blocking policy instead.  Both throws come before a job exists,
+  /// so `options.state` is then dropped with the argument.
+  JobHandle submit(TaskFn root, SubmitOptions options);
   JobHandle submit(TaskFn root, double weight = 1.0);
 
   /// Blocks until every job submitted so far has reached a terminal
@@ -327,8 +335,9 @@ class ThreadPool {
   /// releases the task.  Runs on non-worker threads (submit / shutdown).
   void terminate_unadmitted(Task* task, bool rejected);
   /// Drains one pending count; on the job's last task records it in the
-  /// given recorder shard and, only when this was the last outstanding
-  /// job, notifies done_cv_ (completions of non-final jobs touch no lock).
+  /// given recorder shard, drops its SubmitOptions::state and, only when
+  /// this was the last outstanding job, notifies done_cv_ (completions of
+  /// non-final jobs touch no lock).
   void finish_job(Job* job, unsigned recorder_shard);
   /// Recorder shard for non-worker threads (submit, shutdown, watchdog).
   unsigned external_shard() const { return workers(); }

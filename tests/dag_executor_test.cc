@@ -5,15 +5,68 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/dag/builders.h"
 #include "src/dag/compose.h"
+#include "tests/worker_gate.h"
+
+// Counts the calling thread's operator new calls.  The allocation-budget
+// test reads it around a submit loop, so the workers' own allocations
+// (slab blocks, recorder growth) stay out of its count.
+namespace {
+thread_local std::uint64_t t_allocations = 0;
+
+void* counted_new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_new(std::size_t size, std::align_val_t align) {
+  ++t_allocations;
+  void* p = nullptr;
+  const auto a = static_cast<std::size_t>(align);
+  if (posix_memalign(&p, a, size != 0 ? size : a) != 0) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_new(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_new(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace pjsched::runtime {
 namespace {
+
+using testutil::WorkerGate;
 
 // Records execution order with a lock; verifies precedence afterwards.
 struct OrderRecorder {
@@ -121,6 +174,200 @@ TEST(DagExecutorTest, UnsealedDagRejected) {
   d.add_node(1);
   EXPECT_THROW(submit_dag(pool, d, [](dag::NodeId, dag::Work) {}),
                std::invalid_argument);
+}
+
+TEST(DagExecutorTest, SubmitOptionsStateMustBeEmpty) {
+  ThreadPool pool({.workers = 1, .steal_k = 0, .seed = 8});
+  SubmitOptions options;
+  options.state = std::make_shared<int>(0);
+  EXPECT_THROW(submit_dag(pool, dag::single_node(1),
+                          [](dag::NodeId, dag::Work) {}, options),
+               std::invalid_argument);
+}
+
+// Submit-side operator new calls per job over 1,000 submissions.  Besides
+// the per-job allocations this counts amortized growth: the admission
+// queue's chunks, live_jobs_'s capacity and root-task slab blocks, about
+// 0.04 calls per job together.
+double submit_allocations_per_job(const dag::Dag& graph) {
+  ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 9});
+  constexpr int kJobs = 1000;
+  const std::uint64_t before = t_allocations;
+  for (int i = 0; i < kJobs; ++i)
+    submit_dag_spinning(pool, graph, /*ns_per_unit=*/0.0);
+  const std::uint64_t allocations = t_allocations - before;
+  pool.wait_all();
+  return static_cast<double>(allocations) / kJobs;
+}
+
+// The job, its execution block and the block's shared_ptr control block:
+// three allocations, none of which multiplies with the DAG's size.
+TEST(DagExecutorTest, SubmitAllocatesThreeTimesPerJobWhateverItsSize) {
+  const double one_node = submit_allocations_per_job(dag::single_node(1));
+  const double wide = submit_allocations_per_job(dag::parallel_for_dag(32, 1));
+  EXPECT_LE(one_node, 3.1);
+  EXPECT_LE(wide, 3.1);
+  EXPECT_EQ(std::lround(one_node), std::lround(wide));
+}
+
+// ---------------------------------------------------------------------------
+// Lifetime of the job's execution block.  Each body below holds a sentinel;
+// the pool must drop the block, and with it the body, exactly once for
+// every terminal outcome.  The job handles stay alive, so a use_count() back
+// at 1 shows the pool released the block, not a job destructor; a second
+// release would free the sentinel under the test's own reference.
+
+NodeBody counting_body(std::shared_ptr<int> sentinel, std::atomic<int>& runs) {
+  return [sentinel = std::move(sentinel), &runs](dag::NodeId, dag::Work) {
+    runs.fetch_add(1);
+  };
+}
+
+PoolOptions gated_options(std::uint64_t seed, BackpressurePolicy policy =
+                                                  BackpressurePolicy::kBlock) {
+  PoolOptions options;
+  options.workers = 1;
+  options.seed = seed;
+  options.admission_capacity = 1;
+  options.backpressure = policy;
+  return options;
+}
+
+TEST(DagExecutorLifetimeTest, CompletedJob) {
+  ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 21});
+  auto sentinel = std::make_shared<int>(0);
+  std::atomic<int> runs{0};
+  auto job = submit_dag(pool, dag::parallel_for_dag(8, 1),
+                        counting_body(sentinel, runs));
+  pool.wait_all();
+  EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
+  EXPECT_EQ(runs.load(), 10);
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+TEST(DagExecutorLifetimeTest, BodyThrowsMidDag) {
+  ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 22});
+  auto sentinel = std::make_shared<int>(0);
+  std::atomic<int> after{0};
+  auto job = submit_dag(pool, dag::serial_chain(4, 1),
+                        [sentinel, &after](dag::NodeId v, dag::Work) {
+                          if (v == 1) throw std::runtime_error("node 1");
+                          if (v > 1) after.fetch_add(1);
+                        });
+  pool.wait_all();
+  EXPECT_EQ(job->outcome(), JobOutcome::kFailed);
+  EXPECT_EQ(job->error(), "node 1");
+  EXPECT_EQ(after.load(), 0);  // the nodes behind the failure never ran
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+TEST(DagExecutorLifetimeTest, DeadlineExpiredJob) {
+  ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 23});
+  auto sentinel = std::make_shared<int>(0);
+  std::atomic<int> runs{0};
+  SubmitOptions options;
+  options.deadline = std::chrono::milliseconds(1);
+  auto job = submit_dag(
+      pool, dag::serial_chain(3, 1),
+      [sentinel, &runs](dag::NodeId, dag::Work) {
+        runs.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      },
+      options);
+  pool.wait_all();
+  EXPECT_EQ(job->outcome(), JobOutcome::kDeadlineExpired);
+  EXPECT_LE(runs.load(), 1);  // node 1 starts past the deadline: skipped
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+TEST(DagExecutorLifetimeTest, ShedJobWhoseRootNeverRan) {
+  ThreadPool pool(gated_options(24, BackpressurePolicy::kShedOldest));
+  WorkerGate gate;
+  gate.submit_to(pool);
+  auto shed_sentinel = std::make_shared<int>(0);
+  auto kept_sentinel = std::make_shared<int>(0);
+  std::atomic<int> shed_runs{0}, kept_runs{0};
+  auto shed = submit_dag(pool, dag::star(4),
+                         counting_body(shed_sentinel, shed_runs));
+  auto kept = submit_dag(pool, dag::star(4),
+                         counting_body(kept_sentinel, kept_runs));
+  // Evicted by the second submission, on this thread: its block is gone
+  // before any worker saw the job, while the queued job's block lives on.
+  EXPECT_EQ(shed->outcome(), JobOutcome::kShed);
+  EXPECT_EQ(shed_sentinel.use_count(), 1);
+  EXPECT_EQ(kept_sentinel.use_count(), 2);
+  gate.release.store(true);
+  pool.wait_all();
+  EXPECT_EQ(shed_runs.load(), 0);
+  EXPECT_EQ(kept->outcome(), JobOutcome::kCompleted);
+  EXPECT_EQ(kept_runs.load(), 5);
+  EXPECT_EQ(shed_sentinel.use_count(), 1);
+  EXPECT_EQ(kept_sentinel.use_count(), 1);
+}
+
+TEST(DagExecutorLifetimeTest, RejectedJobWhoseRootNeverRan) {
+  ThreadPool pool(gated_options(25, BackpressurePolicy::kRejectNewest));
+  WorkerGate gate;
+  gate.submit_to(pool);
+  auto kept_sentinel = std::make_shared<int>(0);
+  auto rejected_sentinel = std::make_shared<int>(0);
+  std::atomic<int> kept_runs{0}, rejected_runs{0};
+  auto kept = submit_dag(pool, dag::star(4),
+                         counting_body(kept_sentinel, kept_runs));
+  auto rejected = submit_dag(pool, dag::star(4),
+                             counting_body(rejected_sentinel, rejected_runs));
+  EXPECT_EQ(rejected->outcome(), JobOutcome::kRejected);
+  EXPECT_EQ(rejected_sentinel.use_count(), 1);
+  EXPECT_EQ(kept_sentinel.use_count(), 2);
+  gate.release.store(true);
+  pool.wait_all();
+  EXPECT_EQ(rejected_runs.load(), 0);
+  EXPECT_EQ(kept->outcome(), JobOutcome::kCompleted);
+  EXPECT_EQ(kept_runs.load(), 5);
+  EXPECT_EQ(rejected_sentinel.use_count(), 1);
+  EXPECT_EQ(kept_sentinel.use_count(), 1);
+}
+
+TEST(DagExecutorLifetimeTest, SubmitAfterShutdownThrows) {
+  ThreadPool pool({.workers = 1, .steal_k = 0, .seed = 26});
+  pool.shutdown();
+  auto sentinel = std::make_shared<int>(0);
+  std::atomic<int> runs{0};
+  EXPECT_THROW(
+      submit_dag(pool, dag::star(4), counting_body(sentinel, runs)),
+      std::logic_error);
+  pool.wait_all();
+  EXPECT_EQ(runs.load(), 0);
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+// The run reads everything from its own block: the DAG it was built from is
+// a temporary, destroyed before the gated worker admits the job.
+TEST(DagExecutorLifetimeTest, TemporaryDagDestroyedBeforeTheJobRuns) {
+  const auto shape = [] {
+    return dag::sequence(dag::parallel_for_dag(6, 1),
+                         dag::divide_and_conquer(3, 2));
+  };
+  const dag::Dag reference = shape();
+  ThreadPool pool(gated_options(27));
+  WorkerGate gate;
+  gate.submit_to(pool);
+  auto sentinel = std::make_shared<int>(0);
+  OrderRecorder rec;
+  auto job = submit_dag(pool, shape(),
+                        [sentinel, body = rec.body()](dag::NodeId v,
+                                                      dag::Work w) {
+                          body(v, w);
+                        });
+  gate.release.store(true);
+  pool.wait_all();
+  EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
+  ASSERT_EQ(rec.order.size(), reference.node_count());
+  const auto pos = rec.positions(reference.node_count());
+  for (dag::NodeId u = 0; u < reference.node_count(); ++u)
+    for (dag::NodeId v : reference.successors(u))
+      EXPECT_LT(pos[u], pos[v]) << "edge " << u << "->" << v;
+  EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 TEST(SpinForUnitsTest, ScalesWithUnits) {

@@ -16,8 +16,12 @@
 #include <thread>
 #include <vector>
 
+#include "tests/worker_gate.h"
+
 namespace pjsched::runtime {
 namespace {
+
+using testutil::WorkerGate;
 
 TEST(ThreadPoolTest, RunsASingleJob) {
   ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 1});
@@ -395,24 +399,6 @@ TEST(ThreadPoolFaultTest, GenerousDeadlineDoesNotCancel) {
   EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
   EXPECT_EQ(pool.stats().jobs_deadline_expired, 0u);
 }
-
-namespace {
-// Occupies the pool's single worker until released, so the admission queue
-// fills deterministically.
-struct WorkerGate {
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-
-  JobHandle submit_to(ThreadPool& pool) {
-    auto handle = pool.submit([this](TaskContext&) {
-      started.store(true);
-      while (!release.load()) std::this_thread::yield();
-    });
-    while (!started.load()) std::this_thread::yield();
-    return handle;
-  }
-};
-}  // namespace
 
 TEST(ThreadPoolFaultTest, RejectNewestPolicy) {
   PoolOptions options;
