@@ -93,4 +93,4 @@ BENCHMARK(BM_LowerBoundFifo)
 
 }  // namespace
 
-#include "bench/gbench_main.h"
+BENCHMARK_MAIN();

@@ -1,6 +1,5 @@
 // Runtime hot-path benchmark suite (google-benchmark): the BM_Runtime*
-// baselines distilled into the `runtime` section of BENCH_sim.json (refresh
-// with `cmake --build build --target bench_baseline`).
+// shapes behind the before/after table in docs/runtime.md.
 //
 // Three shapes, chosen to expose per-task overhead rather than body work —
 // exactly the costs Cilk-style runtimes are designed to eliminate (paper
@@ -14,7 +13,7 @@
 // Each benchmark reports throughput as tasks/sec (items = the pool's
 // tasks_executed delta, so admission roots and spawned subtasks all count)
 // plus the steal success rate from PoolStats.  Run these in a Release
-// build: tools/make_bench_baseline.py loudly annotates debug snapshots.
+// build; end-to-end runtime figures come from perfbench/.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -136,4 +135,4 @@ BENCHMARK(BM_RuntimeBingDag)->UseRealTime();
 
 }  // namespace
 
-#include "bench/gbench_main.h"
+BENCHMARK_MAIN();

@@ -108,4 +108,4 @@ BENCHMARK(BM_SubmitThroughputStealK);
 
 }  // namespace
 
-#include "bench/gbench_main.h"
+BENCHMARK_MAIN();

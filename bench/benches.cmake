@@ -20,14 +20,10 @@ pjsched_add_bench(bench_bwf_weighted)
 pjsched_add_bench(bench_steal_k_ablation)
 pjsched_add_bench(bench_fault_degradation)
 
-# google-benchmark micro-benches.  Each includes bench/gbench_main.h, which
-# reports PJSCHED_BUILD_TYPE (the build type of *our* code, unlike
-# google-benchmark's library_build_type) in the JSON context so the
-# BENCH_sim.json distiller can flag unoptimized snapshots.
+# google-benchmark micro-benches.
 function(pjsched_add_gbench name)
   pjsched_add_bench(${name})
   target_link_libraries(${name} PRIVATE benchmark::benchmark)
-  target_compile_definitions(${name} PRIVATE PJSCHED_BUILD_TYPE="$<CONFIG>")
 endfunction()
 pjsched_add_gbench(bench_runtime_micro)
 # Lemma 5.1 adversarial-instance sweep; stays standalone-runnable (the CI
@@ -35,58 +31,7 @@ pjsched_add_gbench(bench_runtime_micro)
 pjsched_add_gbench(bench_lower_bound)
 pjsched_add_gbench(bench_runtime)
 pjsched_add_gbench(bench_sim_engine)
-pjsched_add_gbench(bench_service)
-target_link_libraries(bench_service PRIVATE pjsched_service)
-pjsched_add_gbench(bench_ingest)
-target_link_libraries(bench_ingest PRIVATE pjsched_service)
 pjsched_add_bench(bench_stretch)
-
-# Perf-snapshot target: runs the BM_Baseline* simulation suite and the
-# BM_Runtime* hot-path suite in JSON mode and distills both into
-# BENCH_sim.json at the repo root (steps/sec fast vs exact, trials/sec
-# sequential vs parallel, runtime tasks/sec vs the committed pre-slab
-# baseline bench/runtime_before.json, wall time, host metadata).  The
-# distiller annotates snapshots from unoptimized builds and 1-CPU hosts —
-# refresh from a Release build on real parallel hardware:
-# `cmake --build build --target bench_baseline`.
-find_package(Python3 COMPONENTS Interpreter QUIET)
-if(Python3_Interpreter_FOUND)
-  set(PJSCHED_PYTHON ${Python3_EXECUTABLE})
-else()
-  set(PJSCHED_PYTHON python3)
-endif()
-add_custom_target(bench_baseline
-  COMMAND $<TARGET_FILE:bench_sim_engine>
-          --benchmark_filter=Baseline
-          --benchmark_out=${CMAKE_BINARY_DIR}/bench_sim_raw.json
-          --benchmark_out_format=json
-  COMMAND $<TARGET_FILE:bench_sim_engine>
-          --benchmark_filter=Scaling
-          --benchmark_out=${CMAKE_BINARY_DIR}/bench_scaling_raw.json
-          --benchmark_out_format=json
-  COMMAND $<TARGET_FILE:bench_runtime>
-          --benchmark_filter=Runtime
-          --benchmark_out=${CMAKE_BINARY_DIR}/bench_runtime_raw.json
-          --benchmark_out_format=json
-  COMMAND $<TARGET_FILE:bench_service>
-          --benchmark_filter=Service
-          --benchmark_out=${CMAKE_BINARY_DIR}/bench_service_raw.json
-          --benchmark_out_format=json
-  COMMAND $<TARGET_FILE:bench_ingest>
-          --benchmark_filter=Ingest
-          --benchmark_out=${CMAKE_BINARY_DIR}/bench_ingest_raw.json
-          --benchmark_out_format=json
-  COMMAND ${PJSCHED_PYTHON} ${CMAKE_SOURCE_DIR}/tools/make_bench_baseline.py
-          ${CMAKE_BINARY_DIR}/bench_sim_raw.json
-          ${CMAKE_SOURCE_DIR}/BENCH_sim.json
-          --runtime ${CMAKE_BINARY_DIR}/bench_runtime_raw.json
-          --before ${CMAKE_SOURCE_DIR}/bench/runtime_before.json
-          --service ${CMAKE_BINARY_DIR}/bench_service_raw.json
-          --scaling ${CMAKE_BINARY_DIR}/bench_scaling_raw.json
-          --ingest ${CMAKE_BINARY_DIR}/bench_ingest_raw.json
-  DEPENDS bench_sim_engine bench_runtime bench_service bench_ingest
-  COMMENT "Running BM_Baseline* + BM_Scaling* + BM_Runtime* + BM_Service* + BM_Ingest* and writing BENCH_sim.json"
-  VERBATIM)
 pjsched_add_bench(bench_weighted_admission)
 pjsched_add_bench(bench_mean_vs_max)
 pjsched_add_bench(bench_trial_variance)

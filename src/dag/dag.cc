@@ -96,49 +96,4 @@ std::span<const NodeId> Dag::predecessors(NodeId v) const {
   return {pred_flat_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
 }
 
-ReadyTracker::ReadyTracker(const Dag& dag) { reset(dag); }
-
-void ReadyTracker::reset(const Dag& dag) {
-  if (!dag.sealed())
-    throw std::invalid_argument("ReadyTracker: DAG must be sealed");
-  dag_ = &dag;
-  completed_ = 0;
-  const std::size_t n = dag.node_count();
-  pending_preds_.resize(n);
-  state_.assign(n, 0);
-  ready_.clear();
-  for (std::size_t v = 0; v < n; ++v)
-    pending_preds_[v] =
-        static_cast<std::uint32_t>(dag.predecessors(static_cast<NodeId>(v)).size());
-  for (NodeId s : dag.sources()) {
-    ready_.push_back(s);
-    state_[s] = 1;
-  }
-}
-
-void ReadyTracker::claim(NodeId v) {
-  if (v >= state_.size() || state_[v] != 1)
-    throw std::logic_error("ReadyTracker::claim: node is not ready");
-  auto it = std::find(ready_.begin(), ready_.end(), v);
-  ready_.erase(it);
-  state_[v] = 2;
-}
-
-std::size_t ReadyTracker::complete(NodeId v, std::vector<NodeId>* out_enabled) {
-  if (v >= state_.size() || state_[v] != 2)
-    throw std::logic_error("ReadyTracker::complete: node was not claimed");
-  state_[v] = 3;
-  ++completed_;
-  std::size_t enabled = 0;
-  for (NodeId w : dag_->successors(v)) {
-    if (--pending_preds_[w] == 0) {
-      state_[w] = 1;
-      ready_.push_back(w);
-      if (out_enabled != nullptr) out_enabled->push_back(w);
-      ++enabled;
-    }
-  }
-  return enabled;
-}
-
 }  // namespace pjsched::dag

@@ -5,7 +5,8 @@
 // predecessors have completed; multiple ready nodes of the same job may run
 // simultaneously on distinct processors.  Schedulers in this library never
 // inspect the DAG beyond its ready frontier: the graph "unfolds dynamically"
-// exactly as in the paper's non-clairvoyant model (see ReadyTracker below).
+// exactly as in the paper's non-clairvoyant model (sim::PackedDag holds the
+// frontier the engines run).
 #pragma once
 
 #include <cstdint>
@@ -85,7 +86,6 @@ class Dag {
   }
 
  private:
-  friend class ReadyTracker;
   // The arena's packed slot layout copies the CSR arrays wholesale instead
   // of re-deriving them through the per-node query API.
   friend class sim::PackedDag;
@@ -100,57 +100,6 @@ class Dag {
   Work total_work_ = 0;
   Work critical_path_ = 0;
   bool sealed_ = false;
-};
-
-/// Tracks the dynamically unfolding ready frontier of one executing job.
-///
-/// This is the *only* view of a DAG that the non-clairvoyant schedulers get:
-/// which nodes are currently ready, and which become ready when a node
-/// completes.  The tracker never reveals work of unreached nodes, the total
-/// node count remaining, or graph structure ahead of the frontier.
-class ReadyTracker {
- public:
-  /// Unbound tracker; call reset() before any other member.  Exists so the
-  /// simulation engines' recycling job arenas can keep tracker capacity
-  /// alive across the jobs that successively occupy one slot.
-  ReadyTracker() = default;
-
-  /// Binds to a sealed DAG.  Initially every source node is ready.
-  explicit ReadyTracker(const Dag& dag);
-
-  /// Rebinds to `dag` and restarts from the initial frontier, reusing the
-  /// existing vector capacity (no allocation when `dag` is no larger than
-  /// any previously bound DAG).
-  void reset(const Dag& dag);
-
-  /// Nodes currently ready (unblocked, not yet claimed).  Order is
-  /// deterministic: ascending node id of insertion batches.
-  std::span<const NodeId> ready() const { return ready_; }
-  std::size_t ready_count() const { return ready_.size(); }
-
-  /// Removes one ready node from the frontier (the scheduler claimed it and
-  /// will execute it).  `v` must currently be ready.
-  void claim(NodeId v);
-
-  /// Marks a claimed node as completed; appends any newly enabled
-  /// successors to `out_enabled` (may be null) and to the ready frontier.
-  /// Returns the number of successors enabled.
-  std::size_t complete(NodeId v, std::vector<NodeId>* out_enabled = nullptr);
-
-  /// Number of nodes completed so far.
-  std::size_t completed_count() const { return completed_; }
-
-  /// True when every node of the DAG has completed.
-  bool done() const { return completed_ == dag_->node_count(); }
-
-  const Dag& dag() const { return *dag_; }
-
- private:
-  const Dag* dag_ = nullptr;
-  std::vector<std::uint32_t> pending_preds_;  // per node: unmet predecessors
-  std::vector<NodeId> ready_;
-  std::vector<std::uint8_t> state_;  // 0 = blocked, 1 = ready, 2 = claimed, 3 = done
-  std::size_t completed_ = 0;
 };
 
 }  // namespace pjsched::dag

@@ -12,7 +12,7 @@
 // When a task finishes it resolves its successors' dependence counters and
 // spawns those that became ready onto its worker's deque: the dynamic
 // unfolding of Section 2, realized with atomics instead of the simulator's
-// ReadyTracker.
+// PackedDag frontier.
 #pragma once
 
 #include <cstdint>

@@ -15,13 +15,15 @@
 //   * at most kMaxTotalNodes nodes across all jobs (the state is one bit
 //     per node).
 //
-// Method: depth-first search over states (t, completed-set) where in each
-// unit step the scheduler runs some subset of ready nodes.  Running more
-// nodes never hurts (unit nodes, free preemption), so only maximal subsets
-// of size min(|ready|, m) are branched.  States are memoized on
-// (t, completed-set): the minimal achievable max flow *over jobs not yet
-// finished* is path-independent.  Branch-and-bound prunes subtrees that
-// cannot beat the incumbent.
+// Method: a memoized dynamic program over states (t, completed-set),
+// evaluated by depth-first recursion.  In each unit step the scheduler runs
+// some subset of the ready nodes.  Running more nodes never hurts (unit
+// nodes, free preemption), so only maximal subsets of size
+// min(|ready|, m) are branched; a step with nothing ready jumps to the next
+// arrival.  A state's value, the minimal achievable max flow *over jobs
+// not yet finished*, is path-independent, so each state is evaluated once
+// and cached.  Every branch of every state is evaluated: there is no
+// incumbent and no pruning, and `state_limit` caps the number of states.
 #pragma once
 
 #include <cstdint>

@@ -365,8 +365,8 @@ void Engine::complete_node(std::uint32_t s, dag::NodeId v) {
   // Swap-and-pop via the position index (O(1)): `available` is an unordered
   // working set — the allocation pass takes nodes from it in whatever order
   // it holds, and no invariant depends on that order (nodes of one job are
-  // interchangeable up to their precedence constraints, which the
-  // ReadyTracker enforces before a node ever enters the set).
+  // interchangeable up to their precedence constraints, which the slot's
+  // PackedDag frontier enforces before a node ever enters the set).
   const std::uint32_t pos = ss.pos_in_available[v];
   const dag::NodeId back = ss.available.back();
   ss.available[pos] = back;
@@ -482,8 +482,8 @@ void Engine::run_exact() {
 // Fast loop: the active list is maintained incrementally in policy order and
 // the next completion comes off the heap — no per-slice rebuild, sort, or
 // assigned-set scan.  The steady state allocates nothing: every container
-// here is engine-owned and reuses its capacity across slices (the scaling
-// bench's allocation probe pins this).
+// here is engine-owned and reuses its capacity across slices
+// (tests/scaling_test.cc counts allocations per job to pin this).
 void Engine::run_fast() {
   std::uint64_t slices = 0;
   while (arena_.live() > 0 || !source_.done()) {

@@ -6,8 +6,8 @@
 // indexing scheme: a live job occupies a dense *slot*, slots are retired and
 // reused as jobs complete (LIFO freelist, so the hottest slot's caches are
 // reused first).  Resident state is therefore O(peak live jobs), which for
-// a stable system is O(1) in the instance length — the property the
-// 10^6-job scaling gate (bench_sim_engine's BM_Scaling suite) asserts.
+// a stable system is O(1) in the instance length — the property
+// tests/scaling_test.cc checks by counting at 10^4 and 10^5 jobs.
 //
 // Each slot's DAG lives in a PackedDag: node work, CSR successor lists, and
 // the in-degree/ready frontier state packed into contiguous grow-only

@@ -30,7 +30,7 @@ void PackedDag::claim(dag::NodeId v) {
     throw std::logic_error("PackedDag::claim: node is not ready");
   if (ready_[ready_head_] == v) {
     // The engines always claim the frontier head; consuming it by index
-    // leaves the remaining sequence identical to ReadyTracker's
+    // leaves the remaining sequence identical to the reference frontier's
     // erase-from-front, without the O(frontier) shift.
     ++ready_head_;
     if (ready_head_ == ready_.size()) {

@@ -1,10 +1,8 @@
 // Structure-of-arrays DAG slot layout for the recycling job arena.
 //
-// The engines' inner loops used to walk a slot's dag::Dag (CSR queries
-// through a pointer) plus a separate dag::ReadyTracker (frontier state).
-// PackedDag fuses the two into one per-slot object whose storage is three
-// contiguous grow-only array groups, reused across the jobs that
-// successively occupy the slot:
+// One per-slot object holds both the job's CSR structure and its ready
+// frontier, in three contiguous grow-only array groups reused across the
+// jobs that successively occupy the slot:
 //
 //   node work        work_[v]                     (copied from the Dag)
 //   CSR successors   succ_off_[v] .. succ_off_[v+1] into succ_
@@ -16,14 +14,15 @@
 // heap-backed Dag in the slot until retirement.  dag::Dag remains the
 // build/serialize representation; this is purely the execution layout.
 //
-// Frontier semantics are *exactly* ReadyTracker's (the bitwise cross-check
-// tests pin this): the initial frontier is the sources in node-id order,
-// complete() appends newly enabled successors in CSR order, and ready()
-// presents the un-claimed nodes in the same sequence ReadyTracker's vector
-// holds.  The representational difference is that claim() of the frontier
-// head — the only claim the engines ever make — advances a head index
-// instead of erasing from the vector front, turning the engines' hottest
-// O(frontier) operation into O(1).
+// Frontier semantics are *exactly* those of the plain reference frontier in
+// tests/ready_tracker.h (tests/packed_dag_test.cc runs both in lockstep):
+// the initial frontier is the sources in node-id order, complete() appends
+// newly enabled successors in CSR order, and ready() presents the
+// un-claimed nodes in the same sequence the reference's vector holds.  The
+// representational difference is that claim() of the frontier head — the
+// only claim the engines ever make — advances a head index instead of
+// erasing from the vector front, turning the engines' hottest O(frontier)
+// operation into O(1).
 #pragma once
 
 #include <cstdint>
@@ -44,8 +43,8 @@ class PackedDag {
   void assign(const dag::Dag& dag);
 
   /// Marks the slot unoccupied.  Keeps every array's capacity for the next
-  /// occupant — the grow-only contract the scaling benches' allocation
-  /// probe measures.
+  /// occupant — the grow-only contract whose allocations
+  /// tests/scaling_test.cc counts.
   void release() { bound_ = false; }
 
   /// True while a DAG is assigned (the slot is live).
@@ -61,7 +60,7 @@ class PackedDag {
     return {succ_.data() + succ_off_[v], succ_off_[v + 1] - succ_off_[v]};
   }
 
-  /// Nodes currently ready, in ReadyTracker's deterministic order.
+  /// Nodes currently ready, in the reference frontier's deterministic order.
   std::span<const dag::NodeId> ready() const {
     return {ready_.data() + ready_head_, ready_.size() - ready_head_};
   }

@@ -8,10 +8,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -19,49 +17,8 @@
 
 #include "src/dag/builders.h"
 #include "src/dag/compose.h"
+#include "tests/alloc_counter.h"
 #include "tests/worker_gate.h"
-
-// Counts the calling thread's operator new calls.  The allocation-budget
-// test reads it around a submit loop, so the workers' own allocations
-// (slab blocks, recorder growth) stay out of its count.
-namespace {
-thread_local std::uint64_t t_allocations = 0;
-
-void* counted_new(std::size_t size) {
-  ++t_allocations;
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_new(std::size_t size, std::align_val_t align) {
-  ++t_allocations;
-  void* p = nullptr;
-  const auto a = static_cast<std::size_t>(align);
-  if (posix_memalign(&p, a, size != 0 ? size : a) != 0) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_new(size); }
-void* operator new[](std::size_t size) { return counted_new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_new(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace pjsched::runtime {
 namespace {
@@ -192,10 +149,10 @@ TEST(DagExecutorTest, SubmitOptionsStateMustBeEmpty) {
 double submit_allocations_per_job(const dag::Dag& graph) {
   ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 9});
   constexpr int kJobs = 1000;
-  const std::uint64_t before = t_allocations;
+  const std::uint64_t before = testutil::thread_allocations;
   for (int i = 0; i < kJobs; ++i)
     submit_dag_spinning(pool, graph, /*ns_per_unit=*/0.0);
-  const std::uint64_t allocations = t_allocations - before;
+  const std::uint64_t allocations = testutil::thread_allocations - before;
   pool.wait_all();
   return static_cast<double>(allocations) / kJobs;
 }

@@ -1,5 +1,6 @@
 // Unit tests for the DAG job model (src/dag/dag.h): construction, sealing
-// validation, cached work/span, and the dynamically unfolding ReadyTracker.
+// validation, cached work/span, and the dynamically unfolding frontier of
+// PackedDag's reference, tests/ready_tracker.h.
 #include "src/dag/dag.h"
 
 #include <gtest/gtest.h>
@@ -8,8 +9,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "tests/ready_tracker.h"
+
 namespace pjsched::dag {
 namespace {
+
+using testutil::ReadyTracker;
 
 Dag diamond() {
   //    0(2)

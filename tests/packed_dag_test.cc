@@ -1,9 +1,9 @@
-// PackedDag is the SoA execution layout the job arena substitutes for the
-// (dag::Dag*, dag::ReadyTracker) pair; the engines' bit-identity depends on
-// its frontier behaving *exactly* like ReadyTracker's.  These tests drive
-// both through identical randomized claim/complete schedules and compare
-// every observable at every step, pin the grow-only slot-reuse contract the
-// scaling benches' allocation probe measures, and check the error paths.
+// PackedDag is the SoA execution layout the job arena runs; the engines'
+// bit-identity depends on its frontier behaving *exactly* like the plain
+// reference frontier in tests/ready_tracker.h.  These tests drive both
+// through identical randomized claim/complete schedules and compare every
+// observable at every step, pin the grow-only slot-reuse contract whose
+// allocations tests/scaling_test.cc counts, and check the error paths.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,6 +15,7 @@
 #include "src/dag/dag.h"
 #include "src/sim/packed_dag.h"
 #include "src/sim/rng.h"
+#include "tests/ready_tracker.h"
 
 namespace pjsched {
 namespace {
@@ -24,7 +25,7 @@ namespace {
 // engines' pattern, but sometimes mid-frontier) and completions, asserting
 // after every operation that the two expose identical frontiers.
 void lockstep(const dag::Dag& d, sim::PackedDag& packed, std::uint64_t seed) {
-  dag::ReadyTracker tracker(d);
+  testutil::ReadyTracker tracker(d);
   sim::Rng rng(seed);
   std::vector<dag::NodeId> claimed;
   std::vector<dag::NodeId> enabled_p, enabled_t;

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
@@ -21,6 +23,8 @@
 #include "src/service/daemon.h"
 #include "src/service/record.h"
 #include "src/service/stream_feed.h"
+#include "src/service/tenant_router.h"
+#include "tests/alloc_counter.h"
 
 namespace pjsched::service {
 namespace {
@@ -196,6 +200,70 @@ TEST(ServiceIngest, ShardedHostileFloodBalancesTheBooks) {
             snap.router.accepted + snap.router.shed_arrival_full +
                 snap.router.shed_new + snap.router.rejected_tenant +
                 snap.router.rejected_drain);
+}
+
+// The ingest hot path in one thread: chunked deposits into an
+// IngestBuffer, batched parse, admit_batch and paired pops over a feed of
+// 4096 short records from 16 tenants.  Batch slots reuse their tenant
+// strings and the router's shards reuse their queues, so the steady state
+// stays within one operator new call per record (~0.2 measured); a
+// per-record or per-field allocation would exceed it.
+TEST(ServiceIngest, ParseAdmitPopAllocatesAtMostOncePerRecord) {
+  constexpr std::size_t kRecords = 4096;
+  constexpr std::size_t kFeedTenants = 16;
+  std::string feed;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    feed += "job t" + std::to_string(i % kFeedTenants) + " " +
+            std::to_string(1 + i % 4) + "\n";
+  }
+  RouterConfig router_config;
+  router_config.shards = 8;
+  router_config.capacity = 1 << 16;
+  TenantRouter router(router_config);
+  IngestBuffer buffer(kMaxLineBytes);
+  std::vector<ParsedRecord> parsed(256);
+  std::vector<JobRecord> batch;
+  std::vector<TenantRouter::BatchOutcome> outcomes;
+  std::vector<ShedRecord> evictions;
+  TenantRouter::BatchScratch scratch;
+
+  // One pass: every record parsed, admitted and popped again.
+  const auto pass = [&] {
+    std::size_t admitted = 0;
+    for (std::size_t off = 0; off < feed.size();) {
+      const std::size_t chunk =
+          std::min(buffer.tail_capacity(), feed.size() - off);
+      std::memcpy(buffer.tail(), feed.data() + off, chunk);
+      buffer.commit(chunk);
+      off += chunk;
+      for (;;) {
+        const BatchParse bp = buffer.parse({parsed.data(), parsed.size()});
+        if (bp.produced == 0 && bp.consumed == 0) break;
+        batch.clear();
+        for (std::size_t i = 0; i < bp.produced; ++i) {
+          if (parsed[i].status == ParseStatus::kRecord)
+            batch.push_back(std::move(parsed[i].record));
+        }
+        admitted += batch.size();
+        router.admit_batch({batch.data(), batch.size()}, &outcomes, &evictions,
+                           &scratch);
+      }
+    }
+    QueuedRecord popped;
+    std::size_t pops = 0;
+    while (router.try_pop(&popped)) ++pops;
+    EXPECT_EQ(admitted, kRecords);
+    EXPECT_EQ(pops, kRecords);
+  };
+
+  pass();  // warm every reusable buffer; the budget is the steady state's
+  constexpr std::size_t kPasses = 16;
+  const std::uint64_t before = testutil::thread_allocations;
+  for (std::size_t i = 0; i < kPasses; ++i) pass();
+  const double per_record =
+      static_cast<double>(testutil::thread_allocations - before) /
+      static_cast<double>(kPasses * kRecords);
+  EXPECT_LE(per_record, 1.0);
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/run.h"
 #include "src/service/daemon.h"
 #include "src/service/record.h"
 #include "src/service/stream_feed.h"
@@ -46,6 +47,7 @@ namespace {
 
 namespace service = pjsched::service;
 using Clock = service::Clock;
+using pjsched::core::parse_unsigned;
 
 struct Options {
   unsigned trials = 20;
@@ -300,9 +302,9 @@ int main(int argc, char** argv) {
     std::string v;
     try {
       if (parse_flag(arg, "trials", &v))
-        opts.trials = static_cast<unsigned>(std::stoul(v));
+        opts.trials = parse_unsigned<unsigned>(v);
       else if (parse_flag(arg, "seed-base", &v))
-        opts.seed_base = std::stoull(v);
+        opts.seed_base = parse_unsigned<std::uint64_t>(v);
       else if (arg == "--verbose")
         opts.verbose = true;
       else

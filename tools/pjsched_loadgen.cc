@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/run.h"
 #include "src/service/record.h"
 #include "src/service/stream_feed.h"
 #include "src/sim/rng.h"
@@ -30,6 +31,7 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using pjsched::core::parse_unsigned;
 namespace service = pjsched::service;
 
 struct Options {
@@ -75,24 +77,28 @@ bool parse_args(int argc, char** argv, Options* o) {
     try {
       if (parse_flag(arg, "unix", &v)) o->unix_path = v;
       else if (parse_flag(arg, "tcp-host", &v)) o->tcp_host = v;
-      else if (parse_flag(arg, "tcp-port", &v)) o->tcp_port = std::stoi(v);
+      else if (parse_flag(arg, "tcp-port", &v))
+        o->tcp_port = parse_unsigned<std::uint16_t>(v);
       else if (parse_flag(arg, "tenant", &v)) o->tenant = v;
-      else if (parse_flag(arg, "records", &v)) o->records = std::stoull(v);
+      else if (parse_flag(arg, "records", &v))
+        o->records = parse_unsigned<std::uint64_t>(v);
       else if (parse_flag(arg, "work", &v)) o->work = std::stod(v);
       else if (parse_flag(arg, "fanout", &v))
-        o->fanout = static_cast<unsigned>(std::stoul(v));
+        o->fanout = parse_unsigned<unsigned>(v);
       else if (parse_flag(arg, "weight", &v)) o->weight = std::stod(v);
       else if (parse_flag(arg, "deadline-ms", &v))
-        o->deadline_ms = std::stoull(v);
+        o->deadline_ms = parse_unsigned<std::uint64_t>(v);
       else if (parse_flag(arg, "rate", &v)) o->rate = std::stod(v);
-      else if (parse_flag(arg, "budget-ms", &v)) o->budget_ms = std::stoull(v);
+      else if (parse_flag(arg, "budget-ms", &v))
+        o->budget_ms = parse_unsigned<std::uint64_t>(v);
       else if (parse_flag(arg, "max-retries", &v))
-        o->max_retries = static_cast<unsigned>(std::stoul(v));
+        o->max_retries = parse_unsigned<unsigned>(v);
       else if (parse_flag(arg, "backoff-base-ms", &v))
-        o->backoff_base_ms = std::stoull(v);
-      else if (parse_flag(arg, "seed", &v)) o->seed = std::stoull(v);
+        o->backoff_base_ms = parse_unsigned<std::uint64_t>(v);
+      else if (parse_flag(arg, "seed", &v))
+        o->seed = parse_unsigned<std::uint64_t>(v);
       else if (parse_flag(arg, "connections", &v))
-        o->connections = std::stoull(v);
+        o->connections = parse_unsigned<std::uint64_t>(v);
       else return false;
     } catch (const std::exception&) {
       return false;

@@ -20,11 +20,13 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/run.h"
 #include "src/runtime/replayer.h"
 #include "src/service/daemon.h"
 
 namespace {
 
+using pjsched::core::parse_unsigned;
 using pjsched::service::Daemon;
 using pjsched::service::DaemonConfig;
 
@@ -79,13 +81,13 @@ bool parse_args(int argc, char** argv, Options* opts) {
       if (parse_flag(arg, "unix", &v)) {
         opts->config.unix_socket_path = v;
       } else if (parse_flag(arg, "tcp", &v)) {
-        opts->config.tcp_port = std::stoi(v);
+        opts->config.tcp_port = parse_unsigned<std::uint16_t>(v);
       } else if (parse_flag(arg, "workers", &v)) {
-        opts->config.pool.workers = static_cast<unsigned>(std::stoul(v));
+        opts->config.pool.workers = parse_unsigned<unsigned>(v);
       } else if (parse_flag(arg, "capacity", &v)) {
-        opts->config.router.capacity = std::stoul(v);
+        opts->config.router.capacity = parse_unsigned<std::size_t>(v);
       } else if (parse_flag(arg, "shards", &v)) {
-        opts->config.router.shards = std::stoul(v);
+        opts->config.router.shards = parse_unsigned<std::size_t>(v);
       } else if (parse_flag(arg, "ns-per-unit", &v)) {
         opts->config.ns_per_unit = std::stod(v);
       } else if (parse_flag(arg, "feed", &v)) {
@@ -95,15 +97,18 @@ bool parse_args(int argc, char** argv, Options* opts) {
       } else if (parse_flag(arg, "time-scale", &v)) {
         opts->time_scale = std::stod(v);
       } else if (parse_flag(arg, "duration-ms", &v)) {
-        opts->duration_ms = std::stoull(v);
+        opts->duration_ms = parse_unsigned<std::uint64_t>(v);
       } else if (parse_flag(arg, "status-interval-ms", &v)) {
-        opts->status_interval_ms = std::stoull(v);
+        opts->status_interval_ms = parse_unsigned<std::uint64_t>(v);
       } else if (parse_flag(arg, "read-deadline-ms", &v)) {
-        opts->config.read_deadline = std::chrono::milliseconds(std::stoull(v));
+        // 32 bits (~49 days) keep a deadline inside the steady clock's
+        // nanosecond range.
+        opts->config.read_deadline =
+            std::chrono::milliseconds(parse_unsigned<std::uint32_t>(v));
       } else if (parse_flag(arg, "io-threads", &v)) {
-        opts->config.io_threads = std::stoul(v);
+        opts->config.io_threads = parse_unsigned<std::size_t>(v);
       } else if (parse_flag(arg, "max-connections", &v)) {
-        opts->config.max_connections = std::stoul(v);
+        opts->config.max_connections = parse_unsigned<std::size_t>(v);
       } else if (parse_flag(arg, "metrics-out", &v)) {
         opts->metrics_out = v;
       } else if (parse_flag(arg, "weights", &v)) {
