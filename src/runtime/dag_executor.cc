@@ -41,13 +41,17 @@ struct BlockLayout {
 //   DagRun | work[n] | succ_off[n + 1] | succ[edges] | sources[s] | pad |
 //   pending[n] | pad to a line boundary
 //
-// The header and the arrays up to `sources` are written once, by the
-// constructor, and only read afterwards.  The dependence counters, the
-// only part node tasks write, start on a fresh cache line and the block
-// ends on a line boundary, so a counter write never invalidates a line
-// that holds the read-only part.  Node tasks point at the run by raw
-// pointer: the block is the job's SubmitOptions::state, which the pool
-// frees only after the job's last task has exited.
+// The header and the arrays up to `sources` are written by the
+// constructor and then only read, with one exception: a finishing node
+// compacts its newly ready successors to the front of its own `succ`
+// slice (run_node).  It writes a slot only where a ready successor follows
+// one that is not ready yet, which parallel-for, fork-join, chain and star
+// shapes never produce.  The dependence counters, which every node task
+// writes, start on a fresh cache line and the block ends on a line
+// boundary, so a counter write never invalidates a line that holds the
+// read-mostly part.  Node tasks point at the run by raw pointer: the block
+// is the job's SubmitOptions::state, which the pool frees only after the
+// job's last task has exited.
 struct DagRun {
   static constexpr std::align_val_t kAlign{kDestructiveInterference};
 
@@ -67,7 +71,7 @@ struct DagRun {
   NodeBody body;
   const dag::Work* const work;          // per node
   const std::uint32_t* const succ_off;  // successors of v: succ[succ_off[v]
-  const dag::NodeId* const succ;        //                   .. succ_off[v + 1])
+  dag::NodeId* const succ;              //                   .. succ_off[v + 1])
   const dag::NodeId* const sources;
   const std::uint32_t source_count;
   std::atomic<std::uint32_t>* const pending;  // per node: unmet predecessors
@@ -120,10 +124,13 @@ DagRun::DagRun(const dag::Dag& graph, NodeBody b,
             array_at<dag::NodeId>(at.sources));
 }
 
-void run_node(TaskContext& ctx, DagRun* run, dag::NodeId v);
+void run_ready(TaskContext& ctx, DagRun* run, const dag::NodeId* ids,
+               std::uint32_t n);
 
-void spawn_node(TaskContext& ctx, DagRun* run, dag::NodeId v) {
-  ctx.spawn([run, v](TaskContext& inner) { run_node(inner, run, v); });
+void spawn_ready(TaskContext& ctx, DagRun* run, const dag::NodeId* ids,
+                 std::uint32_t n) {
+  ctx.spawn(
+      [run, ids, n](TaskContext& inner) { run_ready(inner, run, ids, n); });
 }
 
 void run_node(TaskContext& ctx, DagRun* run, dag::NodeId v) {
@@ -131,15 +138,36 @@ void run_node(TaskContext& ctx, DagRun* run, dag::NodeId v) {
   // of a cancelled job (failure, deadline, shedding) before its body runs,
   // so the remaining nodes never execute and never resolve successors.
   run->body(v, run->work[v]);
+  // Compact the successors that became ready to the front of v's own
+  // slice.  No other node's task touches it, and each entry is read before
+  // any write can reach it; the ready list's tasks read only the prefix.
+  const std::uint32_t begin = run->succ_off[v];
   const std::uint32_t end = run->succ_off[v + 1];
-  for (std::uint32_t i = run->succ_off[v]; i < end; ++i) {
+  dag::NodeId* const ready = run->succ + begin;
+  std::uint32_t r = 0;
+  for (std::uint32_t i = begin; i < end; ++i) {
     const dag::NodeId w = run->succ[i];
     // order: acq_rel — release publishes this node's effects to the
     // successor's spawner; acquire makes the last-resolving predecessor
     // see every other predecessor's effects before the successor runs.
-    if (run->pending[w].fetch_sub(1, std::memory_order_acq_rel) == 1)
-      spawn_node(ctx, run, w);
+    if (run->pending[w].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      if (r != i - begin) ready[r] = w;
+      ++r;
+    }
   }
+  if (r > 0) spawn_ready(ctx, run, ready, r);
+}
+
+// Runs ids[0] after handing ids[1..n) back to the pool in two halves, the
+// far one first.  The oldest entry on a deque is the one a thief takes, so
+// one steal moves half of the remaining ready siblings, as a steal of TBB's
+// recursively split parallel_for range does.
+void run_ready(TaskContext& ctx, DagRun* run, const dag::NodeId* ids,
+               std::uint32_t n) {
+  const std::uint32_t mid = 1 + (n - 1) / 2;
+  if (mid < n) spawn_ready(ctx, run, ids + mid, n - mid);
+  if (mid > 1) spawn_ready(ctx, run, ids + 1, mid - 1);
+  run_node(ctx, run, ids[0]);
 }
 
 }  // namespace
@@ -156,9 +184,8 @@ JobHandle submit_dag(ThreadPool& pool, const dag::Dag& graph, NodeBody body,
   options.state = std::shared_ptr<void>(run, &DagRun::destroy);
   return pool.submit(
       [run](TaskContext& ctx) {
-        // Spawn every source; the spawning task itself is the job root.
-        for (std::uint32_t i = 0; i < run->source_count; ++i)
-          spawn_node(ctx, run, run->sources[i]);
+        // Hand the sources out as one ready list; this task is the job root.
+        spawn_ready(ctx, run, run->sources, run->source_count);
       },
       std::move(options));
 }

@@ -7,12 +7,15 @@
 // node work, the successor CSR, the sources, per-node dependence counters
 // and the NodeBody, in a single allocation.  The block rides in the job's
 // SubmitOptions::state, so the pool frees it exactly once, after the job's
-// last task has exited, whatever the job's outcome.  Each DAG node becomes
-// one task that carries only a raw pointer to the block and its node id.
-// When a task finishes it resolves its successors' dependence counters and
-// spawns those that became ready onto its worker's deque: the dynamic
-// unfolding of Section 2, realized with atomics instead of the simulator's
-// PackedDag frontier.
+// last task has exited, whatever the job's outcome.  Each DAG node runs in
+// one task, which carries only a raw pointer to the block and a list of
+// ready node ids.  When a node finishes it resolves its successors'
+// dependence counters and spawns one task over those that became ready: the
+// dynamic unfolding of Section 2, realized with atomics instead of the
+// simulator's PackedDag frontier.  A task over a list spawns each half of
+// the list's tail as a task of its own, the far half first, and runs the
+// list's first node, so one steal takes half of a job's ready siblings, as
+// in TBB's recursively split parallel_for.
 #pragma once
 
 #include <cstdint>

@@ -17,6 +17,7 @@
 
 #include "src/dag/builders.h"
 #include "src/dag/compose.h"
+#include "src/sim/rng.h"
 #include "tests/alloc_counter.h"
 #include "tests/worker_gate.h"
 
@@ -165,6 +166,107 @@ TEST(DagExecutorTest, SubmitAllocatesThreeTimesPerJobWhateverItsSize) {
   EXPECT_LE(one_node, 3.1);
   EXPECT_LE(wide, 3.1);
   EXPECT_EQ(std::lround(one_node), std::lround(wide));
+}
+
+// ---------------------------------------------------------------------------
+// Ready lists.  A finishing node hands the successors it readied to the pool
+// as one task over the list, which is split by halves as it runs.
+
+// A 64-grain parallel-for on two workers.  The first grain to start holds its
+// worker until the other 63 grains have run, so the other worker must run
+// them all.  It can reach them only by stealing what the held worker pushed
+// before its grain started: the two halves of the rest of the grain's ready
+// list, not one task per grain.  Before the hold, at most three tasks change
+// worker: the root's source list, the fork's 64-grain list and one half of
+// it (the thief's first grain can start before the list's own first grain
+// does).  So at most five steals in all, where one task per grain costs 63
+// or more.
+std::uint64_t steals_to_run_around_a_held_grain(unsigned steal_k) {
+  ThreadPool pool({.workers = 2, .steal_k = steal_k, .seed = 31});
+  constexpr dag::NodeId kGrains = 64;  // nodes 1..64; 0 forks, 65 joins
+  std::atomic<bool> held{false}, timed_out{false};
+  std::atomic<dag::NodeId> others_done{0};
+  auto job = submit_dag(
+      pool, dag::parallel_for_dag(kGrains, 1), [&](dag::NodeId v, dag::Work) {
+        if (v == 0 || v == kGrains + 1) return;
+        bool expected = false;
+        if (!held.compare_exchange_strong(expected, true)) {
+          others_done.fetch_add(1);
+          return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (others_done.load() < kGrains - 1) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            timed_out.store(true);
+            return;
+          }
+          std::this_thread::yield();
+        }
+      });
+  pool.wait_all();
+  EXPECT_FALSE(timed_out.load()) << "the other worker never ran the grains";
+  EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
+  return pool.stats().successful_steals;
+}
+
+TEST(DagExecutorTest, OneStealTakesHalfOfTheReadyGrains) {
+  for (unsigned steal_k : {0u, 16u}) {
+    SCOPED_TRACE(testing::Message() << "steal_k " << steal_k);
+    EXPECT_LE(steals_to_run_around_a_held_grain(steal_k), 5u);
+  }
+}
+
+// In a random layered DAG a node's successor list mixes successors that its
+// finish readies with ones still waiting on another predecessor, so the
+// ready list is compacted in place; the parallel-for, fork-join, chain and
+// star shapes above ready all of a node's successors at once.  Sixteen
+// concurrent jobs per pool, on 2 and 4 workers, admit-first and
+// steal-16-first: every node runs once, after all its predecessors, in one
+// task of its own.
+TEST(DagExecutorTest, PartiallyReadySuccessorsRunOnceAfterTheirPredecessors) {
+  sim::Rng rng(41);
+  dag::RandomLayeredOptions layered;
+  layered.layers = 5;
+  layered.min_width = 1;
+  layered.max_width = 6;
+  layered.edge_probability = 0.5;
+  const dag::RandomForkJoinOptions fork_join;
+  constexpr int kJobs = 16;
+  for (unsigned workers : {2u, 4u}) {
+    for (unsigned steal_k : {0u, 16u}) {
+      SCOPED_TRACE(testing::Message()
+                   << workers << " workers, steal_k " << steal_k);
+      ThreadPool pool({.workers = workers, .steal_k = steal_k, .seed = 42});
+      std::vector<dag::Dag> graphs;
+      std::vector<std::unique_ptr<OrderRecorder>> recorders;
+      std::uint64_t tasks = 0;
+      for (int i = 0; i < kJobs; ++i) {
+        graphs.push_back(i % 2 == 0 ? dag::random_layered(rng, layered)
+                                    : dag::random_fork_join(rng, fork_join));
+        tasks += graphs.back().node_count() + 1;
+        recorders.push_back(std::make_unique<OrderRecorder>());
+      }
+      const std::uint64_t before = pool.stats().tasks_executed;
+      for (int i = 0; i < kJobs; ++i)
+        submit_dag(pool, graphs[i], recorders[i]->body());
+      pool.wait_all();
+      EXPECT_EQ(pool.stats().tasks_executed - before, tasks);
+      for (int i = 0; i < kJobs; ++i) {
+        const dag::Dag& graph = graphs[i];
+        const std::size_t n = graph.node_count();
+        std::vector<int> runs(n, 0);
+        for (dag::NodeId v : recorders[i]->order) ++runs[v];
+        for (dag::NodeId v = 0; v < n; ++v)
+          EXPECT_EQ(runs[v], 1) << "job " << i << ", node " << v;
+        const auto pos = recorders[i]->positions(n);
+        for (dag::NodeId u = 0; u < n; ++u)
+          for (dag::NodeId v : graph.successors(u))
+            EXPECT_LT(pos[u], pos[v])
+                << "job " << i << ", edge " << u << "->" << v;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ using testutil::ReadyTracker;
 
 Dag diamond() {
   //    0(2)
-  //   /    \
+  //   /    \    edges 0->1, 0->2
   // 1(3)  2(5)
-  //   \    /
+  //   \    /    edges 1->3, 2->3
   //    3(1)
   Dag d;
   const NodeId a = d.add_node(2);
