@@ -59,7 +59,8 @@ void sweep(const core::Instance& inst, unsigned m, const char* label) {
 int main() {
   using namespace pjsched;
 
-  sweep(burst_instance(), 8, "Theorem 3.1 shape: overloaded burst of wide jobs");
+  sweep(burst_instance(), 8,
+        "Theorem 3.1 shape: overloaded burst of wide jobs");
 
   // Realistic operating point: Bing workload at high utilization.
   const auto dist = workload::bing_distribution();

@@ -53,7 +53,10 @@ void BM_EventEngineFifo(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventEngineFifo)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EventEngineFifo)
+    ->Arg(500)
+    ->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_StepEngineAdmitFirst(benchmark::State& state) {
   const auto inst = bench_instance(static_cast<std::size_t>(state.range(0)));

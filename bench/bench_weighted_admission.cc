@@ -38,7 +38,8 @@ int main() {
 
     const auto add = [&](const core::StreamRunResult& res) {
       table.add_row({res.scheduler_name,
-                     metrics::Table::cell(res.max_weighted_flow / gen.units_per_ms),
+                     metrics::Table::cell(res.max_weighted_flow /
+                                          gen.units_per_ms),
                      metrics::Table::cell(res.max_flow / gen.units_per_ms),
                      metrics::Table::cell(res.mean_flow / gen.units_per_ms)});
     };

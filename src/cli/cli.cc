@@ -400,7 +400,8 @@ int cmd_run(const Options& opt, std::ostream& out) {
                    metrics::Table::cell(opt.speed),
                    metrics::Table::cell(res.max_flow / opt.units_per_ms),
                    metrics::Table::cell(res.mean_flow / opt.units_per_ms),
-                   metrics::Table::cell(res.max_weighted_flow / opt.units_per_ms),
+                   metrics::Table::cell(res.max_weighted_flow /
+                                        opt.units_per_ms),
                    metrics::Table::cell(res.makespan / opt.units_per_ms),
                    metrics::Table::cell(res.stats.steal_attempts),
                    metrics::Table::cell(res.stats.admissions)});

@@ -7,8 +7,8 @@
 
 namespace pjsched::core {
 
-std::vector<ExperimentRow> run_experiment(const workload::WorkDistribution& dist,
-                                          const ExperimentConfig& cfg) {
+std::vector<ExperimentRow> run_experiment(
+    const workload::WorkDistribution& dist, const ExperimentConfig& cfg) {
   if (cfg.qps_values.empty())
     throw std::invalid_argument("run_experiment: no QPS values");
   if (cfg.schedulers.empty())

@@ -43,8 +43,8 @@ struct ExperimentRow {
 /// Runs the full sweep.  Each (qps) cell generates one instance (shared by
 /// all schedulers of that cell, so comparisons are paired) and additionally
 /// evaluates the OPT lower bound on it.
-std::vector<ExperimentRow> run_experiment(const workload::WorkDistribution& dist,
-                                          const ExperimentConfig& cfg);
+std::vector<ExperimentRow> run_experiment(
+    const workload::WorkDistribution& dist, const ExperimentConfig& cfg);
 
 /// Renders rows as the table the paper's Figure 2 plots (max flow time in
 /// seconds per scheduler per QPS).

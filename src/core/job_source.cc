@@ -33,7 +33,8 @@ Instance materialize(JobSource& source) {
     ++yielded;
   }
   if (yielded != inst.jobs.size())
-    throw std::logic_error("materialize: source yielded fewer jobs than size()");
+    throw std::logic_error(
+        "materialize: source yielded fewer jobs than size()");
   return inst;
 }
 

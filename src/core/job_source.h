@@ -31,10 +31,13 @@ struct StreamedJob {
   JobId id = 0;  ///< dense identity; names the job in completions/traces
   Time arrival = 0.0;
   double weight = 1.0;
-  dag::Dag graph;                      ///< owned DAG; used when borrowed == nullptr
+  dag::Dag graph;                      ///< owned DAG; used when borrowed ==
+                                       ///< nullptr
   const dag::Dag* borrowed = nullptr;  ///< non-owned DAG (outlives the run)
 
-  const dag::Dag& dag() const { return borrowed != nullptr ? *borrowed : graph; }
+  const dag::Dag& dag() const {
+    return borrowed != nullptr ? *borrowed : graph;
+  }
 };
 
 /// Pull interface over an online instance in arrival order.  The base class

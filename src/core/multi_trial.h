@@ -6,8 +6,7 @@
 // itself averages over 100k jobs per point.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "src/core/run.h"
 #include "src/core/types.h"
@@ -36,41 +35,9 @@ struct TrialOutcome {
   std::size_t trials = 0;
 };
 
-/// One trial's objective values — the per-trial sample behind
-/// TrialOutcome's summaries.
-struct TrialPoint {
-  double max_flow = 0.0;
-  double mean_flow = 0.0;
-  double max_weighted_flow = 0.0;
-  double ratio_to_opt = 0.0;
-};
-
-/// The instance every trial shares when cfg.fixed_instance is set, with its
-/// trial-invariant opt-sim lower bound computed once up front.
-struct FixedInstance {
-  Instance instance;
-  double opt_bound = 0.0;
-};
-
-/// Builds the fixed trial-0 instance and its lower bound.
-FixedInstance make_fixed_instance(const workload::WorkDistribution& dist,
-                                  const TrialConfig& cfg);
-
-/// Runs trial `t` in isolation: a pure function of (dist, cfg, t, fixed),
-/// which is what makes the parallel runner (runtime/parallel_trials.h)
-/// bit-identical to the sequential loop.  `fixed` must be non-null exactly
-/// when cfg.fixed_instance is set.
-TrialPoint run_one_trial(const workload::WorkDistribution& dist,
-                         const TrialConfig& cfg, std::size_t t,
-                         const FixedInstance* fixed);
-
-/// Index-ordered merge of per-trial points into the outcome summaries.
-TrialOutcome summarize_trials(const std::vector<TrialPoint>& points);
-
-/// Runs the trials sequentially; trial t uses generator seed
+/// Runs the trials one after another; trial t uses generator seed
 /// `generator.seed + t` (or the fixed trial-0 instance) and scheduler seed
-/// `scheduler.seed + t`.  runtime::run_trials_parallel produces the same
-/// outcome bit-for-bit on the in-repo thread pool.
+/// `scheduler.seed + t`, so every trial is a pure function of (dist, cfg, t).
 TrialOutcome run_trials(const workload::WorkDistribution& dist,
                         const TrialConfig& cfg);
 

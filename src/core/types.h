@@ -1,12 +1,12 @@
 // Fundamental scheduling types mirroring the paper's Table 1:
 //
-//   r_i  arrival (release) time of job J_i     -> JobSpec::arrival
-//   w_i  weight of J_i                         -> JobSpec::weight
-//   c_i  completion time in a schedule         -> StreamRunResult::completion
-//   F_i  flow time c_i - r_i                   -> StreamRunResult::job_flow
-//   W_i  total work of J_i                     -> JobSpec::graph.total_work()
-//   P_i  critical-path length of J_i           -> JobSpec::graph.critical_path()
-//   m    number of processors                  -> MachineConfig::processors
+//   r_i  arrival (release) time of job J_i    -> JobSpec::arrival
+//   w_i  weight of J_i                        -> JobSpec::weight
+//   c_i  completion time in a schedule        -> StreamRunResult::completion
+//   F_i  flow time c_i - r_i                  -> StreamRunResult::job_flow
+//   W_i  total work of J_i                    -> JobSpec::graph.total_work()
+//   P_i  critical-path length of J_i          -> JobSpec::graph.critical_path()
+//   m    number of processors                 -> MachineConfig::processors
 //
 // The objective max_i w_i F_i is StreamRunResult::max_weighted_flow; that
 // struct (src/core/job_source.h) is the one result type a run returns.
@@ -63,23 +63,34 @@ struct MachineConfig {
 
 /// Aggregate engine counters, populated where meaningful.
 struct EngineStats {
-  std::uint64_t steal_attempts = 0;    ///< step engine: total steal attempts
-  std::uint64_t successful_steals = 0; ///< step engine: attempts that got a node
-  std::uint64_t admissions = 0;        ///< step engine: jobs popped from the global queue
-  std::uint64_t work_steps = 0;        ///< step engine: worker-steps spent working
-  std::uint64_t idle_steps = 0;        ///< worker-steps spent not working (stealing/idling)
-  std::uint64_t macro_jumps = 0;       ///< step engine: all-busy step runs batched by
-                                       ///< the fast path (0 under exact_steps)
-  std::uint64_t decision_points = 0;   ///< event engine: allocation recomputations
-  std::uint64_t fast_decisions = 0;    ///< event engine: decision points served by the
-                                       ///< incremental virtual-work-clock path (0 under
-                                       ///< exact or a dynamic policy)
-  std::uint64_t arena_slots = 0;       ///< both engines: distinct job-arena slots ever
-                                       ///< created — the high-water mark of resident job
-                                       ///< state (slots recycle as jobs complete)
-  std::uint64_t peak_live_jobs = 0;    ///< both engines: maximum jobs simultaneously
-                                       ///< live (arrived, not yet completed)
-  double idle_processor_time = 0.0;    ///< event engine: processor-time spent idle
+  std::uint64_t steal_attempts = 0;     ///< step engine: total steal attempts
+  std::uint64_t successful_steals = 0;  ///< step engine: attempts that got a
+                                        ///< node
+  std::uint64_t admissions = 0;         ///< step engine: jobs popped from the
+                                        ///< global queue
+  std::uint64_t work_steps = 0;         ///< step engine: worker-steps spent
+                                        ///< working
+  std::uint64_t idle_steps = 0;         ///< worker-steps spent not working
+                                        ///< (stealing/idling)
+  std::uint64_t macro_jumps = 0;        ///< step engine: all-busy step runs
+                                        ///< batched by the fast path (0 under
+                                        ///< exact_steps)
+  std::uint64_t decision_points = 0;    ///< event engine: allocation
+                                        ///< recomputations
+  std::uint64_t fast_decisions = 0;     ///< event engine: decision points
+                                        ///< served by the incremental
+                                        ///< virtual-work-clock path (0 under
+                                        ///< exact or a dynamic policy)
+  std::uint64_t arena_slots = 0;        ///< both engines: distinct job-arena
+                                        ///< slots ever created — the
+                                        ///< high-water mark of resident job
+                                        ///< state (slots recycle as jobs
+                                        ///< complete)
+  std::uint64_t peak_live_jobs = 0;     ///< both engines: maximum jobs
+                                        ///< simultaneously live (arrived, not
+                                        ///< yet completed)
+  double idle_processor_time = 0.0;     ///< event engine: processor-time
+                                        ///< spent idle
 };
 
 /// A full online problem instance.

@@ -8,7 +8,8 @@ namespace pjsched::dag {
 NodeId Dag::add_node(Work processing_time) {
   if (sealed_) throw std::logic_error("Dag::add_node: DAG already sealed");
   if (processing_time == 0)
-    throw std::invalid_argument("Dag::add_node: zero-work nodes are not allowed");
+    throw std::invalid_argument(
+        "Dag::add_node: zero-work nodes are not allowed");
   if (work_.size() >= kInvalidNode)
     throw std::length_error("Dag::add_node: too many nodes");
   work_.push_back(processing_time);
@@ -84,7 +85,8 @@ void Dag::seal() {
       if (--indeg[v] == 0) queue.push_back(v);
     }
   }
-  if (processed != n) throw std::invalid_argument("Dag::seal: graph has a cycle");
+  if (processed != n)
+    throw std::invalid_argument("Dag::seal: graph has a cycle");
   sealed_ = true;
 }
 

@@ -82,7 +82,8 @@ class Dag {
 
   /// Average parallelism W/P.
   double parallelism() const {
-    return static_cast<double>(total_work_) / static_cast<double>(critical_path_);
+    return static_cast<double>(total_work_) /
+           static_cast<double>(critical_path_);
   }
 
  private:

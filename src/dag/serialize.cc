@@ -69,7 +69,9 @@ Dag read_text(std::istream& is) {
     if (!next_token(is, tok) || tok != "node")
       throw std::invalid_argument("read_text: expected 'node' record");
     const std::uint64_t id = expect_u64(is, "node id");
-    if (id != i) throw std::invalid_argument("read_text: node ids must be 0..n-1 in order");
+    if (id != i)
+      throw std::invalid_argument(
+          "read_text: node ids must be 0..n-1 in order");
     const std::uint64_t work = expect_u64(is, "node work");
     d.add_node(work);
   }

@@ -34,7 +34,8 @@ AuditReport audit_schedule(const core::Instance& instance,
 
   // --- 1. Interval sanity. ---
   for (const sim::WorkInterval& iv : trace.intervals()) {
-    if (!(iv.start < iv.end)) report.fail("empty/negative interval: " + describe(iv));
+    if (!(iv.start < iv.end))
+      report.fail("empty/negative interval: " + describe(iv));
     if (iv.proc >= machine.processors)
       report.fail("processor out of range: " + describe(iv));
     if (iv.job >= n) {
@@ -56,8 +57,9 @@ AuditReport audit_schedule(const core::Instance& instance,
     for (const sim::WorkInterval& iv : trace.intervals())
       per_proc[iv.proc].push_back(&iv);
     for (auto& ivs : per_proc) {
-      std::sort(ivs.begin(), ivs.end(),
-                [](const auto* a, const auto* b) { return a->start < b->start; });
+      std::sort(ivs.begin(), ivs.end(), [](const auto* a, const auto* b) {
+        return a->start < b->start;
+      });
       for (std::size_t i = 1; i < ivs.size(); ++i)
         if (ivs[i]->start < ivs[i - 1]->end - tolerance)
           report.fail("processor overlap: " + describe(*ivs[i - 1]) + " vs " +

@@ -21,8 +21,10 @@ core::Time last_end(const sim::Trace& trace) {
 
 std::string ascii_gantt(const sim::Trace& trace, unsigned processors,
                         const GanttOptions& options) {
-  if (processors == 0) throw std::invalid_argument("ascii_gantt: no processors");
-  if (options.width == 0) throw std::invalid_argument("ascii_gantt: zero width");
+  if (processors == 0)
+    throw std::invalid_argument("ascii_gantt: no processors");
+  if (options.width == 0)
+    throw std::invalid_argument("ascii_gantt: zero width");
   const core::Time t0 = options.t_begin;
   const core::Time t1 = options.t_end >= 0.0 ? options.t_end : last_end(trace);
   if (!(t1 > t0)) throw std::invalid_argument("ascii_gantt: empty time window");
@@ -106,7 +108,8 @@ std::vector<double> utilization_timeline(const sim::Trace& trace,
     b0 = std::min(b0, buckets - 1);
     b1 = std::min(b1, buckets - 1);
     for (std::size_t b = b0; b <= b1; ++b) {
-      const core::Time seg_lo = std::max(lo, bucket_len * static_cast<double>(b));
+      const core::Time seg_lo =
+          std::max(lo, bucket_len * static_cast<double>(b));
       const core::Time seg_hi =
           std::min(hi, bucket_len * static_cast<double>(b + 1));
       if (seg_hi > seg_lo) busy[b] += (seg_hi - seg_lo) / bucket_len;

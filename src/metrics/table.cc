@@ -29,7 +29,8 @@ std::string Table::cell(std::uint64_t v) { return std::to_string(v); }
 
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> widths(header_.size());
-  for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();
+  for (std::size_t c = 0; c < header_.size(); ++c)
+    widths[c] = header_[c].size();
   for (const auto& row : rows_)
     for (std::size_t c = 0; c < row.size(); ++c)
       widths[c] = std::max(widths[c], row[c].size());

@@ -50,22 +50,6 @@ Task* AdmissionQueue::try_pop() {
   return t;
 }
 
-Task* AdmissionQueue::try_pop_heaviest() {
-  Task* t = nullptr;
-  {
-    MutexLock lock(mu_);
-    if (queue_.empty()) return nullptr;
-    auto best = queue_.begin();
-    for (auto it = queue_.begin(); it != queue_.end(); ++it)
-      if ((*it)->job->weight() > (*best)->job->weight()) best = it;
-    t = *best;
-    queue_.erase(best);
-    ++stats_.popped;
-  }
-  space_cv_.notify_one();
-  return t;
-}
-
 void AdmissionQueue::close() {
   {
     MutexLock lock(mu_);

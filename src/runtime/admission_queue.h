@@ -55,14 +55,15 @@ class AdmissionQueue {
     std::uint64_t rejected_full = 0;    ///< reject-newest refusals
     std::uint64_t rejected_closed = 0;  ///< refused because close()d
     std::uint64_t shed = 0;             ///< evictions by shed-oldest
-    std::uint64_t popped = 0;           ///< successful try_pop* calls
+    std::uint64_t popped = 0;           ///< successful try_pop calls
     std::size_t depth = 0;              ///< queued right now
     std::size_t peak_depth = 0;         ///< high-water mark of depth
   };
 
   /// capacity == 0 means unbounded (the policy is then never consulted).
-  explicit AdmissionQueue(std::size_t capacity = 0,
-                          BackpressurePolicy policy = BackpressurePolicy::kBlock)
+  explicit AdmissionQueue(
+      std::size_t capacity = 0,
+      BackpressurePolicy policy = BackpressurePolicy::kBlock)
       : capacity_(capacity), policy_(policy) {}
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
@@ -81,10 +82,6 @@ class AdmissionQueue {
 
   /// Pops the head task, or returns nullptr when empty.
   Task* try_pop();
-
-  /// Pops the task whose job has the largest weight (ties: oldest), or
-  /// returns nullptr when empty — the weighted-admission extension.
-  Task* try_pop_heaviest();
 
   /// Wakes all blocked pushers with kRejected and makes every future push
   /// (any policy) return kRejected — the shutdown barrier that guarantees

@@ -35,8 +35,8 @@ template <typename R, typename... Args>
 class InlineFn<R(Args...)> {
  public:
   /// Largest capture stored without allocating.  48 bytes fits six
-  /// pointers — every closure spawned by parallel_for / parallel_reduce /
-  /// parallel_invoke / the DAG executor node hop is at most half that.
+  /// pointers — every closure spawned by parallel_for or the DAG executor
+  /// node hop is at most half that.
   static constexpr std::size_t kInlineCapacity = 48;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
@@ -46,7 +46,8 @@ class InlineFn<R(Args...)> {
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, InlineFn> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
-  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
+  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors
+                     // std::function
     using Fn = std::decay_t<F>;
     if constexpr (fits_inline<Fn>()) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));

@@ -261,7 +261,9 @@ class WaitGroup {
   explicit WaitGroup(std::uint64_t count = 0) : count_(count) {}
   // order: relaxed — add() runs in the spawner before the subtask is
   // published via the deque; the deque's release edge carries it.
-  void add(std::uint64_t n = 1) { count_.fetch_add(n, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) {
+    count_.fetch_add(n, std::memory_order_relaxed);
+  }
   // order: acq_rel release-publishes the subtask's effects to the joiner,
   // whose idle() acquire-load pairs with it.
   void done() { count_.fetch_sub(1, std::memory_order_acq_rel); }

@@ -95,7 +95,6 @@ ThreadPool::ThreadPool(const PoolOptions& options)
       // caller (submit-side rejections, the shutdown drain).
       recorder_((options.workers == 0 ? 1 : options.workers) + 1),
       steal_k_(options.steal_k),
-      admit_by_weight_(options.admit_by_weight),
       watchdog_sink_(options.watchdog_sink) {
   const unsigned n = options.workers == 0 ? 1 : options.workers;
   if (!options.fault_plan.empty())
@@ -110,8 +109,9 @@ ThreadPool::ThreadPool(const PoolOptions& options)
   for (unsigned i = 0; i < n; ++i)
     workers_[i]->thread = std::thread([this, i] { worker_main(i); });
   if (options.watchdog_interval.count() > 0) {
-    watchdog_ = std::thread(
-        [this, interval = options.watchdog_interval] { watchdog_main(interval); });
+    watchdog_ = std::thread([this, interval = options.watchdog_interval] {
+      watchdog_main(interval);
+    });
   }
 }
 
@@ -281,13 +281,16 @@ std::vector<ThreadPool::WorkerSnapshot> ThreadPool::snapshot_workers() const {
     // order: relaxed throughout — single-writer diagnostic counters (see
     // WorkerCounters::bump); a snapshot may lag the writer but each value
     // is a real past value, and no payload is published through them.
-    s.steal_attempts = w->counters.steal_attempts.load(std::memory_order_relaxed);
+    s.steal_attempts =
+        w->counters.steal_attempts.load(std::memory_order_relaxed);
+    // order: relaxed — same single-writer diagnostic contract.
     s.successful_steals =
         w->counters.successful_steals.load(std::memory_order_relaxed);
     // order: relaxed — same single-writer diagnostic contract.
     s.admissions = w->counters.admissions.load(std::memory_order_relaxed);
     // order: relaxed — same single-writer diagnostic contract as above.
-    s.tasks_executed = w->counters.tasks_executed.load(std::memory_order_relaxed);
+    s.tasks_executed =
+        w->counters.tasks_executed.load(std::memory_order_relaxed);
     s.tasks_cancelled =
         w->counters.tasks_cancelled.load(std::memory_order_relaxed);
     // order: relaxed — same single-writer diagnostic contract.
@@ -336,8 +339,10 @@ PoolStats ThreadPool::stats() const {
 
 std::string ThreadPool::dump_state() const {
   std::ostringstream out;
-  const std::uint64_t submitted = jobs_submitted_.load(std::memory_order_acquire);
-  const std::uint64_t completed = jobs_completed_.load(std::memory_order_acquire);
+  const std::uint64_t submitted =
+      jobs_submitted_.load(std::memory_order_acquire);
+  const std::uint64_t completed =
+      jobs_completed_.load(std::memory_order_acquire);
   // One pass over the workers; totals and per-worker rows below are views
   // of the same snapshot, so they always add up.
   const std::vector<WorkerSnapshot> snaps = snapshot_workers();
@@ -534,8 +539,7 @@ bool ThreadPool::try_run_one(unsigned index, WorkerState& w, bool helping) {
   // admit — starting a brand-new job in the middle of a join would delay
   // the join arbitrarily.
   if (!helping && w.fail_count >= steal_k_) {
-    task = admit_by_weight_ ? admission_.try_pop_heaviest()
-                            : admission_.try_pop();
+    task = admission_.try_pop();
     if (task != nullptr) {
       detail::WorkerCounters::bump(w.counters.admissions);
       w.fail_count = 0;

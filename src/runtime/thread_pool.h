@@ -62,9 +62,6 @@ struct PoolOptions {
   /// Failed steal attempts before a worker may admit from the global queue
   /// (0 = admit-first; the paper's empirical choice is 16).
   unsigned steal_k = 0;
-  /// Extension: admit the heaviest queued job instead of the oldest
-  /// (mirrors the simulator's "-bwf" work-stealing variants).
-  bool admit_by_weight = false;
   std::uint64_t seed = 1;
 
   /// Admission-queue bound; 0 = unbounded (the seed behavior).
@@ -100,7 +97,8 @@ struct PoolStats {
   std::uint64_t task_remote_frees = 0; ///< cross-thread releases (reclaim path)
 
   // Fault-tolerance counters.
-  std::uint64_t tasks_cancelled = 0;  ///< tasks skipped: their job was cancelled
+  std::uint64_t tasks_cancelled = 0;  ///< tasks skipped: their job was
+                                      ///< cancelled
   std::uint64_t faults_injected = 0;  ///< task failures injected by the plan
   std::uint64_t jobs_failed = 0;      ///< jobs ended Failed
   std::uint64_t jobs_deadline_expired = 0;
@@ -354,7 +352,6 @@ class ThreadPool {
   /// task_pool.h), which never touches the mutex-guarded freelist.
   TaskPool external_pool_ PJSCHED_GUARDED_BY(external_mu_);
   const unsigned steal_k_;
-  const bool admit_by_weight_;
   std::unique_ptr<FaultInjector> injector_;  // null when the plan is empty
 
   std::atomic<bool> stop_{false};

@@ -3,8 +3,8 @@
 //
 //   k = 0  —  "admit-first":  workers admit a job from the global FIFO
 //             queue whenever it is non-empty and only steal otherwise.
-//             Corollary 4.3: (1+eps)-speed, max flow O((1/eps^2) max{OPT, ln n})
-//             with high probability.
+//             Corollary 4.3: (1+eps)-speed, max flow
+//             O((1/eps^2) max{OPT, ln n}) with high probability.
 //   k > 0  —  "steal-k-first": a worker must fail k consecutive steal
 //             attempts before it may admit a new job; larger k approximates
 //             FIFO more closely (the paper uses k = 16 empirically and

@@ -286,9 +286,10 @@ void Daemon::dispatch(QueuedRecord rec) {
 }
 
 void Daemon::dispatcher_main() {
-  const std::size_t window = config_.dispatch_window > 0
-                                 ? config_.dispatch_window
-                                 : static_cast<std::size_t>(pool_.workers()) * 4;
+  const std::size_t window =
+      config_.dispatch_window > 0
+          ? config_.dispatch_window
+          : static_cast<std::size_t>(pool_.workers()) * 4;
   QueuedRecord rec;
   while (true) {
     const bool full = reap_finished() >= window;
@@ -516,7 +517,8 @@ std::string Daemon::metrics_text() const {
                                  static_cast<double>(t.flow_samples));
     out << "\n";
   }
-  for (const std::string& q : s.quarantine) out << "  quarantined: " << q << "\n";
+  for (const std::string& q : s.quarantine)
+    out << "  quarantined: " << q << "\n";
   return out.str();
 }
 
@@ -592,7 +594,8 @@ void Daemon::accept_ready(int listen_fd) {
   std::size_t best = std::numeric_limits<std::size_t>::max();
   for (std::size_t i = 0; i < io_shards_.size(); ++i) {
     // order: relaxed — an approximate balance signal, not a publication.
-    const std::size_t load = io_shards_[i]->load.load(std::memory_order_relaxed);
+    const std::size_t load =
+        io_shards_[i]->load.load(std::memory_order_relaxed);
     if (load < best) {
       best = load;
       target = i;

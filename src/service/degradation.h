@@ -66,10 +66,11 @@ struct LadderConfig {
   /// Throws std::invalid_argument when the bands are inconsistent.
   void validate() const {
     const bool ordered =
-        shed_new_exit < shed_new_enter && shed_queued_exit < shed_queued_enter &&
-        reject_exit < reject_enter && shed_new_enter < shed_queued_enter &&
-        shed_queued_enter < reject_enter && shed_new_exit <= shed_queued_exit &&
-        shed_queued_exit <= reject_exit;
+        shed_new_exit < shed_new_enter &&
+        shed_queued_exit < shed_queued_enter && reject_exit < reject_enter &&
+        shed_new_enter < shed_queued_enter &&
+        shed_queued_enter < reject_enter &&
+        shed_new_exit <= shed_queued_exit && shed_queued_exit <= reject_exit;
     if (!ordered || up_hold == 0 || down_hold == 0)
       throw std::invalid_argument(
           "LadderConfig: thresholds must satisfy exit < enter per rung, be "

@@ -13,7 +13,8 @@ TenantRouter::TenantRouter(const RouterConfig& config)
           1, config.capacity / std::max<std::size_t>(1, config.shards))),
       ladder_(config.ladder) {
   if (config_.shards == 0 || config_.capacity == 0)
-    throw std::invalid_argument("TenantRouter: shards and capacity must be > 0");
+    throw std::invalid_argument(
+        "TenantRouter: shards and capacity must be > 0");
   if (!(config_.default_weight > 0.0))
     throw std::invalid_argument("TenantRouter: default_weight must be > 0");
   shards_.reserve(config_.shards);
@@ -234,7 +235,8 @@ void TenantRouter::admit_batch(std::span<JobRecord> records,
     scratch->shard_index[i] = s;
     ++scratch->bucket[s + 1];
   }
-  for (std::size_t s = 0; s < m; ++s) scratch->bucket[s + 1] += scratch->bucket[s];
+  for (std::size_t s = 0; s < m; ++s)
+    scratch->bucket[s + 1] += scratch->bucket[s];
   scratch->cursor.assign(scratch->bucket.begin(), scratch->bucket.end());
   scratch->order.resize(n);
   for (std::size_t i = 0; i < n; ++i)
@@ -267,7 +269,8 @@ void TenantRouter::admit_batch(std::span<JobRecord> records,
 bool TenantRouter::try_pop(QueuedRecord* out) {
   // order: relaxed — the cursor only rotates the scan start; any value is
   // correct, fairness needs rotation, not ordering.
-  const std::uint64_t start = pop_cursor_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t start =
+      pop_cursor_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t n = shards_.size();
   for (std::size_t i = 0; i < n; ++i) {
     RouterShard& shard = *shards_[(start + i) % n];
@@ -276,9 +279,10 @@ bool TenantRouter::try_pop(QueuedRecord* out) {
     Tenant* best = nullptr;
     for (auto& [name, t] : shard.tenants) {
       if (t.queue.empty()) continue;
-      const bool wins = best == nullptr || t.virtual_time < best->virtual_time ||
-                        (t.virtual_time == best->virtual_time &&
-                         t.queue.front().seq < best->queue.front().seq);
+      const bool wins =
+          best == nullptr || t.virtual_time < best->virtual_time ||
+          (t.virtual_time == best->virtual_time &&
+           t.queue.front().seq < best->queue.front().seq);
       if (wins) best = &t;
     }
     if (best == nullptr) continue;  // depth said otherwise; defensive

@@ -556,10 +556,11 @@ core::EngineStats Engine::run() {
       throw std::invalid_argument(
           "run_event_engine: machine event before time 0");
   }
-  std::stable_sort(machine_events_.begin(), machine_events_.end(),
-                   [](const core::MachineEvent& a, const core::MachineEvent& b) {
-                     return a.time < b.time;
-                   });
+  std::stable_sort(
+      machine_events_.begin(), machine_events_.end(),
+      [](const core::MachineEvent& a, const core::MachineEvent& b) {
+        return a.time < b.time;
+      });
 
   // Defensive cap: every slice either completes a node, admits an arrival,
   // applies a machine event, or some combination, so slices <= total nodes

@@ -47,11 +47,10 @@
 //
 // Thread safety: each run keeps all simulation state on the stack of the
 // calling thread and only reads the (immutable, sealed) source DAGs, so
-// concurrent calls on distinct policy objects and sources are safe — the
-// parallel multi-trial harness (runtime::run_trials_parallel) relies on
-// this.  The OrderPolicy is mutated (order() may keep state) and must not
-// be shared across concurrent runs; a JobSource is consumed by its run and
-// must not be shared at all.
+// concurrent calls on distinct policy objects and sources are safe.  The
+// OrderPolicy is mutated (order() may keep state) and must not be shared
+// across concurrent runs; a JobSource is consumed by its run and must not
+// be shared at all.
 #pragma once
 
 #include <memory>

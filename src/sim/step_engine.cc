@@ -94,7 +94,8 @@ core::EngineStats run_impl(core::JobSource& source,
   const unsigned m = options.machine.processors;
   const double s = options.machine.speed;
   if (m == 0) throw std::invalid_argument("run_step_engine: zero processors");
-  if (!(s > 0.0)) throw std::invalid_argument("run_step_engine: speed must be > 0");
+  if (!(s > 0.0))
+    throw std::invalid_argument("run_step_engine: speed must be > 0");
   const unsigned k = options.steal_k;
 
   // Degradation events (processor count changes only; the step length is
@@ -102,17 +103,21 @@ core::EngineStats run_impl(core::JobSource& source,
   std::vector<core::MachineEvent> machine_events = options.machine.degradation;
   for (const core::MachineEvent& e : machine_events) {
     if (e.processors == 0)
-      throw std::invalid_argument("run_step_engine: machine event with zero workers");
+      throw std::invalid_argument(
+          "run_step_engine: machine event with zero workers");
     if (e.time < 0.0)
-      throw std::invalid_argument("run_step_engine: machine event before time 0");
+      throw std::invalid_argument(
+          "run_step_engine: machine event before time 0");
     if (e.speed != s)
       throw std::invalid_argument(
-          "run_step_engine: speed changes are not supported (step length is 1/s)");
+          "run_step_engine: speed changes are not supported (step length "
+          "is 1/s)");
   }
-  std::stable_sort(machine_events.begin(), machine_events.end(),
-                   [](const core::MachineEvent& a, const core::MachineEvent& b) {
-                     return a.time < b.time;
-                   });
+  std::stable_sort(
+      machine_events.begin(), machine_events.end(),
+      [](const core::MachineEvent& a, const core::MachineEvent& b) {
+        return a.time < b.time;
+      });
   // Total worker slots ever needed (dead workers keep their deques).
   unsigned total_workers = m;
   for (const core::MachineEvent& e : machine_events)

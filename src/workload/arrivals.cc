@@ -54,7 +54,8 @@ TraceArrivals::TraceArrivals(std::vector<double> times_ms)
     : times_ms_(std::move(times_ms)) {
   for (std::size_t i = 1; i < times_ms_.size(); ++i)
     if (times_ms_[i] < times_ms_[i - 1])
-      throw std::invalid_argument("TraceArrivals: times must be non-decreasing");
+      throw std::invalid_argument(
+          "TraceArrivals: times must be non-decreasing");
 }
 
 double TraceArrivals::next_ms() {

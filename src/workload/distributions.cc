@@ -14,9 +14,11 @@ DiscreteWorkDistribution::DiscreteWorkDistribution(std::string name,
   double total = 0.0;
   for (const Bin& b : bins_) {
     if (!(b.work_ms > 0.0))
-      throw std::invalid_argument("DiscreteWorkDistribution: non-positive work");
+      throw std::invalid_argument(
+          "DiscreteWorkDistribution: non-positive work");
     if (!(b.probability > 0.0))
-      throw std::invalid_argument("DiscreteWorkDistribution: non-positive probability");
+      throw std::invalid_argument(
+          "DiscreteWorkDistribution: non-positive probability");
     total += b.probability;
   }
   pmf_.reserve(bins_.size());
@@ -47,7 +49,8 @@ LognormalWorkDistribution::LognormalWorkDistribution(double mu, double sigma,
   if (!(sigma > 0.0))
     throw std::invalid_argument("LognormalWorkDistribution: sigma <= 0");
   if (!(min_ms > 0.0) || !(min_ms < max_ms))
-    throw std::invalid_argument("LognormalWorkDistribution: bad truncation range");
+    throw std::invalid_argument(
+        "LognormalWorkDistribution: bad truncation range");
 }
 
 double LognormalWorkDistribution::sample_ms(sim::Rng& rng) const {

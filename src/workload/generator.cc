@@ -11,7 +11,8 @@ namespace pjsched::workload {
 
 dag::Dag make_parallel_for_job(double work_ms, std::size_t grains,
                                double units_per_ms) {
-  if (grains == 0) throw std::invalid_argument("make_parallel_for_job: grains == 0");
+  if (grains == 0)
+    throw std::invalid_argument("make_parallel_for_job: grains == 0");
   const auto total_units = static_cast<std::uint64_t>(
       std::llround(std::max(1.0, work_ms * units_per_ms)));
   if (total_units <= 2 || grains == 1) {
@@ -40,9 +41,11 @@ core::Instance generate_instance_with_arrivals(
   if (arrivals_ms.empty())
     throw std::invalid_argument("generate_instance_with_arrivals: no arrivals");
   if (!(cfg.units_per_ms > 0.0))
-    throw std::invalid_argument("generate_instance_with_arrivals: units_per_ms <= 0");
+    throw std::invalid_argument(
+        "generate_instance_with_arrivals: units_per_ms <= 0");
   if (cfg.weight_classes.empty())
-    throw std::invalid_argument("generate_instance_with_arrivals: no weight classes");
+    throw std::invalid_argument(
+        "generate_instance_with_arrivals: no weight classes");
 
   ArrivalListJobSource source(dist, cfg, arrivals_ms);
   return core::materialize(source);

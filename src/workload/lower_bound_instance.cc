@@ -8,7 +8,8 @@
 namespace pjsched::workload {
 
 core::Instance make_lower_bound_instance(const LowerBoundConfig& cfg) {
-  if (cfg.m == 0) throw std::invalid_argument("make_lower_bound_instance: m == 0");
+  if (cfg.m == 0)
+    throw std::invalid_argument("make_lower_bound_instance: m == 0");
   if (cfg.num_jobs == 0)
     throw std::invalid_argument("make_lower_bound_instance: num_jobs == 0");
   const unsigned children =

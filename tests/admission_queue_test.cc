@@ -12,7 +12,7 @@
 namespace pjsched::runtime {
 namespace {
 
-Task* make_task(Job* job = nullptr) { return new Task{job, {}}; }
+Task* make_task() { return new Task{nullptr, {}}; }
 
 TEST(AdmissionQueueTest, UnboundedAcceptsEverything) {
   AdmissionQueue q;  // capacity 0 = unbounded
@@ -120,25 +120,6 @@ TEST(AdmissionQueueTest, CloseRejectsAllFuturePushes) {
   EXPECT_EQ(unbounded.push(t, &evicted),
             AdmissionQueue::PushResult::kRejected);
   delete t;
-}
-
-TEST(AdmissionQueueTest, TryPopHeaviestPrefersLargestWeight) {
-  Job light(1, 1.0), heavy(2, 5.0), medium(3, 2.0);
-  AdmissionQueue q;
-  Task* a = make_task(&light);
-  Task* b = make_task(&heavy);
-  Task* c = make_task(&medium);
-  Task* evicted = nullptr;
-  q.push(a, &evicted);
-  q.push(b, &evicted);
-  q.push(c, &evicted);
-  EXPECT_EQ(q.try_pop_heaviest(), b);
-  EXPECT_EQ(q.try_pop_heaviest(), c);
-  EXPECT_EQ(q.try_pop_heaviest(), a);
-  EXPECT_EQ(q.try_pop_heaviest(), nullptr);
-  delete a;
-  delete b;
-  delete c;
 }
 
 TEST(AdmissionQueueTest, StatsCountEveryOutcome) {

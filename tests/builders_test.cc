@@ -6,7 +6,7 @@
 
 #include <stdexcept>
 
-#include "src/dag/analysis.h"
+#include "tests/dag_oracles.h"
 
 namespace pjsched::dag {
 namespace {
@@ -123,6 +123,24 @@ TEST(RandomLayeredTest, DeterministicGivenSeed) {
   EXPECT_EQ(a.critical_path(), b.critical_path());
 }
 
+TEST(OracleTest, MatchesSealCache) {
+  // Diamond with unequal branches: W = 2 + 3 + 5 + 1, P = 2 + 5 + 1.
+  Dag d;
+  d.add_node(2);
+  d.add_node(3);
+  d.add_node(5);
+  d.add_node(1);
+  d.add_edge(0, 1);
+  d.add_edge(0, 2);
+  d.add_edge(1, 3);
+  d.add_edge(2, 3);
+  d.seal();
+  EXPECT_EQ(testutil::compute_total_work(d), 11u);
+  EXPECT_EQ(testutil::compute_critical_path(d), 8u);
+  EXPECT_EQ(testutil::compute_total_work(d), d.total_work());
+  EXPECT_EQ(testutil::compute_critical_path(d), d.critical_path());
+}
+
 // Property sweep: structural invariants across many random DAGs.
 class RandomLayeredProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -142,8 +160,8 @@ TEST_P(RandomLayeredProperty, StructuralInvariants) {
   EXPECT_LE(d.node_count(), opt.layers * opt.max_width);
 
   // Cached values agree with independent recomputation.
-  EXPECT_EQ(d.total_work(), compute_total_work(d));
-  EXPECT_EQ(d.critical_path(), compute_critical_path(d));
+  EXPECT_EQ(d.total_work(), testutil::compute_total_work(d));
+  EXPECT_EQ(d.critical_path(), testutil::compute_critical_path(d));
 
   // Depth really is `layers`: the critical path has at least `layers`
   // nodes' worth of minimum work.

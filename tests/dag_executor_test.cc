@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/dag/builders.h"
-#include "src/dag/compose.h"
 #include "src/sim/rng.h"
 #include "tests/alloc_counter.h"
 #include "tests/worker_gate.h"
@@ -50,16 +49,15 @@ TEST(DagExecutorTest, EveryNodeRunsExactlyOnce) {
   ThreadPool pool({.workers = 3, .steal_k = 0, .seed = 1});
   const dag::Dag graph = dag::parallel_for_dag(16, 2);
   std::atomic<int> runs{0};
-  auto job =
-      submit_dag(pool, graph, [&](dag::NodeId, dag::Work) { runs.fetch_add(1); });
+  auto job = submit_dag(pool, graph,
+                        [&](dag::NodeId, dag::Work) { runs.fetch_add(1); });
   job->wait();
   EXPECT_EQ(runs.load(), static_cast<int>(graph.node_count()));
 }
 
 TEST(DagExecutorTest, PrecedenceRespected) {
   ThreadPool pool({.workers = 4, .steal_k = 0, .seed = 2});
-  const dag::Dag graph =
-      dag::sequence(dag::parallel_for_dag(6, 1), dag::divide_and_conquer(3, 2));
+  const dag::Dag graph = dag::divide_and_conquer(4, 2);
   OrderRecorder rec;
   auto job = submit_dag(pool, graph, rec.body());
   job->wait();
@@ -403,10 +401,7 @@ TEST(DagExecutorLifetimeTest, SubmitAfterShutdownThrows) {
 // The run reads everything from its own block: the DAG it was built from is
 // a temporary, destroyed before the gated worker admits the job.
 TEST(DagExecutorLifetimeTest, TemporaryDagDestroyedBeforeTheJobRuns) {
-  const auto shape = [] {
-    return dag::sequence(dag::parallel_for_dag(6, 1),
-                         dag::divide_and_conquer(3, 2));
-  };
+  const auto shape = [] { return dag::divide_and_conquer(4, 2); };
   const dag::Dag reference = shape();
   ThreadPool pool(gated_options(27));
   WorkerGate gate;

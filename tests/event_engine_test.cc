@@ -162,7 +162,8 @@ TEST(EventEngineTest, AvailableSetOrderIsNotSemantic) {
   // machine-valid, work-conserving, and end at the work-limited makespan.
   auto inst = make_instance({{0.0, dag::parallel_for_dag_fn(
                                        6, [](std::size_t g) {
-                                         return static_cast<dag::Work>(2 + 3 * g);
+                                         return static_cast<dag::Work>(
+                                             2 + 3 * g);
                                        })}});
   sim::Trace trace;
   sched::FifoScheduler fifo;

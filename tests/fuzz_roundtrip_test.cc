@@ -1,16 +1,14 @@
 // Parameterized fuzz sweeps: random fork-join programs and random layered
-// DAGs are pushed through serialization round trips, composition, the
-// schedulers, and the audit — broad randomized coverage across module
-// boundaries.
+// DAGs are pushed through serialization round trips, the schedulers, and
+// the audit — broad randomized coverage across module boundaries.
 #include <gtest/gtest.h>
 
 #include "src/core/run.h"
-#include "src/dag/analysis.h"
 #include "src/dag/builders.h"
-#include "src/dag/compose.h"
 #include "src/dag/serialize.h"
 #include "src/metrics/audit.h"
 #include "src/workload/instance_io.h"
+#include "tests/dag_oracles.h"
 #include "tests/test_util.h"
 
 namespace pjsched {
@@ -26,10 +24,12 @@ TEST_P(ForkJoinFuzz, StructureAndSerializationRoundTrip) {
   const dag::Dag d = dag::random_fork_join(rng, opt);
 
   // Series-parallel programs have exactly one source and one sink.
-  const auto stats = dag::compute_stats(d);
-  EXPECT_EQ(stats.sources, 1u);
-  EXPECT_EQ(stats.sinks, 1u);
-  EXPECT_EQ(d.critical_path(), dag::compute_critical_path(d));
+  EXPECT_EQ(d.sources().size(), 1u);
+  std::size_t sinks = 0;
+  for (dag::NodeId v = 0; v < d.node_count(); ++v)
+    if (d.out_degree(v) == 0) ++sinks;
+  EXPECT_EQ(sinks, 1u);
+  EXPECT_EQ(d.critical_path(), testutil::compute_critical_path(d));
 
   // Text round trip preserves everything that matters.
   const dag::Dag back = dag::from_text(dag::to_text(d));

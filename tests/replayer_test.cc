@@ -1,15 +1,11 @@
 // Tests for the real-runtime instance replayer (src/runtime/replayer.h)
-// and the weighted-admission work-stealing extension.
+// and the simulator's weighted-admission work-stealing extension.
 #include "src/runtime/replayer.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <fstream>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/dag/builders.h"
 #include "src/sched/work_stealing.h"
@@ -208,43 +204,6 @@ TEST(WeightedAdmissionTest, EquivalentToFifoWhenWeightsEqual) {
   const auto p = plain.run(inst, {3, 1.0});
   const auto w = weighted.run(inst, {3, 1.0});
   EXPECT_EQ(p.completion, w.completion);
-}
-
-TEST(WeightedAdmissionTest, RealRuntimeAdmitsHeaviestFirst) {
-  // Single worker, steal_k large so nothing is admitted until the queue
-  // holds all three jobs; then the heaviest goes first.
-  runtime::PoolOptions opts;
-  opts.workers = 1;
-  opts.steal_k = 0;
-  opts.admit_by_weight = true;
-  opts.seed = 5;
-  runtime::ThreadPool pool(opts);
-
-  std::mutex mu;
-  std::vector<int> order;
-  // Stuff the queue while the worker is busy on a long first job.
-  std::atomic<bool> release{false};
-  pool.submit([&](runtime::TaskContext&) {
-    while (!release.load(std::memory_order_acquire))
-      std::this_thread::yield();
-  });
-  const auto enqueue = [&](int id, double weight) {
-    pool.submit(
-        [&, id](runtime::TaskContext&) {
-          std::lock_guard<std::mutex> lock(mu);
-          order.push_back(id);
-        },
-        weight);
-  };
-  enqueue(1, 1.0);
-  enqueue(9, 9.0);
-  enqueue(3, 3.0);
-  release.store(true, std::memory_order_release);
-  pool.wait_all();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 9);
-  EXPECT_EQ(order[1], 3);
-  EXPECT_EQ(order[2], 1);
 }
 
 }  // namespace

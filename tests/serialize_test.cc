@@ -77,7 +77,8 @@ TEST(SerializeTest, MalformedInputsRejected) {
   EXPECT_THROW(from_text(""), std::invalid_argument);
   EXPECT_THROW(from_text("dog 1 0"), std::invalid_argument);
   EXPECT_THROW(from_text("dag x 0"), std::invalid_argument);
-  EXPECT_THROW(from_text("dag 1 0\nnode 0 5\n"), std::invalid_argument);  // no end
+  EXPECT_THROW(from_text("dag 1 0\nnode 0 5\n"),
+               std::invalid_argument);  // no end
   EXPECT_THROW(from_text("dag 1 0\nnode 1 5\nend\n"),
                std::invalid_argument);  // wrong id order
   EXPECT_THROW(from_text("dag 2 1\nnode 0 1\nnode 1 1\nedge 0 5\nend\n"),

@@ -184,7 +184,8 @@ TEST(ServiceIngest, ShardedHostileFloodBalancesTheBooks) {
   }
   EXPECT_EQ(submitted_sum, total.good);
   for (std::size_t k = 0; k < kTenants; ++k) {
-    const auto it = snap.tenants.find("t" + std::to_string(k));
+    const auto it =
+        snap.tenants.find(std::string("t").append(std::to_string(k)));
     if (total.per_tenant[k] == 0) continue;
     ASSERT_NE(it, snap.tenants.end()) << "tenant t" << k;
     EXPECT_EQ(it->second.submitted, total.per_tenant[k]) << "tenant t" << k;

@@ -216,8 +216,8 @@ TEST(StreamRunTest, BurstArrivalsBatchedAdmissionMatchesMaterialized) {
     const core::StreamRunResult mat =
         run_scheduler(inst, core::parse_scheduler(name), machine16());
     workload::GeneratedJobSource source(dist, cfg);
-    const core::StreamRunResult str =
-        run_scheduler_streamed(source, core::parse_scheduler(name), machine16());
+    const core::StreamRunResult str = run_scheduler_streamed(
+        source, core::parse_scheduler(name), machine16());
     expect_identical(mat, str);
   }
 }

@@ -47,8 +47,9 @@ struct Reference {
 };
 
 Reference reference_of(std::vector<Completion> cs) {
-  std::sort(cs.begin(), cs.end(),
-            [](const Completion& a, const Completion& b) { return a.id < b.id; });
+  std::sort(cs.begin(), cs.end(), [](const Completion& a, const Completion& b) {
+    return a.id < b.id;
+  });
   Reference r;
   bool first = true;
   for (const Completion& c : cs) {

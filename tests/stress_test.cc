@@ -13,7 +13,6 @@
 #include "src/core/bounds.h"
 #include "src/core/run.h"
 #include "src/dag/builders.h"
-#include "src/dag/compose.h"
 #include "src/metrics/audit.h"
 #include "src/runtime/thread_pool.h"
 #include "tests/test_util.h"
@@ -75,11 +74,18 @@ TEST(StressTest, SingleUnitJobsFlood) {
 }
 
 TEST(StressTest, MixedExtremeShapes) {
+  // Equal widths and edge probability 1: every layer precedes all of the
+  // next, a dense all-to-all shuffle at each step.
+  sim::Rng rng(75);
+  dag::RandomLayeredOptions dense;
+  dense.layers = 8;
+  dense.min_width = dense.max_width = 8;
+  dense.min_work = dense.max_work = 2;
+  dense.edge_probability = 1.0;
   auto inst = make_instance({
       {0.0, dag::star(64)},
       {1.0, dag::serial_chain(300, 1)},
-      {2.0, dag::map_reduce_dag(16, 4, 4, 8)},
-      {3.0, dag::pipeline_dag(8, 8, 2)},
+      {2.0, dag::random_layered(rng, dense)},
       {4.0, dag::divide_and_conquer(5, 2)},
       {5.0, dag::single_node(1)},
   });

@@ -64,7 +64,8 @@ service::DaemonConfig make_config(std::uint64_t seed, bool chaos) {
   service::DaemonConfig config;
   config.pool.workers = 2;
   config.pool.watchdog_interval = std::chrono::milliseconds(25);
-  config.pool.watchdog_sink = [](const std::string&) {};  // counted, not spammed
+  config.pool.watchdog_sink = [](const std::string&) {};  // counted, not
+                                                          // spammed
   config.router.shards = 2;
   config.router.capacity = 96;
   config.tick_interval = std::chrono::milliseconds(1);
@@ -128,8 +129,8 @@ bool run_hostile_feed(int port, std::string* error) {
   std::string payload;
   for (int i = 0; i < 5; ++i)
     payload += "job feed 2 fanout=1 id=" + std::to_string(i + 1) + "\n";
-  payload += "job\n";                                      // malformed: no work
-  payload += "job feed nope\n";                            // malformed: bad work
+  payload += "job\n";                                     // malformed: no work
+  payload += "job feed nope\n";                           // malformed: bad work
   payload += std::string(service::kMaxLineBytes + 64, 'a') + "\n";  // oversize
   payload += "job feed 2 id=";  // mid-line, then disconnect
   const bool ok = service::write_all(fd, payload);

@@ -128,8 +128,9 @@ int connect_with_retry(const Options& o, pjsched::sim::Rng& rng,
     // Full jitter: sleep uniform in [0, base * 2^attempt], capped so one
     // sleep never blows the whole budget.
     const std::uint64_t ceiling = o.backoff_base_ms << std::min(attempt, 20u);
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        budget_deadline - Clock::now());
+    const auto remaining =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            budget_deadline - Clock::now());
     const std::uint64_t sleep_ms = std::min<std::uint64_t>(
         rng.uniform_int(ceiling + 1),
         remaining.count() > 0
@@ -207,8 +208,9 @@ void run_connection(const Options& opts, std::uint64_t conn_index,
       // Open-loop pacing against the schedule, not sleep-per-record: the
       // i-th record is due at start + i/rate, so a slow stretch is made up
       // instead of compounding.
-      const auto due = start + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>((i + 1) / rate));
+      const auto due =
+          start + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double>((i + 1) / rate));
       while (Clock::now() < due && Clock::now() < budget_deadline)
         std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
@@ -222,9 +224,8 @@ int main(int argc, char** argv) {
   Options opts;
   if (!parse_args(argc, argv, &opts)) return usage(argv[0]);
 
-  const std::uint64_t conns = std::min(opts.connections, opts.records > 0
-                                                             ? opts.records
-                                                             : std::uint64_t{1});
+  const std::uint64_t conns = std::min(
+      opts.connections, opts.records > 0 ? opts.records : std::uint64_t{1});
   const double per_conn_rate =
       opts.rate > 0.0 ? opts.rate / static_cast<double>(conns) : 0.0;
   const Clock::time_point start = Clock::now();

@@ -60,7 +60,8 @@ int usage(const char* argv0) {
       << "  --weights=T=W,T=W,...   per-tenant fair-share weights\n"
       << "  --feed=FILE             replay an instance file as the feed\n"
       << "  --feed-tenant=NAME      tenant for --feed records\n"
-      << "  --time-scale=S          seconds per instance time unit (0 = burst)\n"
+      << "  --time-scale=S          seconds per instance time unit (0 = "
+         "burst)\n"
       << "  --ns-per-unit=N         CPU ns rendered per work unit\n"
       << "  --duration-ms=N         run this long, then drain and exit\n"
       << "  --status-interval-ms=N  print metrics periodically\n"
