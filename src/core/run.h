@@ -6,6 +6,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -68,6 +69,19 @@ T parse_unsigned(const std::string& text) {
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || ptr != end)
     throw std::invalid_argument("bad unsigned integer '" + text + "'");
+  return value;
+}
+
+/// Parses `text` as a finite decimal number: the whole string, no inf or
+/// nan.  Throws std::invalid_argument otherwise — unlike std::stod,
+/// trailing characters never pass.  The floating counterpart of
+/// parse_unsigned, behind the daemon's floating flags.
+inline double parse_finite(const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value))
+    throw std::invalid_argument("bad finite number '" + text + "'");
   return value;
 }
 

@@ -11,7 +11,6 @@ StreamingFlowStats::StreamingFlowStats(const Options& options)
   if (options.reservoir == 0)
     throw std::invalid_argument("StreamingFlowStats: reservoir must be >= 1");
   samples_.capacity_limit_ = options.reservoir;
-  samples_.values.reserve(options.reservoir);
   completion_.assign(options.per_job, core::kNoTime);
   job_flow_.assign(options.per_job, core::kNoTime);
 }

@@ -27,7 +27,9 @@ class StreamingFlowStats {
  public:
   struct Options {
     /// Reservoir capacity: quantiles are exact up to this many samples and
-    /// estimated from a uniform subsample beyond.  Memory is O(reservoir).
+    /// estimated from a uniform subsample beyond.  The reservoir grows with
+    /// the samples up to this capacity, so memory is O(min(samples,
+    /// reservoir)).
     std::size_t reservoir = 4096;
     /// Seed for the reservoir's replacement draws.  Fixed default so a
     /// streamed run is reproducible from its configuration alone.

@@ -25,9 +25,10 @@ namespace {
 /// enough that the per-shard scratch stays cache-resident.
 constexpr std::size_t kParseBatchEntries = 256;
 
-/// Reservoir capacity for the per-tenant p99 flow export: tenants are few
-/// and long-lived, so a modest reservoir keeps snapshot cost low while the
-/// estimate stays exact for the first 1024 completions.
+/// Reservoir capacity for the per-tenant p99 flow export: the estimate is
+/// exact for a tenant's first 1024 completions.  Any client can name new
+/// tenants, so a reservoir grows with its samples rather than reserving
+/// the whole capacity for a tenant that may complete one job.
 constexpr std::size_t kTenantFlowReservoir = 1024;
 
 /// The dispatcher's longest sleep, and the age up to which a full window
@@ -531,6 +532,7 @@ std::string Daemon::metrics_machine() const {
       << "inflight " << s.inflight << "\n"
       << "router.depth " << s.router.depth << "\n"
       << "router.peak_depth " << s.router.peak_depth << "\n"
+      << "router.tenants " << s.router.tenants << "\n"
       << "router.accepted " << s.router.accepted << "\n"
       << "router.popped " << s.router.popped << "\n"
       << "router.shed_fair_share " << s.router.shed_fair_share << "\n"
@@ -616,8 +618,7 @@ void Daemon::accept_ready(int listen_fd) {
 bool Daemon::drain_parsed(Connection& c, std::span<ParsedRecord> parsed,
                           std::vector<JobRecord>& batch,
                           std::vector<TenantRouter::BatchOutcome>& outcomes,
-                          std::vector<ShedRecord>& evictions,
-                          TenantRouter::BatchScratch& scratch) {
+                          std::vector<ShedRecord>& evictions) {
   bool keep = true;
   for (;;) {
     const BatchParse bp = c.buffer.parse(parsed);
@@ -650,7 +651,7 @@ bool Daemon::drain_parsed(Connection& c, std::span<ParsedRecord> parsed,
       runtime::MutexLock lock(state_mu_);
       feed_.oversize += oversize;
     }
-    admit_records(batch, outcomes, evictions, scratch);
+    admit_records(batch, outcomes, evictions);
     if (want_metrics) {
       {
         runtime::MutexLock lock(state_mu_);
@@ -668,8 +669,7 @@ bool Daemon::drain_parsed(Connection& c, std::span<ParsedRecord> parsed,
 
 void Daemon::admit_records(std::vector<JobRecord>& records,
                            std::vector<TenantRouter::BatchOutcome>& outcomes,
-                           std::vector<ShedRecord>& evictions,
-                           TenantRouter::BatchScratch& scratch) {
+                           std::vector<ShedRecord>& evictions) {
   if (records.empty()) return;
   {
     // Books first: `submitted` covers the whole batch before any outcome
@@ -680,8 +680,7 @@ void Daemon::admit_records(std::vector<JobRecord>& records,
     for (const JobRecord& r : records) ++tenants_[r.tenant].submitted;
   }
   evictions.clear();
-  router_.admit_batch({records.data(), records.size()}, &outcomes, &evictions,
-                      &scratch);
+  router_.admit_batch({records.data(), records.size()}, &outcomes, &evictions);
   bool admitted_any = false;
   {
     runtime::MutexLock lock(state_mu_);
@@ -710,7 +709,6 @@ void Daemon::io_shard_main(std::size_t shard_index) {
   batch.reserve(kParseBatchEntries);
   std::vector<TenantRouter::BatchOutcome> outcomes;
   std::vector<ShedRecord> evictions;
-  TenantRouter::BatchScratch scratch;
 
   while (!stop_.load(std::memory_order_acquire)) {
     // Adopt connections the acceptor handed over.
@@ -767,7 +765,7 @@ void Daemon::io_shard_main(std::size_t shard_index) {
           c.last_activity = now;
           c.buffer.commit(static_cast<std::size_t>(n));
           open = drain_parsed(c, {parsed.data(), parsed.size()}, batch,
-                              outcomes, evictions, scratch);
+                              outcomes, evictions);
         } else if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
           // Disconnect: a trailing unterminated line is NOT a record — it
           // could be the front half of one — so it is counted as a

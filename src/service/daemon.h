@@ -259,15 +259,13 @@ class Daemon {
   bool drain_parsed(Connection& c, std::span<ParsedRecord> parsed,
                     std::vector<JobRecord>& batch,
                     std::vector<TenantRouter::BatchOutcome>& outcomes,
-                    std::vector<ShedRecord>& evictions,
-                    TenantRouter::BatchScratch& scratch);
+                    std::vector<ShedRecord>& evictions);
   /// Batched submission: books `submitted` for the whole batch under one
   /// state lock, admits via TenantRouter::admit_batch, accounts sheds under
   /// one more lock hold.  Clears `records`.
   void admit_records(std::vector<JobRecord>& records,
                      std::vector<TenantRouter::BatchOutcome>& outcomes,
-                     std::vector<ShedRecord>& evictions,
-                     TenantRouter::BatchScratch& scratch);
+                     std::vector<ShedRecord>& evictions);
 
   /// Submits one popped record to the pool (dispatcher thread).
   void dispatch(QueuedRecord rec);
@@ -300,7 +298,7 @@ class Daemon {
 
   /// Dispatcher wakeup: submit_record notifies after a successful push.
   // lint: allow(wait-lock): pairs with work_cv_ only; guards no data — the
-  // dispatcher's pop predicate reads the router under its own locks, this
+  // dispatcher's pop predicate reads the router under its own lock, this
   // lock just closes the check-then-block window.
   runtime::Mutex work_mu_;
   runtime::CondVar work_cv_;

@@ -1,48 +1,52 @@
-// Per-tenant sharded admission with weighted fair shedding — the layer
-// between the daemon's streaming ingest and the ThreadPool's bounded
-// AdmissionQueue.
+// Per-tenant admission with weighted fair shedding — the layer between the
+// daemon's streaming ingest and the ThreadPool's bounded AdmissionQueue.
 //
-// Tenants are hashed across independent shards (each with its own lock and
-// its slice of the aggregate capacity), so ingest from many connections
-// never contends on a global mutex.  Within a shard:
+// One queue under one lock.  Within it:
 //
 //   * records queue FIFO per tenant;
-//   * the dispatcher pops weighted-fair (the active tenant with the
-//     smallest virtual service time, i.e. serviced work / weight — a
-//     flooding tenant cannot starve a well-behaved one even before any
-//     shedding starts);
-//   * when the shard is full, admission sheds from the most-loaded tenant
+//   * the dispatcher pops weighted-fair: the backlogged tenant with the
+//     smallest virtual service time (serviced work / weight), ties to the
+//     earliest-queued head record, so a flooding tenant cannot starve a
+//     well-behaved one even before any shedding starts.  The backlogged
+//     tenants sit in a binary min-heap on that key, so a pop costs
+//     O(log backlogged tenants);
+//   * when the router is full, admission sheds from the most-loaded tenant
 //     — largest queued records / weight — provided it is more loaded than
 //     the arriving record's tenant would become by queuing (otherwise the
 //     arrival itself is the fair victim), dropping that tenant's
 //     EARLIEST-queued record (head drop: the oldest record is the one
 //     whose flow bound is already lost).
 //
-// The shard owns a DegradationLadder sample loop via TenantRouter::tick():
-// utilization (aggregate depth / capacity) plus the pool watchdog's stall
-// flag drive the rung, and the rung changes what push() and tick() do (see
-// degradation.h for the ladder itself).
+// An idle tenant keeps its entry, and so its virtual time, until more than
+// `capacity` idle entries exist; then every idle entry is erased.  Entries
+// therefore never exceed backlogged tenants + capacity, and a returning
+// tenant re-enters at the virtual clock exactly as a never-seen name does.
+// Weights from set_weight() live apart from the entries and survive this.
+//
+// The router owns a DegradationLadder sample loop via tick(): utilization
+// (depth / capacity) plus the pool watchdog's stall flag drive the rung,
+// and the rung changes what push() and tick() do (see degradation.h for
+// the ladder itself).  The one lock also guards the ladder, the offender
+// and the counters.
 //
 // Every record handed to push() reaches exactly one outcome: admitted (and
 // later popped by the dispatcher) or shed/rejected with a reason — either
 // returned synchronously or, for queued records trimmed later, surfaced
 // through tick()'s eviction list.  The conservation law
 //   accepted == popped + shed_from_queue + depth
-// holds in every stats() snapshot, per shard and in aggregate; the chaos
-// campaign asserts it after every trial.
+// holds in every stats() snapshot; the chaos campaign asserts it after
+// every trial.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <limits>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/runtime/annotations.h"
-#include "src/runtime/interference.h"
 #include "src/runtime/job.h"
 #include "src/runtime/mutex.h"
 #include "src/service/degradation.h"
@@ -53,17 +57,19 @@ namespace pjsched::service {
 using Clock = runtime::Clock;
 
 struct RouterConfig {
-  std::size_t shards = 8;
-  /// Aggregate queued-record bound, split evenly across shards.
+  /// Queued-record bound; also the bound on idle tenant entries.
   std::size_t capacity = 4096;
   /// Weight for tenants never passed to set_weight().
   double default_weight = 1.0;
   LadderConfig ladder;
+  /// The router has one queue.  perfbench/daemon_workload.cc still reads
+  /// this to size its capacity, so it stays, as a constant.
+  static constexpr std::size_t shards = 8;
 };
 
 /// Why a record left the router without being dispatched.
 enum class ShedReason : std::uint8_t {
-  kFairShare,      ///< full shard: weighted fair eviction
+  kFairShare,      ///< full router: weighted fair eviction
   kShedNew,        ///< shed-new rung: over-share arrival dropped at ingest
   kShedQueued,     ///< shed-queued rung: queued backlog trimmed to share
   kRejectTenant,   ///< reject-tenant rung: offending tenant refused
@@ -83,8 +89,8 @@ inline const char* to_string(ShedReason r) {
 
 /// A record inside the router: the parsed submission plus its ingest
 /// timestamp (flow time is measured from ingest, not pool submission — the
-/// router queue is part of the job's flow) and a global arrival sequence
-/// number (the earliest-queued tie-break).
+/// router queue is part of the job's flow) and an arrival sequence number
+/// (the earliest-queued tie-break).
 struct QueuedRecord {
   JobRecord record;
   Clock::time_point ingest{};
@@ -108,7 +114,7 @@ class TenantRouter {
   TenantRouter& operator=(const TenantRouter&) = delete;
 
   /// Sets a tenant's fair-share weight (default_weight until called).
-  /// Cheap and rare: takes the tenant's shard lock.
+  /// Throws std::invalid_argument unless the weight is finite and > 0.
   void set_weight(const std::string& tenant, double weight);
 
   /// Ingests one record.  kAdmitted: the record is queued (a *different*
@@ -125,36 +131,24 @@ class TenantRouter {
     ShedReason reason{};  ///< valid when outcome == kShed
   };
 
-  /// Caller-owned scratch reused across admit_batch calls so the
-  /// steady-state ingest path allocates nothing after warmup.
-  struct BatchScratch {
-    std::vector<std::uint32_t> shard_index;  ///< per record
-    std::vector<std::uint32_t> order;        ///< record indices, shard-grouped
-    std::vector<std::uint32_t> bucket;       ///< prefix offsets (shards + 1)
-    std::vector<std::uint32_t> cursor;       ///< counting-sort write heads
-    std::string offender;                    ///< reject-tenant snapshot
-  };
+  /// Unused; perfbench/daemon_workload.cc still passes one to admit_batch.
+  struct BatchScratch {};
 
-  /// Batched ingest (the sharded-io fast path): admits every record of
-  /// `records`, grouping by shard so each shard lock is taken ONCE per
-  /// batch instead of once per record.  Records are grouped stably and
-  /// processed per shard in batch order with sequence tickets assigned in
-  /// batch order, so the outcome of every record — including which queued
-  /// record a full shard evicts, via the shared admit_locked core — is
-  /// bit-identical to calling push() on each record in order (records of
-  /// different shards never interact; pinned by test).  One ingest
-  /// timestamp covers the whole batch.
+  /// Batched ingest: admits every record of `records` in order under ONE
+  /// lock hold, with the decisions a push() loop over the same records
+  /// would make (pinned by test).  One ingest timestamp covers the whole
+  /// batch.
   ///
   /// A record is moved from on admission; one shed at the door is left
   /// intact so the caller can account it by tenant.  *outcomes is resized
   /// to the batch; evicted records are appended to *evictions as in push().
   void admit_batch(std::span<JobRecord> records,
                    std::vector<BatchOutcome>* outcomes,
-                   std::vector<ShedRecord>* evictions, BatchScratch* scratch);
+                   std::vector<ShedRecord>* evictions,
+                   BatchScratch* scratch = nullptr);
 
-  /// Dispatcher side: pops the weighted-fair next record.  Shards are
-  /// scanned round-robin from a rotating cursor so no shard is structurally
-  /// favored.  Returns false when every shard is empty.
+  /// Dispatcher side: pops the weighted-fair next record.  Returns false
+  /// when the router is empty.
   bool try_pop(QueuedRecord* out);
 
   /// Maintenance tick: feeds (utilization, stalled) to the ladder, applies
@@ -173,24 +167,25 @@ class TenantRouter {
 
   std::size_t depth() const;
 
-  /// Aggregate accounting.  Each shard contributes one coherent snapshot
-  /// (its counters and depth come from a single lock hold, so its books
-  /// balance exactly); records never migrate between shards, so the sums
-  /// below balance too: accepted == popped + shed_from_queue + depth,
-  /// where shed_from_queue = shed_fair_share + shed_queued.
+  /// Accounting, from one lock hold, so the books balance exactly:
+  /// accepted == popped + shed_from_queue + depth, where
+  /// shed_from_queue = shed_fair_share + shed_queued.
   struct Stats {
     std::uint64_t accepted = 0;
     std::uint64_t popped = 0;
     std::uint64_t shed_fair_share = 0;     ///< queued records evicted by a
-                                           ///< full-shard fair decision
+                                           ///< full-router fair decision
     std::uint64_t shed_arrival_full = 0;   ///< arrivals dropped at a full
-                                           ///< shard (nobody else over share)
+                                           ///< router (nobody else over
+                                           ///< share)
     std::uint64_t shed_new = 0;            ///< arrivals dropped at shed-new+
     std::uint64_t shed_queued = 0;         ///< queued records trimmed by tick
     std::uint64_t rejected_tenant = 0;     ///< refused: offending tenant
     std::uint64_t rejected_drain = 0;      ///< refused: draining
     std::size_t depth = 0;
-    std::size_t peak_depth = 0;            ///< max over per-shard peaks
+    std::size_t peak_depth = 0;
+    /// Tenant entries held, backlogged and idle.
+    std::size_t tenants = 0;
 
     /// Records shed/rejected by any path.  Conservation: every record ever
     /// pushed == popped + total_shed() + depth, because accepted ==
@@ -204,80 +199,62 @@ class TenantRouter {
   Stats stats() const;
 
  private:
+  static constexpr std::size_t kIdle = std::numeric_limits<std::size_t>::max();
+
   struct Tenant {
     double weight;
     std::deque<QueuedRecord> queue;
     /// Weighted-fair virtual service time: serviced work / weight.
     double virtual_time = 0.0;
+    /// Index in backlog_ while the queue is non-empty, else kIdle.
+    std::size_t heap_pos = kIdle;
   };
+  using Entry = std::unordered_map<std::string, Tenant>::value_type;
 
-  struct alignas(runtime::kDestructiveInterference) RouterShard {
-    mutable runtime::Mutex mu;
-    std::unordered_map<std::string, Tenant> tenants PJSCHED_GUARDED_BY(mu);
-    std::size_t depth PJSCHED_GUARDED_BY(mu) = 0;
-    std::size_t peak_depth PJSCHED_GUARDED_BY(mu) = 0;
-    /// Virtual clock: the service time of the last pop; a tenant becoming
-    /// active is caught up to it so idling never banks credit.
-    double vclock PJSCHED_GUARDED_BY(mu) = 0.0;
-    // Per-shard slices of the Stats counters (depth/peak above).
-    std::uint64_t accepted PJSCHED_GUARDED_BY(mu) = 0;
-    std::uint64_t popped PJSCHED_GUARDED_BY(mu) = 0;
-    std::uint64_t shed_fair_share PJSCHED_GUARDED_BY(mu) = 0;
-    std::uint64_t shed_arrival_full PJSCHED_GUARDED_BY(mu) = 0;
-    std::uint64_t shed_new PJSCHED_GUARDED_BY(mu) = 0;
-    std::uint64_t shed_queued PJSCHED_GUARDED_BY(mu) = 0;
-    std::uint64_t rejected_tenant PJSCHED_GUARDED_BY(mu) = 0;
-    std::uint64_t rejected_drain PJSCHED_GUARDED_BY(mu) = 0;
-  };
-
-  std::size_t shard_of(const std::string& tenant) const;
-  Tenant& tenant_slot(RouterShard& shard, const std::string& name)
-      PJSCHED_REQUIRES(shard.mu);
+  /// The tenant's entry, made (with its set_weight() weight) if absent.
+  Entry& entry_locked(const std::string& name) PJSCHED_REQUIRES(mu_);
   /// The admission core shared bit-for-bit by push() and admit_batch():
-  /// rung gates, weighted-fair full-shard eviction, activation catch-up,
+  /// rung gates, weighted-fair full-router eviction, activation catch-up,
   /// enqueue + accounting.  Moves from `queued` only on kAdmitted; on
-  /// kShed the record is left intact for the caller.  `offender` is the
-  /// reject-tenant snapshot taken under ladder_mu_ BEFORE this shard lock
-  /// (lock order: ladder_mu_ -> shard.mu), or nullptr outside that rung.
-  PushOutcome admit_locked(RouterShard& shard, QueuedRecord& queued, Rung rung,
-                           const std::string* offender,
+  /// kShed the record is left intact for the caller.  The caller then
+  /// runs erase_idle_locked(): a shed arrival can leave a new entry idle,
+  /// and an eviction can empty its victim's queue.
+  PushOutcome admit_locked(QueuedRecord& queued,
                            std::vector<ShedRecord>* evictions,
-                           ShedReason* reason) PJSCHED_REQUIRES(shard.mu);
-  /// Weighted fair share (in records) of `tenant` within its shard.
-  double fair_share_locked(const RouterShard& shard,
-                           const Tenant& tenant) const
-      PJSCHED_REQUIRES(shard.mu);
-  /// The most-over-share tenant of a shard (largest queued/weight among
-  /// those above share), or nullptr.  `out_name` receives its key.
-  Tenant* most_over_share_locked(RouterShard& shard,
-                                 const std::string** out_name)
-      PJSCHED_REQUIRES(shard.mu);
-  /// The most-loaded tenant of a shard (largest queued/weight, no share
-  /// threshold; ties to the earliest-queued head), or nullptr when every
-  /// queue is empty.  The full-shard eviction rule compares against this.
-  Tenant* most_loaded_locked(RouterShard& shard, const std::string** out_name)
-      PJSCHED_REQUIRES(shard.mu);
-  /// Trims every over-share tenant of `shard` back to its fair share.
-  void trim_shard_locked(RouterShard& shard,
-                         std::vector<ShedRecord>* evictions)
-      PJSCHED_REQUIRES(shard.mu);
+                           ShedReason* reason) PJSCHED_REQUIRES(mu_);
+  /// Erases every idle entry once more than `capacity` exist.
+  void erase_idle_locked() PJSCHED_REQUIRES(mu_);
+  /// Sum of the backlogged tenants' weights (the fair-share denominator).
+  double backlog_weight_locked() const PJSCHED_REQUIRES(mu_);
+  /// The backlogged tenant with the largest queued/weight, ties to the
+  /// earliest-queued head; among those over their fair share only when
+  /// `over_share_only`.  nullptr when there is none.
+  Entry* heaviest_locked(bool over_share_only) const PJSCHED_REQUIRES(mu_);
+
+  // The backlog heap: backlog_ is a binary min-heap of the backlogged
+  // tenants on (virtual time, head seq), each entry knowing its index.
+  static bool before(const Entry* a, const Entry* b);
+  void heap_set(std::size_t pos, Entry* e) PJSCHED_REQUIRES(mu_);
+  void sift_up(std::size_t pos) PJSCHED_REQUIRES(mu_);
+  void sift_down(std::size_t pos) PJSCHED_REQUIRES(mu_);
+  void heap_push(Entry& e) PJSCHED_REQUIRES(mu_);
+  void heap_erase(Entry& e) PJSCHED_REQUIRES(mu_);
 
   const RouterConfig config_;
-  const std::size_t shard_capacity_;
-  std::vector<std::unique_ptr<RouterShard>> shards_;
 
-  /// Ladder + offender election, sampled by tick() only; push() reads the
-  /// rung through a relaxed atomic mirror so ingest never takes this lock.
-  mutable runtime::Mutex ladder_mu_;
-  DegradationLadder ladder_ PJSCHED_GUARDED_BY(ladder_mu_);
-  std::string offender_ PJSCHED_GUARDED_BY(ladder_mu_);
-  /// Mirror of ladder_.rung() for lock-free reads on the ingest path.
-  std::atomic<std::uint8_t> rung_mirror_{0};
-
-  /// Global arrival sequence (earliest-queued tie-break across shards).
-  std::atomic<std::uint64_t> next_seq_{0};
-  /// Round-robin pop cursor over shards.
-  std::atomic<std::uint64_t> pop_cursor_{0};
+  mutable runtime::Mutex mu_;
+  std::unordered_map<std::string, Tenant> tenants_ PJSCHED_GUARDED_BY(mu_);
+  std::unordered_map<std::string, double> weights_ PJSCHED_GUARDED_BY(mu_);
+  std::vector<Entry*> backlog_ PJSCHED_GUARDED_BY(mu_);
+  /// Virtual clock: the service time of the last pop; a tenant becoming
+  /// backlogged is caught up to it so idling never banks credit.
+  double vclock_ PJSCHED_GUARDED_BY(mu_) = 0.0;
+  /// Arrival sequence (earliest-queued tie-break).
+  std::uint64_t next_seq_ PJSCHED_GUARDED_BY(mu_) = 0;
+  DegradationLadder ladder_ PJSCHED_GUARDED_BY(mu_);
+  std::string offender_ PJSCHED_GUARDED_BY(mu_);
+  /// The counters, depth and peak; stats() adds the entry count.
+  Stats stats_ PJSCHED_GUARDED_BY(mu_);
 };
 
 }  // namespace pjsched::service

@@ -28,7 +28,6 @@ DaemonConfig small_config() {
   DaemonConfig c;
   c.pool.workers = 2;
   c.pool.watchdog_interval = std::chrono::milliseconds(0);
-  c.router.shards = 2;
   c.router.capacity = 256;
   c.tick_interval = 2ms;
   c.ns_per_unit = 200.0;  // fast spins: tests render microseconds of work

@@ -111,7 +111,6 @@ TEST(ServiceIngest, ShardedHostileFloodBalancesTheBooks) {
   DaemonConfig config;
   config.pool.workers = 2;
   config.pool.watchdog_interval = std::chrono::milliseconds(0);
-  config.router.shards = 4;
   config.router.capacity = 4096;
   config.tick_interval = 2ms;
   config.ns_per_unit = 200.0;
@@ -206,8 +205,8 @@ TEST(ServiceIngest, ShardedHostileFloodBalancesTheBooks) {
 // The ingest hot path in one thread: chunked deposits into an
 // IngestBuffer, batched parse, admit_batch and paired pops over a feed of
 // 4096 short records from 16 tenants.  Batch slots reuse their tenant
-// strings and the router's shards reuse their queues, so the steady state
-// stays within one operator new call per record (~0.2 measured); a
+// strings and the router's tenant entries keep their queues, so the steady
+// state stays within one operator new call per record (~0.2 measured); a
 // per-record or per-field allocation would exceed it.
 TEST(ServiceIngest, ParseAdmitPopAllocatesAtMostOncePerRecord) {
   constexpr std::size_t kRecords = 4096;
@@ -218,7 +217,6 @@ TEST(ServiceIngest, ParseAdmitPopAllocatesAtMostOncePerRecord) {
             std::to_string(1 + i % 4) + "\n";
   }
   RouterConfig router_config;
-  router_config.shards = 8;
   router_config.capacity = 1 << 16;
   TenantRouter router(router_config);
   IngestBuffer buffer(kMaxLineBytes);
@@ -226,7 +224,6 @@ TEST(ServiceIngest, ParseAdmitPopAllocatesAtMostOncePerRecord) {
   std::vector<JobRecord> batch;
   std::vector<TenantRouter::BatchOutcome> outcomes;
   std::vector<ShedRecord> evictions;
-  TenantRouter::BatchScratch scratch;
 
   // One pass: every record parsed, admitted and popped again.
   const auto pass = [&] {
@@ -246,8 +243,8 @@ TEST(ServiceIngest, ParseAdmitPopAllocatesAtMostOncePerRecord) {
             batch.push_back(std::move(parsed[i].record));
         }
         admitted += batch.size();
-        router.admit_batch({batch.data(), batch.size()}, &outcomes, &evictions,
-                           &scratch);
+        router.admit_batch({batch.data(), batch.size()}, &outcomes,
+                           &evictions);
       }
     }
     QueuedRecord popped;

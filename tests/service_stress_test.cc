@@ -23,7 +23,6 @@ using namespace std::chrono_literals;
 
 TEST(ServiceStress, RouterConservationUnderConcurrentChurn) {
   RouterConfig config;
-  config.shards = 4;
   config.capacity = 64;
   TenantRouter router(config);
   router.set_weight("w0", 3.0);
@@ -99,7 +98,6 @@ TEST(ServiceStress, RouterConservationUnderConcurrentChurn) {
 TEST(ServiceStress, FloodingTenantCannotStarveAWellBehavedOne) {
   DaemonConfig config;
   config.pool.workers = 2;
-  config.router.shards = 2;
   config.router.capacity = 64;
   config.tick_interval = 1ms;
   config.ns_per_unit = 500.0;

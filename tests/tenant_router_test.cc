@@ -1,13 +1,16 @@
-// Behavioral tests for the per-tenant sharded admission router
+// Behavioral tests for the per-tenant admission router
 // (src/service/tenant_router.*): weighted-fair pops, heaviest-over-share
 // shedding with earliest-queued tie-break, the rung side effects at each
-// ladder stage, and the conservation law its stats() promises.
+// ladder stage, the bound on departed tenants' entries, and the
+// conservation law its stats() promises.
 #include "src/service/tenant_router.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,11 +27,8 @@ JobRecord rec(const std::string& tenant, double work = 1.0) {
   return r;
 }
 
-/// Single-shard config: every tenant shares one queue, so fair-share math
-/// is exact and deterministic in the tests.
-RouterConfig one_shard(std::size_t capacity) {
+RouterConfig with_capacity(std::size_t capacity) {
   RouterConfig c;
-  c.shards = 1;
   c.capacity = capacity;
   return c;
 }
@@ -46,7 +46,7 @@ void expect_conservation(const TenantRouter::Stats& s) {
 }
 
 TEST(TenantRouter, PopsWeightedFairAcrossTenants) {
-  TenantRouter router(one_shard(16));
+  TenantRouter router(with_capacity(16));
   router.set_weight("a", 1.0);
   router.set_weight("b", 3.0);
   for (int i = 0; i < 4; ++i) admit(router, rec("a"));
@@ -63,8 +63,15 @@ TEST(TenantRouter, PopsWeightedFairAcrossTenants) {
   expect_conservation(router.stats());
 }
 
+TEST(TenantRouter, SetWeightTakesOnlyFinitePositiveWeights) {
+  TenantRouter router(with_capacity(4));
+  for (const double w : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(router.set_weight("t", w), std::invalid_argument) << w;
+}
+
 TEST(TenantRouter, FifoWithinATenant) {
-  TenantRouter router(one_shard(16));
+  TenantRouter router(with_capacity(16));
   for (int i = 0; i < 5; ++i) {
     JobRecord r = rec("only");
     r.client_id = static_cast<std::uint64_t>(i + 1);
@@ -78,8 +85,8 @@ TEST(TenantRouter, FifoWithinATenant) {
   EXPECT_FALSE(router.try_pop(&out));
 }
 
-TEST(TenantRouter, FullShardShedsMostOverShareTenantHeadFirst) {
-  TenantRouter router(one_shard(4));
+TEST(TenantRouter, FullRouterShedsMostOverShareTenantHeadFirst) {
+  TenantRouter router(with_capacity(4));
   JobRecord first = rec("heavy");
   first.client_id = 111;  // the earliest-queued record: the one evicted
   admit(router, first);
@@ -104,9 +111,9 @@ TEST(TenantRouter, FullShardShedsMostOverShareTenantHeadFirst) {
 }
 
 TEST(TenantRouter, SoleTenantOverOwnShareShedsItsArrival) {
-  TenantRouter router(one_shard(4));
+  TenantRouter router(with_capacity(4));
   for (int i = 0; i < 4; ++i) admit(router, rec("solo"));
-  // solo's share is the whole shard; at 4 queued it is not over share, so
+  // solo's share is the whole router; at 4 queued it is not over share, so
   // there is no victim — the arrival itself is shed.
   std::vector<ShedRecord> ev;
   ShedReason why{};
@@ -120,7 +127,7 @@ TEST(TenantRouter, SoleTenantOverOwnShareShedsItsArrival) {
 }
 
 TEST(TenantRouter, ShedNewRungDropsOverShareArrivalsAtTheDoor) {
-  TenantRouter router(one_shard(4));
+  TenantRouter router(with_capacity(4));
   std::vector<ShedRecord> ev;
   for (int i = 0; i < 2; ++i) admit(router, rec("a"));
   for (int i = 0; i < 2; ++i) admit(router, rec("b"));
@@ -133,7 +140,7 @@ TEST(TenantRouter, ShedNewRungDropsOverShareArrivalsAtTheDoor) {
   ShedReason why{};
   EXPECT_EQ(router.push(rec("a"), &ev, &why), PushOutcome::kShed);
   EXPECT_EQ(why, ShedReason::kShedNew);
-  // A fresh tenant under its share is still served normally — the shard
+  // A fresh tenant under its share is still served normally — the router
   // is full (depth 4), so admission evicts from the most-loaded tenant
   // rather than refusing c.
   EXPECT_EQ(router.push(rec("c"), &ev, &why), PushOutcome::kAdmitted);
@@ -146,7 +153,7 @@ TEST(TenantRouter, ShedNewRungDropsOverShareArrivalsAtTheDoor) {
 }
 
 TEST(TenantRouter, ShedQueuedRungTrimsBacklogsToFairShare) {
-  TenantRouter router(one_shard(8));
+  TenantRouter router(with_capacity(8));
   for (int i = 0; i < 6; ++i) admit(router, rec("a"));
   admit(router, rec("b"));
 
@@ -171,7 +178,7 @@ TEST(TenantRouter, ShedQueuedRungTrimsBacklogsToFairShare) {
 TEST(TenantRouter, RejectTenantRungRefusesTheOffenderOnly) {
   // Capacity 8, two active tenants: flood (6 queued) is over its share of
   // 4, so it is the electable offender.
-  TenantRouter router(one_shard(8));
+  TenantRouter router(with_capacity(8));
   for (int i = 0; i < 6; ++i) admit(router, rec("flood"));
   admit(router, rec("nice"));
 
@@ -200,7 +207,7 @@ TEST(TenantRouter, RejectTenantRungRefusesTheOffenderOnly) {
 }
 
 TEST(TenantRouter, DrainRejectsNewWhileQueuedRecordsStayPoppable) {
-  TenantRouter router(one_shard(8));
+  TenantRouter router(with_capacity(8));
   admit(router, rec("t"));
   admit(router, rec("t"));
   router.begin_drain();
@@ -224,14 +231,12 @@ TEST(TenantRouter, DrainRejectsNewWhileQueuedRecordsStayPoppable) {
 }
 
 TEST(TenantRouter, BatchAdmissionIsBitIdenticalToPerRecordPush) {
-  // The pin the sharded ingest path leans on: admit_batch over any chunking
+  // The pin the batched ingest path leans on: admit_batch over any chunking
   // of a record sequence makes EXACTLY the decisions a push() loop makes —
-  // same outcomes, same shed reasons, same evicted records (by seq), same
-  // stats, same drained pop order — across rung changes and interleaved
-  // pops.  Records in different shards never interact, so the only order
-  // that matters is per-shard arrival order, which both paths preserve.
+  // same outcomes, same shed reasons, same evicted records in the same
+  // order, same stats, same drained pop order — across rung changes and
+  // interleaved pops.
   RouterConfig config;
-  config.shards = 4;
   config.capacity = 48;
   TenantRouter per(config);
   TenantRouter batched(config);
@@ -244,13 +249,6 @@ TEST(TenantRouter, BatchAdmissionIsBitIdenticalToPerRecordPush) {
   sim::Rng rng(99);
   std::uint64_t next_id = 0;
   std::vector<TenantRouter::BatchOutcome> outcomes;
-  TenantRouter::BatchScratch scratch;
-
-  const auto sort_by_seq = [](std::vector<ShedRecord>& v) {
-    std::sort(v.begin(), v.end(), [](const ShedRecord& a, const ShedRecord& b) {
-      return a.item.seq < b.item.seq;
-    });
-  };
 
   for (int round = 0; round < 400; ++round) {
     const std::size_t n = 1 + rng.uniform_int(32);
@@ -273,8 +271,7 @@ TEST(TenantRouter, BatchAdmissionIsBitIdenticalToPerRecordPush) {
       per_ev.insert(per_ev.end(), ev.begin(), ev.end());
     }
 
-    batched.admit_batch({copy.data(), copy.size()}, &outcomes, &batch_ev,
-                        &scratch);
+    batched.admit_batch({copy.data(), copy.size()}, &outcomes, &batch_ev);
     ASSERT_EQ(outcomes.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(outcomes[i].outcome, per_out[i].first) << "record " << i;
@@ -282,11 +279,6 @@ TEST(TenantRouter, BatchAdmissionIsBitIdenticalToPerRecordPush) {
         EXPECT_EQ(outcomes[i].reason, per_out[i].second) << "record " << i;
       }
     }
-    // Eviction sets are identical; only cross-shard interleaving differs
-    // (push emits in arrival order, admit_batch shard by shard), so
-    // compare under the canonical seq order.
-    sort_by_seq(per_ev);
-    sort_by_seq(batch_ev);
     ASSERT_EQ(per_ev.size(), batch_ev.size());
     for (std::size_t i = 0; i < per_ev.size(); ++i) {
       EXPECT_EQ(per_ev[i].item.seq, batch_ev[i].item.seq);
@@ -312,8 +304,6 @@ TEST(TenantRouter, BatchAdmissionIsBitIdenticalToPerRecordPush) {
       const bool stalled = rng.bernoulli(0.5);
       std::vector<ShedRecord> ta, tb;
       EXPECT_EQ(per.tick(stalled, &ta), batched.tick(stalled, &tb));
-      sort_by_seq(ta);
-      sort_by_seq(tb);
       ASSERT_EQ(ta.size(), tb.size());
       for (std::size_t i = 0; i < ta.size(); ++i)
         EXPECT_EQ(ta[i].item.seq, tb[i].item.seq);
@@ -349,11 +339,10 @@ TEST(TenantRouter, BatchAdmissionIsBitIdenticalToPerRecordPush) {
 }
 
 TEST(TenantRouter, ConservationHoldsUnderRandomizedChurn) {
-  // Seeded single-thread churn across many shards: every stats() snapshot
-  // along the way must balance exactly.  (The multi-threaded version of
-  // this property runs in service_stress_test.)
+  // Seeded single-thread churn over several tenants: every stats()
+  // snapshot along the way must balance exactly.  (The multi-threaded
+  // version of this property runs in service_stress_test.)
   RouterConfig config;
-  config.shards = 4;
   config.capacity = 32;
   TenantRouter router(config);
   sim::Rng rng(1234);
@@ -395,6 +384,90 @@ TEST(TenantRouter, ConservationHoldsUnderRandomizedChurn) {
   EXPECT_EQ(s.total_shed(), shed_at_push + evicted);
   EXPECT_EQ(pushes, admitted + shed_at_push);
   EXPECT_GT(s.total_shed(), 0u);  // the churn actually exercised shedding
+}
+
+
+/// Pops `n` records and counts them by tenant.
+std::map<std::string, int> pop_counts(TenantRouter& router, int n) {
+  std::map<std::string, int> counts;
+  QueuedRecord out;
+  for (int i = 0; i < n && router.try_pop(&out); ++i)
+    ++counts[out.record.tenant];
+  return counts;
+}
+
+TEST(TenantRouter, WeightsSetTheShareOfPopsOnTheDefaultConfig) {
+  // Four backlogged tenants weighted {1, 1, 2, 4} with equal work: over
+  // the first 400 pops each gets exactly its weighted share.  250 records
+  // each fit the default capacity, so nothing is shed.
+  TenantRouter router{RouterConfig{}};
+  const std::pair<const char*, double> tenants[] = {
+      {"t1", 1.0}, {"t2", 1.0}, {"t3", 2.0}, {"t4", 4.0}};
+  for (const auto& [name, weight] : tenants) router.set_weight(name, weight);
+  for (int i = 0; i < 250; ++i)
+    for (const auto& [name, weight] : tenants) admit(router, rec(name));
+  const std::map<std::string, int> expected = {
+      {"t1", 50}, {"t2", 50}, {"t3", 100}, {"t4", 200}};
+  EXPECT_EQ(pop_counts(router, 400), expected);
+  EXPECT_EQ(router.stats().total_shed(), 0u);
+}
+
+TEST(TenantRouter, ShortJobsOfAHeavierTenantAreNotQueuedBehindLongOnes) {
+  // A weight-3 tenant with 20-unit jobs against a weight-1 tenant with
+  // 5,000-unit jobs: after one long job the long tenant's virtual time is
+  // 5,000, which the short tenant reaches only after 750 pops.
+  TenantRouter router{RouterConfig{}};
+  router.set_weight("short", 3.0);
+  for (int i = 0; i < 250; ++i) {
+    admit(router, rec("long", 5000.0));
+    admit(router, rec("short", 20.0));
+  }
+  EXPECT_EQ(pop_counts(router, 200)["short"], 199);
+}
+
+TEST(TenantRouter, DepartedTenantsDoNotAccumulate) {
+  // 10^5 tenants each send one record and leave, while the backlog
+  // wanders.  Idle entries past `capacity` are erased, so the router never
+  // holds more entries than capacity + depth, and every record is popped.
+  const RouterConfig config;
+  TenantRouter router(config);
+  router.set_weight("gold", 4.0);
+  admit(router, rec("gold"));
+  QueuedRecord out;
+  ASSERT_TRUE(router.try_pop(&out));
+
+  constexpr std::uint64_t kTenants = 100000;
+  sim::Rng rng(7);
+  std::uint64_t popped = 0;
+  const auto pop_one = [&] {
+    if (!router.try_pop(&out)) return false;
+    ++popped;
+    const TenantRouter::Stats s = router.stats();
+    EXPECT_LE(s.tenants, config.capacity + s.depth) << "after pop " << popped;
+    return true;
+  };
+  for (std::uint64_t i = 0; i < kTenants; ++i) {
+    admit(router, rec(std::to_string(i)));
+    const TenantRouter::Stats s = router.stats();
+    ASSERT_LE(s.tenants, config.capacity + s.depth) << "after push " << i;
+    for (std::uint64_t pops = rng.uniform_int(3); pops > 0 && pop_one();)
+      --pops;
+  }
+  while (pop_one()) {
+  }
+  EXPECT_EQ(popped, kTenants);
+  const TenantRouter::Stats s = router.stats();
+  EXPECT_EQ(s.total_shed(), 0u);
+  EXPECT_LE(s.tenants, config.capacity);
+  expect_conservation(s);
+
+  // gold's entry went with the other idle ones; its weight did not.  At
+  // 4:1 with unit work, gold takes 4 of the first 5 pops.
+  for (int i = 0; i < 4; ++i) {
+    admit(router, rec("gold"));
+    admit(router, rec("plain"));
+  }
+  EXPECT_EQ(pop_counts(router, 5)["gold"], 4);
 }
 
 }  // namespace

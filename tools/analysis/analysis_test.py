@@ -376,8 +376,11 @@ class GateCase(unittest.TestCase):
                         "docs/lock-order.dot missing — run "
                         "tools/analysis/regen_lock_order.sh")
         args = ["--root", REPO_ROOT, "--check-dot", golden]
-        compile_commands = os.path.join(REPO_ROOT, "build",
-                                        "compile_commands.json")
+        # ctest names the running build's database; a hand run falls back
+        # to build/'s.
+        compile_commands = os.environ.get(
+            "PJSCHED_COMPILE_COMMANDS",
+            os.path.join(REPO_ROOT, "build", "compile_commands.json"))
         if os.path.isfile(compile_commands):
             args += ["--compile-commands", compile_commands]
         code, out, err = run_analysis(args)

@@ -1,7 +1,7 @@
 // chaos_campaign — seeded fault campaigns against the scheduling daemon,
 // with invariant assertions after every trial.
 //
-// Each trial runs the SAME workload twice:
+// Each trial runs the SAME nice workload twice, then a churn run:
 //
 //   baseline  a well-behaved tenant ("nice") paces records into a healthy
 //             daemon; its max flow time is the trial's reference p100;
@@ -10,9 +10,12 @@
 //             seeded FaultPlan (task failures, a stalled worker, admission
 //             delay), and (c) a TCP feed connection sends good records,
 //             malformed lines, an oversize line, and then disconnects
-//             mid-line.
+//             mid-line;
+//   churn     the flood again, beside thousands of tenants that each send
+//             one record and leave (under the same fault plan).
 //
-// After the chaos run drains, the harness asserts the service invariants:
+// After the chaos and churn runs drain, the harness asserts the service
+// invariants:
 //
 //   * no deadlock: drain() completes within its timeout;
 //   * no lost jobs: every tenant's submitted == completed + failed +
@@ -24,6 +27,8 @@
 //   * hostile input contained: the malformed / oversize / partial lines
 //     were quarantined and counted, never submitted, never fatal;
 //   * overload actually engaged: the flooding tenant was shed;
+//   * departed tenants cost nothing: after the churn run drains, the
+//     router holds at most `capacity` tenant entries;
 //   * fairness: the nice tenant keeps completing, and its max flow stays
 //     within 2x the baseline (with a floor for timer/sanitizer noise).
 //
@@ -57,6 +62,7 @@ struct Options {
 
 constexpr unsigned kNiceRecords = 40;
 constexpr unsigned kFloodRecords = 2500;
+constexpr unsigned kChurnTenants = 3000;
 constexpr double kFloorSeconds = 0.05;  // timer/sanitizer noise floor
 constexpr double kFlowBoundFactor = 2.0;
 
@@ -66,13 +72,12 @@ service::DaemonConfig make_config(std::uint64_t seed, bool chaos) {
   config.pool.watchdog_interval = std::chrono::milliseconds(25);
   config.pool.watchdog_sink = [](const std::string&) {};  // counted, not
                                                           // spammed
-  config.router.shards = 2;
   config.router.capacity = 96;
   config.tick_interval = std::chrono::milliseconds(1);
   config.ns_per_unit = 2000.0;
   config.read_deadline = std::chrono::milliseconds(2000);
   // Sharded ingest even on small hosts: the campaign must exercise the
-  // accept-handoff and cross-shard batched-admission paths.
+  // accept handoff and batched admission from more than one io shard.
   config.io_threads = 2;
   if (chaos) {
     config.tcp_port = 0;  // ephemeral loopback listener for the feed thread
@@ -115,6 +120,17 @@ void run_flood_tenant(service::Daemon& daemon) {
     // Every fourth flood record carries a deadline it cannot make, so the
     // campaign exercises the deadline-expired terminal path under load.
     if (i % 4 == 3) r.deadline_ms = 1;
+    daemon.submit_record(std::move(r));
+  }
+}
+
+/// One record from each of kChurnTenants tenants never seen before.
+void run_churn_tenants(service::Daemon& daemon) {
+  for (std::uint64_t i = 0; i < kChurnTenants; ++i) {
+    service::JobRecord r;
+    r.tenant = "churn-" + std::to_string(i);
+    r.work = 1.0;
+    r.client_id = i + 1;
     daemon.submit_record(std::move(r));
   }
 }
@@ -276,6 +292,23 @@ TrialOutcome run_trial(std::uint64_t seed, bool verbose) {
     }
 
     if (verbose) std::cout << daemon.metrics_text();
+  }
+
+  // Phase 3: tenant churn beside the flood, under the same fault plan.
+  {
+    const service::DaemonConfig config = make_config(seed, /*chaos=*/true);
+    service::Daemon daemon(config);
+    std::thread flood([&daemon] { run_flood_tenant(daemon); });
+    run_churn_tenants(daemon);
+    flood.join();
+    out.check(daemon.drain(std::chrono::milliseconds(30000)),
+              "churn: drain timed out (deadlock)");
+    const service::DaemonSnapshot s = daemon.snapshot();
+    check_books(s, "churn", &out);
+    out.check(s.router.tenants <= config.router.capacity,
+              "churn: router kept " + std::to_string(s.router.tenants) +
+                  " tenant entries after drain (capacity " +
+                  std::to_string(config.router.capacity) + ")");
   }
   return out;
 }

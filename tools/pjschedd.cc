@@ -8,8 +8,7 @@
 // periodically with --status-interval-ms).
 //
 //   pjschedd --unix=/tmp/pjsched.sock --workers=4 --duration-ms=60000
-//   pjschedd --tcp=7133 --capacity=8192 --shards=16
-//            --weights=gold=4,bronze=0.5
+//   pjschedd --tcp=7133 --capacity=8192 --weights=gold=4,bronze=0.5
 //   pjschedd --feed=trace.inst --feed-tenant=replay --time-scale=0.001
 #include <chrono>
 #include <cstdint>
@@ -26,6 +25,7 @@
 
 namespace {
 
+using pjsched::core::parse_finite;
 using pjsched::core::parse_unsigned;
 using pjsched::service::Daemon;
 using pjsched::service::DaemonConfig;
@@ -56,8 +56,8 @@ int usage(const char* argv0) {
       << "  --tcp=PORT              listen on loopback TCP (0 = ephemeral)\n"
       << "  --workers=N             pool workers (default 4)\n"
       << "  --capacity=N            router capacity in records (default 4096)\n"
-      << "  --shards=N              router shards (default 8)\n"
-      << "  --weights=T=W,T=W,...   per-tenant fair-share weights\n"
+      << "  --weights=T=W,T=W,...   per-tenant fair-share weights, each "
+         "in (0, 1e6]\n"
       << "  --feed=FILE             replay an instance file as the feed\n"
       << "  --feed-tenant=NAME      tenant for --feed records\n"
       << "  --time-scale=S          seconds per instance time unit (0 = "
@@ -87,16 +87,16 @@ bool parse_args(int argc, char** argv, Options* opts) {
         opts->config.pool.workers = parse_unsigned<unsigned>(v);
       } else if (parse_flag(arg, "capacity", &v)) {
         opts->config.router.capacity = parse_unsigned<std::size_t>(v);
-      } else if (parse_flag(arg, "shards", &v)) {
-        opts->config.router.shards = parse_unsigned<std::size_t>(v);
       } else if (parse_flag(arg, "ns-per-unit", &v)) {
-        opts->config.ns_per_unit = std::stod(v);
+        opts->config.ns_per_unit = parse_finite(v);
+        if (opts->config.ns_per_unit < 0.0) return false;
       } else if (parse_flag(arg, "feed", &v)) {
         opts->feed_file = v;
       } else if (parse_flag(arg, "feed-tenant", &v)) {
         opts->feed_tenant = v;
       } else if (parse_flag(arg, "time-scale", &v)) {
-        opts->time_scale = std::stod(v);
+        opts->time_scale = parse_finite(v);
+        if (opts->time_scale < 0.0) return false;
       } else if (parse_flag(arg, "duration-ms", &v)) {
         opts->duration_ms = parse_unsigned<std::uint64_t>(v);
       } else if (parse_flag(arg, "status-interval-ms", &v)) {
@@ -120,8 +120,11 @@ bool parse_args(int argc, char** argv, Options* opts) {
               v.substr(pos, comma == std::string::npos ? comma : comma - pos);
           const std::size_t eq = item.find('=');
           if (eq == std::string::npos || eq == 0) return false;
-          opts->weights.emplace_back(item.substr(0, eq),
-                                     std::stod(item.substr(eq + 1)));
+          // The wire's weight range (record.h).
+          const double weight = parse_finite(item.substr(eq + 1));
+          if (!(weight > 0.0) || weight > pjsched::service::kMaxWeight)
+            return false;
+          opts->weights.emplace_back(item.substr(0, eq), weight);
           if (comma == std::string::npos) break;
           pos = comma + 1;
         }
