@@ -31,10 +31,10 @@ constexpr std::size_t kParseBatchEntries = 256;
 /// the whole capacity for a tenant that may complete one job.
 constexpr std::size_t kTenantFlowReservoir = 1024;
 
-/// The dispatcher's longest sleep, and the age up to which a full window
-/// waits on its oldest job rather than on arrivals.  It bounds a missed
-/// arrival wake-up, and the time a long oldest job keeps the dispatcher
-/// from noticing the slots of younger jobs that finished first.
+/// The age up to which a full window waits on its oldest job rather than
+/// on arrivals, and the dispatcher's longest sleep while records queue
+/// behind a full window.  It bounds the time a long oldest job keeps the
+/// dispatcher from noticing the slots of younger jobs that finished first.
 constexpr std::chrono::milliseconds kDispatchBackstop{1};
 
 int make_wake_pipe(int* rd, int* wr) {
@@ -89,7 +89,12 @@ void spin_cancellable(runtime::TaskContext& ctx, double units,
 }  // namespace
 
 Daemon::Daemon(const DaemonConfig& config)
-    : config_(config), pool_(config.pool), router_(config.router) {
+    : config_(config),
+      pool_(config.pool),
+      router_(config.router),
+      window_(config.dispatch_window > 0
+                  ? config.dispatch_window
+                  : static_cast<std::size_t>(pool_.workers()) * 4) {
   started_ = Clock::now();
   std::string error;
   if (!config_.unix_socket_path.empty()) {
@@ -124,8 +129,7 @@ Daemon::Daemon(const DaemonConfig& config)
         }
         close_fd(unix_listen_fd_);
         close_fd(tcp_listen_fd_);
-        stop_.store(true, std::memory_order_release);
-        work_cv_.notify_all();
+        raise_stop();
         dispatcher_.join();
         maintenance_.join();
         pool_.shutdown();
@@ -138,10 +142,17 @@ Daemon::Daemon(const DaemonConfig& config)
   }
 }
 
+void Daemon::raise_stop() {
+  {
+    runtime::MutexLock lock(work_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
+  work_cv_.notify_all();
+}
+
 Daemon::~Daemon() {
   router_.begin_drain();
-  stop_.store(true, std::memory_order_release);
-  work_cv_.notify_all();
+  raise_stop();
   for (auto& shard : io_shards_) wake_shard(shard->wake_wr);
   for (auto& shard : io_shards_) {
     if (shard->thread.joinable()) shard->thread.join();
@@ -183,7 +194,7 @@ PushOutcome Daemon::submit_record(JobRecord record) {
   const PushOutcome out = router_.push(std::move(record), &evictions, &reason);
   if (!evictions.empty()) account_sheds(evictions);
   if (out == PushOutcome::kShed) account_shed_reason(tenant, reason);
-  work_cv_.notify_one();
+  if (pump()) wake_dispatcher();
   return out;
 }
 
@@ -254,6 +265,7 @@ void Daemon::dispatch(QueuedRecord rec) {
     if (spent >= budget) {
       runtime::MutexLock lock(state_mu_);
       ++tenants_[rec.record.tenant].deadline_expired;
+      --dispatching_;
       return;
     }
     opts.deadline = budget - spent;
@@ -284,48 +296,74 @@ void Daemon::dispatch(QueuedRecord rec) {
   runtime::MutexLock lock(state_mu_);
   pending_.push_back(
       PendingJob{std::move(handle), std::move(rec.record.tenant), rec.ingest});
+  --dispatching_;
+}
+
+bool Daemon::pump() {
+  QueuedRecord rec;
+  while (true) {
+    {
+      runtime::MutexLock lock(state_mu_);
+      if (reap_locked() + dispatching_ >= window_) return router_.depth() > 0;
+      if (!router_.try_pop(&rec)) return false;
+      ++dispatching_;
+    }
+    dispatch(std::move(rec));
+  }
+}
+
+void Daemon::wake_dispatcher() {
+  bool raised = false;
+  {
+    runtime::MutexLock lock(work_mu_);
+    raised = !backlog_;
+    backlog_ = true;
+  }
+  if (raised) work_cv_.notify_one();
 }
 
 void Daemon::dispatcher_main() {
-  const std::size_t window =
-      config_.dispatch_window > 0
-          ? config_.dispatch_window
-          : static_cast<std::size_t>(pool_.workers()) * 4;
-  QueuedRecord rec;
   while (true) {
-    const bool full = reap_finished() >= window;
-    if (!full) {
-      // order: relaxed — the router pop's unlock publishes the store to a
-      // drain() that then sees the emptied router; the release store below
-      // publishes the pending_ entry (or the expiry) with its reset.
-      dispatching_.store(true, std::memory_order_relaxed);
-      const bool popped = router_.try_pop(&rec);
-      if (popped) dispatch(std::move(rec));
-      dispatching_.store(false, std::memory_order_release);
-      if (popped) continue;
-    }
+    const bool backlog = pump();
     if (stop_.load(std::memory_order_acquire)) return;
-    // Full window: wait on the oldest in-flight job (pending_ is in
-    // dispatch order) until it is kDispatchBackstop old.  A backlog
-    // already queued sends no arrival wake-up, so that job's completion is
-    // what frees a slot.  An older job is a long one that younger jobs
-    // outlive; their freed slots are found on arrivals, as when the
-    // window has room.
+    if (!backlog) {
+      // Nothing queued behind a full window: each arrival dispatches
+      // itself, and one that finds the window full raises the flag.  Only
+      // this branch lowers it, each time before a pump, so a backlog's
+      // later arrivals find it raised and wake nobody.
+      runtime::MutexLock lock(work_mu_);
+      if (!backlog_) {
+        while (!backlog_ && !stop_.load(std::memory_order_acquire))
+          work_cv_.wait(work_mu_);
+        ++wakeups_;
+      }
+      backlog_ = false;
+      continue;
+    }
+    // A backlog behind a full window sends no arrivals to refill it.  Wait
+    // on the oldest in-flight job (pending_ is in dispatch order) until it
+    // is kDispatchBackstop old: its completion is what frees a slot.  An
+    // older job is a long one that younger jobs outlive; their slots are
+    // found by arrivals, or at the timed wait's end.
     runtime::JobHandle oldest;
     Clock::duration left{};
-    if (full) {
+    {
       runtime::MutexLock lock(state_mu_);
-      if (pending_.size() < window) continue;  // reaped meanwhile elsewhere
-      const runtime::JobHandle& front = pending_.front().handle;
-      left = front->submit_time() + kDispatchBackstop - Clock::now();
-      if (left > Clock::duration::zero()) {
-        oldest = front;
-        ++window_waits_;
+      // Another thread reaped since the pump: pump again.
+      if (pending_.size() + dispatching_ < window_) continue;
+      if (!pending_.empty()) {
+        const runtime::JobHandle& front = pending_.front().handle;
+        left = front->submit_time() + kDispatchBackstop - Clock::now();
+        if (left > Clock::duration::zero()) {
+          oldest = front;
+          ++window_waits_;
+        }
       }
     }
     if (!oldest) {
       runtime::MutexLock lock(work_mu_);
       work_cv_.wait_for(work_mu_, kDispatchBackstop);
+      ++wakeups_;
       continue;
     }
     if (!oldest->wait_for(left)) {
@@ -390,6 +428,10 @@ void Daemon::account_sheds(const std::vector<ShedRecord>& sheds) {
 
 std::size_t Daemon::reap_finished() {
   runtime::MutexLock lock(state_mu_);
+  return reap_locked();
+}
+
+std::size_t Daemon::reap_locked() {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     PendingJob& p = pending_[i];
@@ -443,14 +485,15 @@ bool Daemon::drain(std::chrono::milliseconds timeout) {
   router_.begin_drain();
   const Clock::time_point deadline = Clock::now() + timeout;
   while (Clock::now() < deadline) {
-    // In this order: a record the dispatcher popped after the depth read
-    // shows in dispatching_, and one it entered in pending_ before that
-    // read was reset shows in reap_finished().
+    if (pump()) wake_dispatcher();
+    // In this order: a record popped after the depth read was counted in
+    // dispatching_ by the hold that popped it, and one that has left
+    // dispatching_ is in pending_, read in the same hold.
     const std::size_t queued = router_.depth();
-    const bool dispatching = dispatching_.load(std::memory_order_acquire);
-    const std::size_t inflight = reap_finished();
-    if (queued == 0 && !dispatching && inflight == 0) return true;
-    work_cv_.notify_one();  // keep the dispatcher popping
+    {
+      runtime::MutexLock lock(state_mu_);
+      if (queued == 0 && dispatching_ == 0 && reap_locked() == 0) return true;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
@@ -473,6 +516,10 @@ DaemonSnapshot Daemon::snapshot() const {
   snap.router = router_.stats();
   snap.pool = pool_.stats();
   snap.admission = pool_.admission_stats();
+  {
+    runtime::MutexLock lock(work_mu_);
+    snap.wakeups = wakeups_;
+  }
   runtime::MutexLock lock(state_mu_);
   snap.feed = feed_;
   snap.tenants = tenants_;
@@ -506,7 +553,8 @@ std::string Daemon::metrics_text() const {
       << " slow_drip=" << s.feed.slow_drip << " batches=" << s.feed.batches
       << "]"
       << " dispatch[window_waits=" << s.window_waits
-      << " window_timeouts=" << s.window_timeouts << "]"
+      << " window_timeouts=" << s.window_timeouts
+      << " wakeups=" << s.wakeups << "]"
       << " inflight=" << s.inflight << "\n";
   for (const auto& [name, t] : s.tenants) {
     out << "  tenant " << name << ": submitted=" << t.submitted
@@ -559,7 +607,8 @@ std::string Daemon::metrics_machine() const {
       << "ingest.slow_drip " << s.feed.slow_drip << "\n"
       << "ingest.commands " << s.feed.commands << "\n"
       << "dispatch.window_waits " << s.window_waits << "\n"
-      << "dispatch.window_timeouts " << s.window_timeouts << "\n";
+      << "dispatch.window_timeouts " << s.window_timeouts << "\n"
+      << "dispatch.wakeups " << s.wakeups << "\n";
   for (const auto& [name, t] : s.tenants) {
     const std::string prefix = "tenant." + name + ".";
     out << prefix << "submitted " << t.submitted << "\n"
@@ -681,20 +730,16 @@ void Daemon::admit_records(std::vector<JobRecord>& records,
   }
   evictions.clear();
   router_.admit_batch({records.data(), records.size()}, &outcomes, &evictions);
-  bool admitted_any = false;
   {
     runtime::MutexLock lock(state_mu_);
     for (const ShedRecord& s : evictions)
       bump_shed_counter(tenants_[s.item.record.tenant], s.reason);
-    for (std::size_t i = 0; i < records.size(); ++i) {
+    for (std::size_t i = 0; i < records.size(); ++i)
       if (outcomes[i].outcome == PushOutcome::kShed)
         bump_shed_counter(tenants_[records[i].tenant], outcomes[i].reason);
-      else
-        admitted_any = true;
-    }
   }
-  if (admitted_any) work_cv_.notify_one();
   records.clear();
+  if (pump()) wake_dispatcher();
 }
 
 void Daemon::io_shard_main(std::size_t shard_index) {

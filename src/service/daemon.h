@@ -4,14 +4,18 @@
 //
 // Threads owned by a Daemon:
 //
-//   dispatcher   pops weighted-fair from the router and submits to the
-//                pool, at most dispatch_window jobs in flight; enforces
-//                per-record deadline budgets (time already spent queued in
-//                the router counts against the budget).  It sleeps until
-//                a record arrives (work_cv_) or, with the window full and
-//                its oldest in-flight job younger than 1 ms, until that
-//                job finishes (its Job condvar); no wait lasts over 1 ms
-//                (docs/service.md, "Dispatch");
+//   dispatcher   refills a full dispatch window from a backlog already
+//                queued in the router.  Every arrival is dispatched by
+//                pump() on the thread that admits it (an io shard or the
+//                submit_record caller): pop weighted-fair, enforce the
+//                record's deadline budget (time already spent queued in
+//                the router counts against it) and submit to the pool, at
+//                most dispatch_window jobs in flight.  An arrival that
+//                finds the window full wakes the dispatcher, which waits
+//                on its oldest in-flight job (its Job condvar) while that
+//                job is younger than 1 ms, and on work_cv_ for at most
+//                1 ms after; with nothing queued it sleeps on work_cv_
+//                with no timer (docs/service.md, "Dispatch");
 //   maintenance  ticks the degradation ladder (utilization + watchdog
 //                stall signal), accounts tick-time evictions, and reaps
 //                finished pool jobs into per-tenant counters;
@@ -85,11 +89,12 @@ struct DaemonConfig {
   /// CPU time rendered per work unit (see runtime::spin_for_units).
   double ns_per_unit = 1000.0;
   /// Max jobs dispatched to the pool but not yet reaped (0 = 4x workers).
-  /// The dispatcher stops popping at the window so the backlog stays in
-  /// the ROUTER — where weighted fairness and the ladder's utilization
-  /// signal live — instead of leaking into the pool's FIFO queue.  A full
-  /// window waits for its oldest in-flight job to finish, and for
-  /// arrivals once that job is 1 ms old.
+  /// Dispatch stops popping at the window so the backlog stays in the
+  /// ROUTER — where weighted fairness and the ladder's utilization signal
+  /// live — instead of leaking into the pool's FIFO queue.  Arrivals
+  /// refill a full window as they come; behind a queued backlog the
+  /// dispatcher refills it when its oldest in-flight job finishes, or
+  /// every 1 ms once that job is 1 ms old.
   std::size_t dispatch_window = 0;
   /// How many recent malformed-line samples to keep for diagnosis.
   std::size_t quarantine_keep = 16;
@@ -156,6 +161,11 @@ struct DaemonSnapshot {
   /// at the job's 1 ms mark rather than at its completion.
   std::uint64_t window_waits = 0;
   std::uint64_t window_timeouts = 0;
+  /// The dispatcher's other sleeps, on work_cv_: woken by an arrival that
+  /// found the window full, or by the 1 ms timer with a backlog queued.
+  /// An arrival that finds room is dispatched on its own thread and wakes
+  /// nobody, so this grows only with full windows.
+  std::uint64_t wakeups = 0;
   std::vector<std::string> quarantine;  ///< recent malformed-line samples
 };
 
@@ -247,6 +257,8 @@ class Daemon {
     std::thread thread;
   };
 
+  /// Sets stop_ under work_mu_ and wakes the dispatcher.
+  void raise_stop();
   void dispatcher_main();
   void maintenance_main();
   void io_shard_main(std::size_t shard_index);
@@ -267,7 +279,15 @@ class Daemon {
                      std::vector<TenantRouter::BatchOutcome>& outcomes,
                      std::vector<ShedRecord>& evictions);
 
-  /// Submits one popped record to the pool (dispatcher thread).
+  /// The one dispatch routine, run by whichever thread changed the state:
+  /// reaps finished jobs, then pops and dispatches while the window has
+  /// room.  True when it stopped at a full window with records queued.
+  bool pump();
+  /// Raises the backlog flag for a pump() that stopped at a full window;
+  /// notifies work_cv_ only when the flag was down.
+  void wake_dispatcher();
+  /// Submits one popped record to the pool outside every lock, then
+  /// moves it from the in-hand count to pending_ (or books its expiry).
   void dispatch(QueuedRecord rec);
   /// Books a terminal outcome for a record the router gave up on.
   void account_shed_reason(const std::string& tenant, ShedReason reason);
@@ -276,6 +296,7 @@ class Daemon {
   /// Moves finished pending jobs into tenant counters; returns how many
   /// jobs are still in flight.
   std::size_t reap_finished();
+  std::size_t reap_locked() PJSCHED_REQUIRES(state_mu_);
   /// Saves a quarantine sample for diagnosis.  `count_malformed` is false
   /// for slow-drip closes, which have their own counter.
   void quarantine_line(std::string_view line, std::string_view why,
@@ -284,6 +305,8 @@ class Daemon {
   const DaemonConfig config_;
   runtime::ThreadPool pool_;
   TenantRouter router_;
+  /// config_.dispatch_window, with 0 resolved to 4x workers.
+  const std::size_t window_;
 
   mutable runtime::Mutex state_mu_;
   std::map<std::string, TenantCounters> tenants_ PJSCHED_GUARDED_BY(state_mu_);
@@ -291,24 +314,26 @@ class Daemon {
   std::map<std::string, metrics::StreamingFlowStats> flow_
       PJSCHED_GUARDED_BY(state_mu_);
   std::vector<PendingJob> pending_ PJSCHED_GUARDED_BY(state_mu_);
+  /// Records popped from the router but not yet entered in pending_ (or
+  /// expired).  The pop and this count share one state_mu_ hold, so a
+  /// record in some thread's hand fills a window slot, and drain(), which
+  /// reads this after the router depth, never misses it.
+  std::size_t dispatching_ PJSCHED_GUARDED_BY(state_mu_) = 0;
   FeedStats feed_ PJSCHED_GUARDED_BY(state_mu_);
   std::deque<std::string> quarantine_ PJSCHED_GUARDED_BY(state_mu_);
   std::uint64_t window_waits_ PJSCHED_GUARDED_BY(state_mu_) = 0;
   std::uint64_t window_timeouts_ PJSCHED_GUARDED_BY(state_mu_) = 0;
 
-  /// Dispatcher wakeup: submit_record notifies after a successful push.
-  // lint: allow(wait-lock): pairs with work_cv_ only; guards no data — the
-  // dispatcher's pop predicate reads the router under its own lock, this
-  // lock just closes the check-then-block window.
-  runtime::Mutex work_mu_;
+  /// Dispatcher wakeup: a pump() that stopped at a full window raises
+  /// backlog_; the dispatcher lowers it only once a pump of its own has
+  /// found nothing queued behind a full window.
+  mutable runtime::Mutex work_mu_;
   runtime::CondVar work_cv_;
+  bool backlog_ PJSCHED_GUARDED_BY(work_mu_) = false;
+  std::uint64_t wakeups_ PJSCHED_GUARDED_BY(work_mu_) = 0;
 
+  /// Stored under work_mu_, so the dispatcher's untimed sleep sees it.
   std::atomic<bool> stop_{false};
-  /// True while the dispatcher holds a record it popped from the router
-  /// but has not yet entered in pending_ (or expired).  drain() reads it
-  /// between the router depth and pending_, so a record in the
-  /// dispatcher's hand keeps drain() from reporting the daemon empty.
-  std::atomic<bool> dispatching_{false};
   std::atomic<std::uint64_t> last_watchdog_dumps_{0};
   /// Open connections across all io shards (max_connections gate).
   std::atomic<std::size_t> open_conns_{0};

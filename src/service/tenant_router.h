@@ -4,7 +4,7 @@
 // One queue under one lock.  Within it:
 //
 //   * records queue FIFO per tenant;
-//   * the dispatcher pops weighted-fair: the backlogged tenant with the
+//   * dispatch pops weighted-fair: the backlogged tenant with the
 //     smallest virtual service time (serviced work / weight), ties to the
 //     earliest-queued head record, so a flooding tenant cannot starve a
 //     well-behaved one even before any shedding starts.  The backlogged
@@ -30,7 +30,7 @@
 // and the counters.
 //
 // Every record handed to push() reaches exactly one outcome: admitted (and
-// later popped by the dispatcher) or shed/rejected with a reason — either
+// later popped for dispatch) or shed/rejected with a reason — either
 // returned synchronously or, for queued records trimmed later, surfaced
 // through tick()'s eviction list.  The conservation law
 //   accepted == popped + shed_from_queue + depth
@@ -158,7 +158,7 @@ class TenantRouter {
   Rung tick(bool stalled, std::vector<ShedRecord>* evictions);
 
   /// Terminal: every future push is rejected (kRejectDrain); queued
-  /// records stay poppable so the dispatcher can drain.
+  /// records stay poppable so dispatch can drain them.
   void begin_drain();
 
   Rung rung() const;

@@ -168,6 +168,8 @@ TEST(ServiceDaemon, MetricsCommandRepliesInMachineFormat) {
   EXPECT_NE(reply.find("rung normal\n"), std::string::npos) << reply;
   EXPECT_NE(reply.find("tenant.mtx.submitted 2\n"), std::string::npos)
       << reply;
+  // The io shard dispatched both records before it wrote the reply.
+  EXPECT_NE(reply.find("router.depth 0\n"), std::string::npos) << reply;
   EXPECT_NE(reply.find("ingest.records 2\n"), std::string::npos) << reply;
   EXPECT_NE(reply.find("ingest.commands 1\n"), std::string::npos) << reply;
   EXPECT_NE(reply.find("router.accepted "), std::string::npos);
@@ -175,6 +177,7 @@ TEST(ServiceDaemon, MetricsCommandRepliesInMachineFormat) {
   EXPECT_NE(reply.find("pool.parks "), std::string::npos);
   EXPECT_NE(reply.find("dispatch.window_waits "), std::string::npos);
   EXPECT_NE(reply.find("dispatch.window_timeouts "), std::string::npos);
+  EXPECT_NE(reply.find("dispatch.wakeups "), std::string::npos);
 
   ASSERT_TRUE(daemon.drain(5000ms));
   const DaemonSnapshot snap = daemon.snapshot();
@@ -320,6 +323,35 @@ TEST(ServiceDaemon, LongOldestJobLeavesRefillsToArrivals) {
   EXPECT_EQ(snap.tenants.at("mix").completed, kShort + 1);
   expect_books_balance(snap);
   EXPECT_LE(snap.window_timeouts, 10u) << "of " << snap.window_waits;
+}
+
+TEST(ServiceDaemon, ArrivalWithRoomIsDispatchedBeforeSubmitReturns) {
+  // Each arrival waits until the one before it is reaped, so the window
+  // never fills: it is dispatched on the submitting thread before
+  // submit_record returns, and none of them wakes the dispatcher thread.
+  Daemon daemon(small_config());
+  const std::uint64_t wakeups = daemon.snapshot().wakeups;
+  constexpr std::uint64_t kRecords = 100;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(eventually([&] { return daemon.snapshot().inflight == 0; }));
+    JobRecord r;
+    r.tenant = "steady";
+    r.work = 1;
+    EXPECT_EQ(daemon.submit_record(r), PushOutcome::kAdmitted);
+    EXPECT_EQ(daemon.router().depth(), 0u) << "record " << i;
+  }
+  EXPECT_EQ(daemon.snapshot().wakeups, wakeups);
+  ASSERT_TRUE(daemon.drain(5000ms));
+  const DaemonSnapshot snap = daemon.snapshot();
+  EXPECT_EQ(snap.tenants.at("steady").completed, kRecords);
+  expect_books_balance(snap);
+}
+
+TEST(ServiceDaemon, IdleDispatcherSleepsWithoutATimer) {
+  Daemon daemon(small_config());
+  const std::uint64_t before = daemon.snapshot().wakeups;
+  std::this_thread::sleep_for(300ms);
+  EXPECT_LE(daemon.snapshot().wakeups, before + 1);
 }
 
 TEST(ServiceDaemon, ReplayFileFeedSubmitsEveryInstanceJob) {

@@ -31,6 +31,7 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using pjsched::core::parse_finite;
 using pjsched::core::parse_unsigned;
 namespace service = pjsched::service;
 
@@ -82,13 +83,13 @@ bool parse_args(int argc, char** argv, Options* o) {
       else if (parse_flag(arg, "tenant", &v)) o->tenant = v;
       else if (parse_flag(arg, "records", &v))
         o->records = parse_unsigned<std::uint64_t>(v);
-      else if (parse_flag(arg, "work", &v)) o->work = std::stod(v);
+      else if (parse_flag(arg, "work", &v)) o->work = parse_finite(v);
       else if (parse_flag(arg, "fanout", &v))
         o->fanout = parse_unsigned<unsigned>(v);
-      else if (parse_flag(arg, "weight", &v)) o->weight = std::stod(v);
+      else if (parse_flag(arg, "weight", &v)) o->weight = parse_finite(v);
       else if (parse_flag(arg, "deadline-ms", &v))
         o->deadline_ms = parse_unsigned<std::uint64_t>(v);
-      else if (parse_flag(arg, "rate", &v)) o->rate = std::stod(v);
+      else if (parse_flag(arg, "rate", &v)) o->rate = parse_finite(v);
       else if (parse_flag(arg, "budget-ms", &v))
         o->budget_ms = parse_unsigned<std::uint64_t>(v);
       else if (parse_flag(arg, "max-retries", &v))
@@ -105,6 +106,10 @@ bool parse_args(int argc, char** argv, Options* o) {
     }
   }
   if (o->connections == 0) return false;
+  // The wire's ranges (record.h); a rate of 0 sends unpaced.
+  if (!(o->work > 0.0) || o->work > service::kMaxWork) return false;
+  if (!(o->weight > 0.0) || o->weight > service::kMaxWeight) return false;
+  if (o->rate < 0.0) return false;
   return !o->unix_path.empty() || o->tcp_port >= 0;
 }
 
