@@ -1,28 +1,25 @@
 #include "src/dag/builders.h"
 
+#include <numeric>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace pjsched::dag {
 
 Dag serial_chain(std::size_t length, Work work_per_node) {
   if (length == 0) throw std::invalid_argument("serial_chain: length == 0");
-  Dag d;
-  NodeId prev = d.add_node(work_per_node);
-  for (std::size_t i = 1; i < length; ++i) {
-    const NodeId cur = d.add_node(work_per_node);
-    d.add_edge(prev, cur);
-    prev = cur;
-  }
-  d.seal();
-  return d;
+  // Node i's one successor is i + 1; the last node has none.
+  std::vector<std::uint32_t> succ_off(length + 1);
+  std::iota(succ_off.begin(), succ_off.end() - 1, 0u);
+  succ_off[length] = succ_off[length - 1];
+  std::vector<NodeId> succ(length - 1);
+  std::iota(succ.begin(), succ.end(), NodeId{1});
+  return Dag(std::vector<Work>(length, work_per_node), std::move(succ_off),
+             std::move(succ));
 }
 
-Dag single_node(Work work) {
-  Dag d;
-  d.add_node(work);
-  d.seal();
-  return d;
-}
+Dag single_node(Work work) { return Dag({work}, {0, 0}, {}); }
 
 Dag parallel_for_dag(std::size_t grains, Work body_work, Work root_work,
                      Work join_work) {
@@ -61,14 +58,14 @@ Dag divide_and_conquer(std::size_t depth, Work leaf_work) {
 
 Dag star(std::size_t children) {
   if (children == 0) throw std::invalid_argument("star: children == 0");
-  Dag d;
-  const NodeId root = d.add_node(1);
-  for (std::size_t c = 0; c < children; ++c) {
-    const NodeId leaf = d.add_node(1);
-    d.add_edge(root, leaf);
-  }
-  d.seal();
-  return d;
+  // The root's slice lists every leaf; the leaves' slices are empty.
+  std::vector<std::uint32_t> succ_off(children + 2,
+                                      static_cast<std::uint32_t>(children));
+  succ_off[0] = 0;
+  std::vector<NodeId> succ(children);
+  std::iota(succ.begin(), succ.end(), NodeId{1});
+  return Dag(std::vector<Work>(children + 1, 1), std::move(succ_off),
+             std::move(succ));
 }
 
 namespace {

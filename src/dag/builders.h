@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/dag/dag.h"
 #include "src/sim/rng.h"
@@ -28,22 +30,29 @@ Dag parallel_for_dag(std::size_t grains, Work body_work, Work root_work = 1,
 
 /// Like parallel_for_dag but with per-grain work supplied by the caller via
 /// a callback (grain index -> work units); used to build skewed loops.
+/// Every generated workload job is built here (make_parallel_for_job), so
+/// the successor lists are written straight into the CSR constructor's
+/// arrays at their exact sizes: node 0 is the root, nodes 1..grains the
+/// bodies, node grains + 1 the join.
 template <typename F>
 Dag parallel_for_dag_fn(std::size_t grains, F&& body_work_of,
                         Work root_work = 1, Work join_work = 1) {
-  Dag d;
-  const NodeId root = d.add_node(root_work);
-  std::vector<NodeId> bodies;
-  bodies.reserve(grains);
-  for (std::size_t g = 0; g < grains; ++g)
-    bodies.push_back(d.add_node(body_work_of(g)));
-  const NodeId join = d.add_node(join_work);
-  for (NodeId b : bodies) {
-    d.add_edge(root, b);
-    d.add_edge(b, join);
+  std::vector<Work> work;
+  work.reserve(grains + 2);
+  work.push_back(root_work);
+  for (std::size_t g = 0; g < grains; ++g) work.push_back(body_work_of(g));
+  work.push_back(join_work);
+  // The root's slice [0, grains) lists the bodies; body b's slice is the
+  // single edge to the join at grains + b - 1; the join's slice is empty.
+  const auto g = static_cast<std::uint32_t>(grains);
+  std::vector<std::uint32_t> succ_off(grains + 3, 2 * g);
+  std::vector<NodeId> succ(2 * grains, g + 1);
+  succ_off[0] = 0;
+  for (std::uint32_t b = 1; b <= g; ++b) {
+    succ[b - 1] = b;
+    succ_off[b] = g + b - 1;
   }
-  d.seal();
-  return d;
+  return Dag(std::move(work), std::move(succ_off), std::move(succ));
 }
 
 /// Balanced binary fork-join (divide-and-conquer) tree of the given depth:

@@ -34,13 +34,25 @@ inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 
 /// Immutable-after-construction DAG of sequential tasks.
 ///
-/// Build with add_node / add_edge, then call seal().  seal() validates the
-/// graph (acyclicity, edge sanity) and freezes it; the scheduling engines
-/// require a sealed DAG.  All query methods are safe on a sealed DAG and
-/// never mutate, so one Dag can back many concurrent simulations.
+/// Two ways in.  Build incrementally with add_node / add_edge, then call
+/// seal(); or, when the successor lists are known up front, hand them to
+/// the CSR constructor, which builds a sealed DAG directly.  Either way the
+/// graph is validated (acyclicity, edge sanity) and frozen, and the two
+/// build identical DAGs from the same edges; the scheduling engines require
+/// a sealed DAG.  All query methods are safe on a sealed DAG and never
+/// mutate, so one Dag can back many concurrent simulations.
 class Dag {
  public:
   Dag() = default;
+
+  /// Builds a sealed DAG from its successor lists in CSR form: node v has
+  /// work[v] units and successors succ[succ_off[v] .. succ_off[v + 1]), in
+  /// any order.  Throws std::invalid_argument on an empty graph, a
+  /// zero-work node, offsets that are not n + 1 non-decreasing values from
+  /// 0 to succ.size(), an out-of-range endpoint, a self loop, a duplicate
+  /// edge or a cycle; std::length_error past the node-count limit.
+  Dag(std::vector<Work> work, std::vector<std::uint32_t> succ_off,
+      std::vector<NodeId> succ);
 
   /// Adds a node with the given processing time (must be >= 1: the machine
   /// model is built from unit-work steps, so zero-work nodes are banned).
@@ -52,7 +64,7 @@ class Dag {
   void add_edge(NodeId from, NodeId to);
 
   /// Validates and freezes the DAG.  Throws std::invalid_argument on a
-  /// cycle, duplicate edge, out-of-range endpoint, or an empty graph.
+  /// cycle, duplicate edge, or an empty graph.
   void seal();
 
   bool sealed() const { return sealed_; }
@@ -76,7 +88,7 @@ class Dag {
   Work total_work() const { return total_work_; }
 
   /// Critical-path length P: the longest path weighted by processing times
-  /// (sealed only; computed once in seal(), O(1) afterwards).  This is the
+  /// (sealed only; computed once when sealed, O(1) afterwards).  This is the
   /// paper's P_i, a lower bound on the job's execution time at speed 1.
   Work critical_path() const { return critical_path_; }
 
@@ -91,8 +103,13 @@ class Dag {
   // of re-deriving them through the per-node query API.
   friend class sim::PackedDag;
 
+  // Validates the successor CSR, puts each node's successors in ascending
+  // id order, derives the predecessor CSR, sources, W and P, and seals.
+  void finalize();
+
   std::vector<Work> work_;
-  // CSR adjacency, filled by seal() from the edge list.
+  // CSR adjacency: the successor half is built by seal() or handed to the
+  // constructor; finalize() derives the predecessor half from it.
   std::vector<NodeId> succ_flat_, pred_flat_;
   std::vector<std::uint32_t> succ_off_, pred_off_;
   std::vector<std::pair<NodeId, NodeId>> pending_edges_;

@@ -33,8 +33,9 @@ void FlowRecorder::record(double flow_seconds, double weight,
     case JobOutcome::kRunning:  // defensive: treat as completed
     case JobOutcome::kCompleted:
       ++s.counts.completed;
-      s.flows.push_back(flow_seconds);
-      s.weights.push_back(weight);
+      // Arrival 0 / completion `flow_seconds` records the flow itself; the
+      // argmax id is never read, so every record takes id 0.
+      s.flows.record(0, 0.0, weight, flow_seconds);
       break;
     case JobOutcome::kFailed:
       ++s.counts.failed;
@@ -72,7 +73,8 @@ std::vector<double> FlowRecorder::flows_seconds() const {
   std::vector<double> merged;
   for (const Shard& s : shards_) {
     MutexLock lock(s.mu);
-    merged.insert(merged.end(), s.flows.begin(), s.flows.end());
+    const std::vector<double>& kept = s.flows.reservoir();
+    merged.insert(merged.end(), kept.begin(), kept.end());
   }
   return merged;
 }
@@ -81,7 +83,7 @@ double FlowRecorder::max_flow_seconds() const {
   double best = 0.0;
   for (const Shard& s : shards_) {
     MutexLock lock(s.mu);
-    for (double f : s.flows) best = std::max(best, f);
+    best = std::max(best, s.flows.max_flow());
   }
   return best;
 }
@@ -90,14 +92,36 @@ double FlowRecorder::max_weighted_flow_seconds() const {
   double best = 0.0;
   for (const Shard& s : shards_) {
     MutexLock lock(s.mu);
-    for (std::size_t i = 0; i < s.flows.size(); ++i)
-      best = std::max(best, s.flows[i] * s.weights[i]);
+    best = std::max(best, s.flows.max_weighted_flow());
   }
   return best;
 }
 
 metrics::Summary FlowRecorder::summary() const {
-  return metrics::summarize(flows_seconds());
+  std::vector<double> kept;
+  std::size_t count = 0;
+  double min = 0.0, max = 0.0, sum = 0.0;
+  for (const Shard& s : shards_) {
+    MutexLock lock(s.mu);
+    const metrics::StreamingFlowStats& f = s.flows;
+    kept.insert(kept.end(), f.reservoir().begin(), f.reservoir().end());
+    if (f.count() == 0) continue;
+    min = count == 0 ? f.min_flow() : std::min(min, f.min_flow());
+    max = std::max(max, f.max_flow());
+    sum += f.mean_flow() * static_cast<double>(f.count());
+    count += f.count();
+  }
+  metrics::Summary out = metrics::summarize(kept);
+  // Past a shard's reservoir `kept` is a sample: count, min, max and mean
+  // then come from the exact per-shard statistics, while the stddev and
+  // the quantiles stay estimates.
+  if (count > kept.size()) {
+    out.count = count;
+    out.min = min;
+    out.max = max;
+    out.mean = sum / static_cast<double>(count);
+  }
+  return out;
 }
 
 }  // namespace pjsched::runtime

@@ -9,12 +9,16 @@
 // must not contaminate the objective — but every outcome is counted and visible
 // through outcome_counts(), so degraded runs are auditable.
 //
-// Sharded for the hot path: writes land in per-shard buffers (the
+// Sharded for the hot path: writes land in per-shard statistics (the
 // ThreadPool gives each worker its own shard plus one for non-worker
 // callers), each behind its own interference-padded mutex, so concurrent
 // job completions on different workers never contend on a global lock.
 // Readers merge the shards on demand — reads are report-time operations,
 // writes are the per-job hot path, and the trade goes to the writer.
+//
+// Memory is bounded: a shard keeps its counts, exact max / weighted max,
+// and a reservoir of at most kFlowReservoir flow samples, so a pool that
+// runs for days (the daemon's) does not grow with the jobs it completes.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "src/metrics/stats.h"
+#include "src/metrics/streaming_stats.h"
 #include "src/runtime/annotations.h"
 #include "src/runtime/interference.h"
 #include "src/runtime/job.h"
@@ -57,7 +62,8 @@ class FlowRecorder {
   void record(const Job& job);
   void record(const Job& job, std::size_t shard);
 
-  /// Testing/embedding hook: record a terminal outcome directly.
+  /// Testing/embedding hook: record a terminal outcome directly.  A
+  /// completed job's flow must be >= 0 (std::logic_error otherwise).
   void record(double flow_seconds, double weight, JobOutcome outcome);
   void record(double flow_seconds, double weight, JobOutcome outcome,
               std::size_t shard);
@@ -69,23 +75,30 @@ class FlowRecorder {
 
   OutcomeCounts outcome_counts() const;
 
-  /// Snapshot of completed jobs' flow times so far, in seconds.  Merge
-  /// order is shard-major and NOT submission order; the flow statistics
-  /// below are order-independent.
+  /// Flow samples a shard keeps.  Up to this many completions per shard,
+  /// flows_seconds() holds every completed job's flow and summary() is
+  /// exact; beyond it flows_seconds() is a uniform sample of each shard,
+  /// and so are summary()'s stddev and quantiles.
+  static constexpr std::size_t kFlowReservoir = 32768;
+
+  /// Snapshot of completed jobs' flow times so far, in seconds (see
+  /// kFlowReservoir).  Merge order is shard-major and NOT submission
+  /// order; the flow statistics below are order-independent.
   std::vector<double> flows_seconds() const;
 
-  /// max_i F_i over completed jobs, seconds.
+  /// max_i F_i over completed jobs, seconds (exact).
   double max_flow_seconds() const;
-  /// max_i w_i F_i over completed jobs, seconds.
+  /// max_i w_i F_i over completed jobs, seconds (exact).
   double max_weighted_flow_seconds() const;
-  /// Flow summary over completed jobs.
+  /// Flow summary over completed jobs; count, min, max and mean exact.
   metrics::Summary summary() const;
 
  private:
   struct alignas(kDestructiveInterference) Shard {
     mutable Mutex mu;
-    std::vector<double> flows PJSCHED_GUARDED_BY(mu);    // completed only
-    std::vector<double> weights PJSCHED_GUARDED_BY(mu);  // parallel to flows
+    // Completed jobs only; the reservoir grows on demand.
+    metrics::StreamingFlowStats flows PJSCHED_GUARDED_BY(mu) =
+        metrics::StreamingFlowStats({.reservoir = kFlowReservoir});
     OutcomeCounts counts PJSCHED_GUARDED_BY(mu);
   };
 

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "src/dag/builders.h"
+#include "src/sim/rng.h"
 #include "tests/ready_tracker.h"
 
 namespace pjsched::dag {
@@ -148,6 +151,88 @@ TEST(DagTest, WideIndependentNodes) {
   EXPECT_EQ(d.total_work(), 48u);
   EXPECT_EQ(d.critical_path(), 3u);
   EXPECT_EQ(d.sources().size(), 16u);
+}
+
+// --- CSR constructor ---
+
+void expect_same_dag(const Dag& a, const Dag& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  EXPECT_EQ(a.sealed(), b.sealed());
+  EXPECT_EQ(a.edge_count(), b.edge_count());
+  for (NodeId v = 0; v < a.node_count(); ++v) {
+    EXPECT_EQ(a.work_of(v), b.work_of(v));
+    const auto sa = a.successors(v), sb = b.successors(v);
+    EXPECT_EQ(std::vector<NodeId>(sa.begin(), sa.end()),
+              std::vector<NodeId>(sb.begin(), sb.end()));
+    const auto pa = a.predecessors(v), pb = b.predecessors(v);
+    EXPECT_EQ(std::vector<NodeId>(pa.begin(), pa.end()),
+              std::vector<NodeId>(pb.begin(), pb.end()));
+  }
+  EXPECT_EQ(std::vector<NodeId>(a.sources().begin(), a.sources().end()),
+            std::vector<NodeId>(b.sources().begin(), b.sources().end()));
+  EXPECT_EQ(a.total_work(), b.total_work());
+  EXPECT_EQ(a.critical_path(), b.critical_path());
+}
+
+/// `d`'s successor lists handed to the CSR constructor, each node's list
+/// reversed so the constructor has to order it.
+Dag rebuild_from_csr(const Dag& d) {
+  std::vector<Work> work;
+  std::vector<std::uint32_t> succ_off{0};
+  std::vector<NodeId> succ;
+  for (NodeId v = 0; v < d.node_count(); ++v) {
+    work.push_back(d.work_of(v));
+    const auto out = d.successors(v);
+    succ.insert(succ.end(), out.rbegin(), out.rend());
+    succ_off.push_back(static_cast<std::uint32_t>(succ.size()));
+  }
+  return Dag(std::move(work), std::move(succ_off), std::move(succ));
+}
+
+TEST(DagCsrTest, ConstructorMatchesSealOnRandomShapes) {
+  sim::Rng rng(2016);
+  for (int trial = 0; trial < 20; ++trial) {
+    RandomLayeredOptions layered;
+    layered.layers = 2 + trial % 5;
+    layered.max_width = 6;
+    const Dag a = random_layered(rng, layered);
+    expect_same_dag(a, rebuild_from_csr(a));
+    RandomForkJoinOptions fork_join;
+    fork_join.max_fanout = 4;
+    const Dag b = random_fork_join(rng, fork_join);
+    expect_same_dag(b, rebuild_from_csr(b));
+  }
+  for (std::size_t depth = 0; depth <= 5; ++depth) {
+    const Dag c = divide_and_conquer(depth, 3);
+    expect_same_dag(c, rebuild_from_csr(c));
+  }
+}
+
+TEST(DagCsrTest, ConstructorRejectsEachFault) {
+  // Empty graph, zero work.
+  EXPECT_THROW(Dag({}, {0}, {}), std::invalid_argument);
+  EXPECT_THROW(Dag({1, 0}, {0, 0, 0}, {}), std::invalid_argument);
+  // Offsets: wrong size, not monotone, not from 0, not ending at the edge
+  // count.
+  EXPECT_THROW(Dag({1, 1}, {0, 1}, {1}), std::invalid_argument);
+  EXPECT_THROW(Dag({1, 1, 1}, {0, 2, 1, 2}, {1, 2}), std::invalid_argument);
+  EXPECT_THROW(Dag({1, 1}, {1, 1, 1}, {1}), std::invalid_argument);
+  EXPECT_THROW(Dag({1, 1}, {0, 1, 1}, {1, 0}), std::invalid_argument);
+  // Endpoint out of range, self loop.
+  EXPECT_THROW(Dag({1, 1}, {0, 1, 1}, {2}), std::invalid_argument);
+  EXPECT_THROW(Dag({1, 1}, {0, 1, 1}, {0}), std::invalid_argument);
+  // Duplicate successor, cycle.
+  EXPECT_THROW(Dag({1, 1}, {0, 2, 2}, {1, 1}), std::invalid_argument);
+  EXPECT_THROW(Dag({1, 1, 1}, {0, 1, 2, 3}, {1, 2, 0}),
+               std::invalid_argument);
+}
+
+TEST(DagCsrTest, ConstructedDagIsSealed) {
+  Dag d({4, 2}, {0, 1, 1}, {1});
+  EXPECT_TRUE(d.sealed());
+  EXPECT_THROW(d.seal(), std::logic_error);
+  EXPECT_THROW(d.add_edge(1, 0), std::logic_error);
+  EXPECT_THROW(d.add_node(1), std::logic_error);
 }
 
 // --- ReadyTracker ---

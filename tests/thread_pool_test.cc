@@ -651,5 +651,33 @@ TEST(FlowRecorderTest, OutcomeAccountingAndFlowExclusion) {
   EXPECT_EQ(recorder.flows_seconds().size(), 2u);
 }
 
+TEST(FlowRecorderTest, MillionCompletionsKeepExtremesExactInBoundedMemory) {
+  FlowRecorder recorder;
+  constexpr std::size_t kJobs = 1'000'000;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    double flow = static_cast<double>(i % 1000) * 1e-3;
+    double weight = 1.0;
+    if (i == 123'456) {
+      flow = 2.0;
+      weight = 4.0;  // the weighted max, 8.0
+    } else if (i == 777'777) {
+      flow = 5.0;  // the max flow
+    }
+    recorder.record(flow, weight, JobOutcome::kCompleted, 0);
+  }
+  EXPECT_EQ(recorder.count(), kJobs);
+  EXPECT_EQ(recorder.outcome_counts().completed, kJobs);
+  EXPECT_DOUBLE_EQ(recorder.max_flow_seconds(), 5.0);
+  EXPECT_DOUBLE_EQ(recorder.max_weighted_flow_seconds(), 8.0);
+  EXPECT_EQ(recorder.flows_seconds().size(), FlowRecorder::kFlowReservoir);
+  EXPECT_EQ(FlowRecorder::kFlowReservoir, 32768u);
+  // The summary's quantiles come from the sample, its moments do not.
+  const metrics::Summary summary = recorder.summary();
+  EXPECT_EQ(summary.count, kJobs);
+  EXPECT_DOUBLE_EQ(summary.min, 0.0);
+  EXPECT_DOUBLE_EQ(summary.max, 5.0);
+  EXPECT_NEAR(summary.mean, (499'500.0 + 1.544 + 4.223) / kJobs, 1e-9);
+}
+
 }  // namespace
 }  // namespace pjsched::runtime

@@ -149,6 +149,14 @@ class FixtureCase(Staging):
         self.stage("blocking_pass.cc", "src/service")
         self.assert_clean("blocking")
 
+    def test_blocking_sibling_block_pass(self):
+        self.stage("blocking_sibling_pass.cc", "src/service")
+        self.assert_clean("blocking")
+
+    def test_blocking_inside_locked_block_fail(self):
+        self.stage("blocking_sibling_fail.cc", "src/service")
+        self.assert_rule_fires("blocking", "blocking-under-lock")
+
     def test_blocking_allow_marker_pass(self):
         self.stage("blocking_allow_pass.cc", "src/service")
         self.assert_clean("blocking")

@@ -130,7 +130,9 @@ class LockEvent:
     line: int
     lock: str | None = None       # canonical lock (acquire/unresolved)
     var: str | None = None        # MutexLock variable name (acquire)
-    depth: int = 0                # brace depth at the op
+    offset: int = 0               # offset of the op in the function body
+    block_end: int = 0            # acquire: offset of the '}' closing its
+                                  # block (body length at function scope)
     callee: str | None = None     # resolved qualname (call) or raw name
     raw: str = ""                 # source text for messages
     cv_mutex: str | None = None   # canonical mutex named by a CV wait
@@ -473,11 +475,10 @@ class Model:
             var, expr = m.group(1), m.group(2)
             lock = self.resolve_lock_expr(fn, expr, m.start())
             line = code.count("\n", 0, start + m.start()) + 1
-            depth = body.count("{", 0, m.start()) - body.count(
-                "}", 0, m.start())
             kind = "acquire" if lock else "unresolved_lock"
             ops.append((m.start(), LockEvent(
-                kind=kind, line=line, lock=lock, var=var, depth=depth,
+                kind=kind, line=line, lock=lock, var=var, offset=m.start(),
+                block_end=self._block_end(body, m.end()),
                 raw=m.group(0).strip())))
             fn.direct_locks.add(lock) if lock else None
 
@@ -488,15 +489,14 @@ class Model:
             if name in KEYWORDS or name == "MutexLock":
                 continue
             line = code.count("\n", 0, start + m.start()) + 1
-            depth = body.count("{", 0, m.start()) - body.count(
-                "}", 0, m.start())
+            offset = m.start()
             base = receiver.rstrip().rstrip(".->").strip()
             base_id = re.split(r"\.|->", base)[0].strip() if base else ""
             base_id = re.sub(r"\[[^\]]*\]", "", base_id)
             if name in ("unlock", "lock") and base_id in lock_vars:
                 ops.append((m.start(), LockEvent(
                     kind="relock" if name == "lock" else "unlock",
-                    line=line, var=base_id, depth=depth)))
+                    line=line, var=base_id, offset=offset)))
                 continue
             if name in CV_WAIT_NAMES:
                 args = self._first_arg(body, m.end() - 1)
@@ -506,7 +506,7 @@ class Model:
                 if cv_mutex is None and args:
                     cv_mutex = self.resolve_lock_expr(fn, args, m.start())
                 ops.append((m.start(), LockEvent(
-                    kind="cv_wait", line=line, depth=depth, callee=name,
+                    kind="cv_wait", line=line, offset=offset, callee=name,
                     cv_mutex=cv_mutex, raw=self._site(body, m.start()))))
                 fn.direct_blocking = True
                 continue
@@ -514,11 +514,11 @@ class Model:
             if resolved:
                 fn.calls.append(resolved)
                 ops.append((m.start(), LockEvent(
-                    kind="call", line=line, depth=depth, callee=resolved,
+                    kind="call", line=line, offset=offset, callee=resolved,
                     raw=self._site(body, m.start()))))
             elif name in BLOCKING_NAMES:
                 ops.append((m.start(), LockEvent(
-                    kind="blocking", line=line, depth=depth, callee=name,
+                    kind="blocking", line=line, offset=offset, callee=name,
                     raw=self._site(body, m.start()))))
                 fn.direct_blocking = True
         ops.sort(key=lambda p: p[0])
@@ -538,6 +538,20 @@ class Model:
                     return body[start:j].split(",")[0].strip()
             j += 1
         return ""
+
+    @staticmethod
+    def _block_end(body: str, offset: int) -> int:
+        """Offset of the '}' closing the block that contains `offset`, or
+        len(body) when that block is the function body itself."""
+        depth = 0
+        for j in range(offset, len(body)):
+            if body[j] == "{":
+                depth += 1
+            elif body[j] == "}":
+                if depth == 0:
+                    return j
+                depth -= 1
+        return len(body)
 
     @staticmethod
     def _site(body: str, offset: int) -> str:
@@ -574,25 +588,16 @@ class Model:
         """Yields (event, held) pairs in source order, where `held` is the
         list of canonical locks actively held at that event (temporary
         unlock()/lock() windows excluded)."""
-        active: list[dict] = []   # {lock, var, depth, engaged}
+        active: list[dict] = []   # {lock, var, block_end, engaged}
         for ev in self.events.get(fn.qualname, []):
-            while active and ev.depth < active[-1]["depth"]:
-                active.pop()
-            # A '}' that closes the acquiring block drops the lock even
-            # when the next event sits at the same depth in a sibling
-            # block; depth alone cannot distinguish siblings, so scoped
-            # locks at equal depth are released when a later acquisition
-            # of the same variable name appears (re-declaration means the
-            # previous scope closed).
-            if ev.kind in ("acquire", "unresolved_lock"):
-                active = [a for a in active
-                          if not (a["var"] == ev.var
-                                  and a["depth"] == ev.depth)]
+            # A scoped lock is released by the '}' that closes its block,
+            # whatever block the next event sits in.
+            active = [a for a in active if ev.offset < a["block_end"]]
             held = [a["lock"] for a in active if a["engaged"]]
             yield ev, held
             if ev.kind == "acquire":
                 active.append({"lock": ev.lock, "var": ev.var,
-                               "depth": ev.depth, "engaged": True})
+                               "block_end": ev.block_end, "engaged": True})
             elif ev.kind == "unlock":
                 for a in active:
                     if a["var"] == ev.var:
