@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -31,10 +32,10 @@ void Instance::validate() const {
       throw std::invalid_argument("Instance: job DAG not sealed");
     if (j.graph.node_count() == 0)
       throw std::invalid_argument("Instance: empty job DAG");
-    if (j.arrival < 0.0)
-      throw std::invalid_argument("Instance: negative arrival time");
-    if (!(j.weight > 0.0))
-      throw std::invalid_argument("Instance: non-positive weight");
+    if (!(j.arrival >= 0.0) || !std::isfinite(j.arrival))
+      throw std::invalid_argument("Instance: arrival not finite and >= 0");
+    if (!(j.weight > 0.0) || !std::isfinite(j.weight))
+      throw std::invalid_argument("Instance: weight not finite and > 0");
   }
 }
 

@@ -5,17 +5,13 @@
 // available for callers that need more control.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <system_error>
-#include <type_traits>
 
 #include "src/core/bounds.h"
 #include "src/core/job_source.h"
+#include "src/core/parse.h"
 #include "src/core/types.h"
 #include "src/sched/scheduler.h"
 
@@ -56,34 +52,6 @@ std::unique_ptr<sched::Scheduler> make_scheduler(const SchedulerSpec& spec);
 /// event-engine name for the engine's reference path).
 /// Throws std::invalid_argument on unknown names.
 SchedulerSpec parse_scheduler(const std::string& name);
-
-/// Parses `text` as a decimal T: digits only, the whole string, within T's
-/// range.  Throws std::invalid_argument otherwise — unlike std::stoul, a
-/// sign, trailing characters or an out-of-range value never wrap.  The one
-/// integer parse behind scheduler names and the CLI's integer flags.
-template <typename T>
-T parse_unsigned(const std::string& text) {
-  static_assert(std::is_unsigned_v<T>);
-  T value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end)
-    throw std::invalid_argument("bad unsigned integer '" + text + "'");
-  return value;
-}
-
-/// Parses `text` as a finite decimal number: the whole string, no inf or
-/// nan.  Throws std::invalid_argument otherwise — unlike std::stod,
-/// trailing characters never pass.  The floating counterpart of
-/// parse_unsigned, behind the daemon's floating flags.
-inline double parse_finite(const std::string& text) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || !std::isfinite(value))
-    throw std::invalid_argument("bad finite number '" + text + "'");
-  return value;
-}
 
 /// Convenience: build-and-run in one call (see sched::Scheduler::run).
 StreamRunResult run_scheduler(const Instance& instance,

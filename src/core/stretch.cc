@@ -31,12 +31,4 @@ double max_stretch(const Instance& instance, const StreamRunResult& result,
   return best;
 }
 
-double stretch_span_lower_bound(const Instance& instance, StretchKind kind) {
-  double best = 0.0;
-  for (const JobSpec& job : instance.jobs)
-    best = std::max(best, static_cast<double>(job.graph.critical_path()) /
-                              stretch_denominator(job, kind));
-  return best;
-}
-
 }  // namespace pjsched::core

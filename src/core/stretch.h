@@ -35,11 +35,4 @@ void apply_stretch_weights(Instance& instance, StretchKind kind);
 double max_stretch(const Instance& instance, const StreamRunResult& result,
                    StretchKind kind);
 
-/// Lower bound on the optimal max stretch at speed 1:
-///   by-span: >= 1 always (a job cannot beat its critical path);
-///   by-work: >= max_i P_i/W_i... and >= 1/m of any load argument — we
-/// report the span-based bound max_i (P_i / denom_i), the direct analogue
-/// of the weighted span bound.
-double stretch_span_lower_bound(const Instance& instance, StretchKind kind);
-
 }  // namespace pjsched::core

@@ -108,7 +108,7 @@ struct Instance {
   dag::Work max_work() const;
 
   /// Throws std::invalid_argument unless every job has a sealed non-empty
-  /// DAG, a non-negative arrival, and a positive weight.
+  /// DAG, a finite non-negative arrival, and a finite positive weight.
   void validate() const;
 
   /// Indices of jobs sorted by (arrival, index).

@@ -110,7 +110,8 @@ Dag random_fork_join(sim::Rng& rng, const RandomForkJoinOptions& opt) {
 }
 
 Dag random_layered(sim::Rng& rng, const RandomLayeredOptions& opt) {
-  if (opt.layers == 0) throw std::invalid_argument("random_layered: layers == 0");
+  if (opt.layers == 0)
+    throw std::invalid_argument("random_layered: layers == 0");
   if (opt.min_width == 0 || opt.min_width > opt.max_width)
     throw std::invalid_argument("random_layered: bad width range");
   if (opt.min_work == 0 || opt.min_work > opt.max_work)

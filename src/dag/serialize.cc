@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/core/parse.h"
+
 namespace pjsched::dag {
 
 void write_text(std::ostream& os, const Dag& d) {
@@ -37,23 +39,16 @@ bool next_token(std::istream& is, std::string& tok) {
   return false;
 }
 
-std::uint64_t parse_u64(const std::string& tok, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(tok, &pos);
-    if (pos != tok.size()) throw std::invalid_argument(tok);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("read_text: bad ") + what + " '" +
-                                tok + "'");
-  }
-}
-
 std::uint64_t expect_u64(std::istream& is, const char* what) {
   std::string tok;
   if (!next_token(is, tok))
     throw std::invalid_argument(std::string("read_text: missing ") + what);
-  return parse_u64(tok, what);
+  try {
+    return core::parse_unsigned<std::uint64_t>(tok);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(std::string("read_text: bad ") + what + " '" +
+                                tok + "'");
+  }
 }
 }  // namespace
 

@@ -59,25 +59,6 @@ Summary summarize(const std::vector<double>& samples) {
   return s;
 }
 
-double weighted_max(const std::vector<double>& samples,
-                    const std::vector<double>& weights) {
-  if (samples.size() != weights.size())
-    throw std::invalid_argument("weighted_max: size mismatch");
-  double best = 0.0;
-  for (std::size_t i = 0; i < samples.size(); ++i)
-    best = std::max(best, samples[i] * weights[i]);
-  return best;
-}
-
-double slo_miss_fraction(const std::vector<double>& samples,
-                         double threshold) {
-  if (samples.empty()) return 0.0;
-  std::size_t misses = 0;
-  for (double x : samples)
-    if (x > threshold) ++misses;
-  return static_cast<double>(misses) / static_cast<double>(samples.size());
-}
-
 double tightest_slo(const std::vector<double>& samples, double miss_budget) {
   if (samples.empty()) throw std::invalid_argument("tightest_slo: empty");
   if (miss_budget < 0.0 || miss_budget > 1.0)

@@ -42,14 +42,6 @@ double quantile_sorted(const std::vector<double>& sorted, double q);
 /// [0, 1]; a one-element input returns that element for every q.
 double quantile_select(std::vector<double>& samples, double q);
 
-/// Weighted maximum: max_i weights[i] * samples[i] (sizes must match).
-double weighted_max(const std::vector<double>& samples,
-                    const std::vector<double>& weights);
-
-/// Fraction of samples strictly exceeding `threshold` — the SLO-miss rate
-/// when samples are flow times and threshold is the latency objective.
-double slo_miss_fraction(const std::vector<double>& samples, double threshold);
-
 /// The smallest threshold an operator could promise while missing at most
 /// `miss_budget` of requests (i.e. the (1 - miss_budget)-quantile).
 double tightest_slo(const std::vector<double>& samples, double miss_budget);

@@ -68,8 +68,6 @@ class FlowRecorder {
   void record(double flow_seconds, double weight, JobOutcome outcome,
               std::size_t shard);
 
-  std::size_t shard_count() const { return shards_.size(); }
-
   /// Jobs recorded so far, any outcome (merged over shards).
   std::size_t count() const;
 

@@ -53,13 +53,4 @@ class WorkStealingScheduler final : public Scheduler {
   bool steal_half_;
 };
 
-/// Convenience aliases matching the paper's terminology.
-inline WorkStealingScheduler make_admit_first(std::uint64_t seed = 1) {
-  return WorkStealingScheduler(0, seed);
-}
-inline WorkStealingScheduler make_steal_k_first(unsigned k,
-                                                std::uint64_t seed = 1) {
-  return WorkStealingScheduler(k, seed);
-}
-
 }  // namespace pjsched::sched

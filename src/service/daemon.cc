@@ -31,6 +31,9 @@ constexpr std::size_t kParseBatchEntries = 256;
 /// the whole capacity for a tenant that may complete one job.
 constexpr std::size_t kTenantFlowReservoir = 1024;
 
+/// How many recent malformed-line samples the quarantine keeps.
+constexpr std::size_t kQuarantineKeep = 16;
+
 /// The age up to which a full window waits on its oldest job rather than
 /// on arrivals, and the dispatcher's longest sleep while records queue
 /// behind a full window.  It bounds the time a long oldest job keeps the
@@ -196,33 +199,6 @@ PushOutcome Daemon::submit_record(JobRecord record) {
   if (out == PushOutcome::kShed) account_shed_reason(tenant, reason);
   if (pump()) wake_dispatcher();
   return out;
-}
-
-bool Daemon::feed_line(std::string_view line) {
-  JobRecord record;
-  std::string error;
-  switch (parse_record(line, &record, &error)) {
-    case ParseStatus::kEmpty:
-      return true;
-    case ParseStatus::kCommand: {
-      // In-process feeds have no reply channel; count and move on.
-      runtime::MutexLock lock(state_mu_);
-      ++feed_.commands;
-      return true;
-    }
-    case ParseStatus::kMalformed:
-    case ParseStatus::kOversize:  // parse_record folds this into kMalformed
-      quarantine_line(line, error);
-      return false;
-    case ParseStatus::kRecord:
-      break;
-  }
-  {
-    runtime::MutexLock lock(state_mu_);
-    ++feed_.records;
-  }
-  submit_record(std::move(record));
-  return true;
 }
 
 std::size_t Daemon::feed_replay_file(const std::string& path,
@@ -507,7 +483,7 @@ void Daemon::quarantine_line(std::string_view line, std::string_view why,
   sample += "  <- ";
   sample += why;
   quarantine_.push_back(std::move(sample));
-  while (quarantine_.size() > config_.quarantine_keep) quarantine_.pop_front();
+  while (quarantine_.size() > kQuarantineKeep) quarantine_.pop_front();
 }
 
 DaemonSnapshot Daemon::snapshot() const {

@@ -96,8 +96,6 @@ struct DaemonConfig {
   /// dispatcher refills it when its oldest in-flight job finishes, or
   /// every 1 ms once that job is 1 ms old.
   std::size_t dispatch_window = 0;
-  /// How many recent malformed-line samples to keep for diagnosis.
-  std::size_t quarantine_keep = 16;
 };
 
 /// Per-tenant terminal-outcome books.  submitted counts every parsed
@@ -190,10 +188,6 @@ class Daemon {
   /// Every call lands in the tenant's books; the return mirrors the
   /// router's decision for the *pushed* record.
   PushOutcome submit_record(JobRecord record);
-
-  /// Parses and routes one feed line (no trailing newline).  Returns false
-  /// when the line was malformed (quarantined, counted, never fatal).
-  bool feed_line(std::string_view line);
 
   /// Replay-file feed: loads a workload instance (runtime/replayer.*
   /// loader, so truncated/corrupt files surface as ReplayFileError) and

@@ -130,18 +130,6 @@ ParseStatus parse_record_view(std::string_view line, JobRecord* out,
   return ParseStatus::kRecord;
 }
 
-ParseStatus parse_record(std::string_view line, JobRecord* out,
-                         std::string* error) {
-  JobRecord rec;
-  const char* why = nullptr;
-  ParseStatus status = parse_record_view(line, &rec, &why);
-  if (status == ParseStatus::kOversize) status = ParseStatus::kMalformed;
-  if (status == ParseStatus::kMalformed && error != nullptr)
-    *error = why != nullptr ? why : "malformed";
-  if (status == ParseStatus::kRecord) *out = std::move(rec);
-  return status;
-}
-
 BatchParse parse_batch(std::string_view buffer, std::span<ParsedRecord> out) {
   BatchParse result;
   std::size_t pos = 0;

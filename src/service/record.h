@@ -22,12 +22,11 @@
 // than kMaxLineBytes are malformed by definition (the stream layer
 // quarantines them and resyncs at the next newline).
 //
-// Two parse entry points share one core: parse_record() is the per-line
-// convenience API (std::string error, record untouched on failure), and
-// parse_batch() is the zero-copy ingest path — it scans a whole read
-// buffer in place, emitting string_view line slices and static error
-// strings, allocating nothing beyond each record's tenant assignment
-// (which is SSO-free for short names and at most one allocation per job).
+// parse_record_view() parses one line; parse_batch() is the zero-copy
+// ingest path built on it — it scans a whole read buffer in place,
+// emitting string_view line slices and static error strings, allocating
+// nothing beyond each record's tenant assignment (which is SSO-free for
+// short names and at most one allocation per job).
 #pragma once
 
 #include <cstdint>
@@ -59,23 +58,17 @@ enum class ParseStatus {
   kEmpty,      ///< blank line or comment — nothing to do
   kMalformed,  ///< quarantine the line; *error says why
   kCommand,    ///< a control verb ("metrics"); no record was produced
-  kOversize,   ///< batch path only: a complete line over kMaxLineBytes
+  kOversize,   ///< a complete line over kMaxLineBytes
 };
 
-/// Parses one line of the feed.  Never throws: malformed input — bad
-/// numbers, out-of-range values, oversize tokens, unknown keys — comes
-/// back as kMalformed with a diagnostic in *error.  `line` must not
-/// contain the trailing newline.  Never returns kOversize (an over-limit
-/// line is kMalformed here); *out is untouched unless kRecord.
-ParseStatus parse_record(std::string_view line, JobRecord* out,
-                         std::string* error);
-
-/// Zero-allocation core shared by parse_record and parse_batch: the error
-/// comes back as a pointer to a static string, and *out is written in
-/// place (its tenant string's capacity is reused — the reason the batch
-/// path stays at <= 1 allocation per job).  On kMalformed *out may hold a
-/// partially-updated record; callers must treat it as garbage.  Lines over
-/// kMaxLineBytes are kOversize.
+/// Parses one line of the feed.  Never throws and allocates nothing:
+/// malformed input — bad numbers, out-of-range values, oversize tokens,
+/// unknown keys — comes back as kMalformed with *error pointing at a
+/// static diagnostic.  `line` must not contain the trailing newline; a
+/// line over kMaxLineBytes is kOversize.  *out is written in place (its
+/// tenant string's capacity is reused — the reason the batch path stays
+/// at <= 1 allocation per job); on kMalformed it may hold a
+/// partially-updated record, and callers must treat it as garbage.
 ParseStatus parse_record_view(std::string_view line, JobRecord* out,
                               const char** error);
 
@@ -105,8 +98,8 @@ struct BatchParse {
 /// allocation-free.
 BatchParse parse_batch(std::string_view buffer, std::span<ParsedRecord> out);
 
-/// Renders a record as a feed line (inverse of parse_record; used by the
-/// load generator and replay-file writer).
+/// Renders a record as a feed line (inverse of parse_record_view; used by
+/// the load generator and replay-file writer).
 std::string format_record(const JobRecord& record);
 
 }  // namespace pjsched::service

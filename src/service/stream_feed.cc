@@ -20,40 +20,6 @@ std::string errno_string(const char* what) {
 
 }  // namespace
 
-void LineReader::feed(const char* data, std::size_t n, const Sink& sink) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const char c = data[i];
-    if (c == '\n') {
-      if (discarding_) {
-        // End of an oversize line: report once (truncated prefix only) and
-        // resync — the next byte starts a fresh, trusted line.
-        ++oversize_lines_;
-        sink(buffer_, /*oversized=*/true);
-        discarding_ = false;
-      } else {
-        sink(buffer_, /*oversized=*/false);
-      }
-      buffer_.clear();
-      continue;
-    }
-    if (discarding_) continue;  // drop bytes until the resync newline
-    if (buffer_.size() >= max_line_bytes_) {
-      discarding_ = true;  // the bound is the defense: stop buffering now
-      continue;
-    }
-    buffer_.push_back(c);
-  }
-}
-
-bool LineReader::finish(const Sink& sink) {
-  if (buffer_.empty() && !discarding_) return false;
-  if (discarding_) ++oversize_lines_;
-  sink(buffer_, /*oversized=*/discarding_);
-  buffer_.clear();
-  discarding_ = false;
-  return true;
-}
-
 char* IngestBuffer::tail() {
   // Deferred compaction: parse() only advances head_, so the entries it
   // returned keep referencing stable bytes; the memmove happens here, when

@@ -1,16 +1,15 @@
-// Byte-stream plumbing for the daemon's ingest: an incremental
-// newline-splitter with a hard per-line byte bound (the defense against a
-// client that never sends '\n'), and small wrappers over POSIX sockets —
-// loopback TCP and Unix-domain listeners, client connects, and poll-based
-// readiness waits.  Everything here reports failure as a return value;
-// nothing throws on bad input from the network.
+// Byte-stream plumbing for the daemon's ingest: a per-connection read
+// buffer that splits lines under a hard per-line byte bound (the defense
+// against a client that never sends '\n'), and small wrappers over POSIX
+// sockets — loopback TCP and Unix-domain listeners, client connects, and
+// poll-based readiness waits.  Everything here reports failure as a return
+// value; nothing throws on bad input from the network.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -20,42 +19,8 @@
 
 namespace pjsched::service {
 
-/// Incremental line splitter with an oversize quarantine: bytes stream in
-/// via feed(), complete lines come out via the sink.  A line longer than
-/// `max_line_bytes` is not buffered — its bytes are discarded until the
-/// next '\n', and the sink is called once with oversized=true (the stream
-/// then resyncs cleanly on the following line).  finish() flushes a final
-/// unterminated line, reporting it as a partial.
-class LineReader {
- public:
-  /// sink(line, oversized): `line` excludes the newline; for oversized
-  /// lines only a truncated prefix is delivered (diagnostics, not data).
-  using Sink = std::function<void(std::string_view line, bool oversized)>;
-
-  explicit LineReader(std::size_t max_line_bytes = kMaxLineBytes)
-      : max_line_bytes_(max_line_bytes) {}
-
-  /// Feeds `n` raw bytes; invokes `sink` once per completed line.
-  void feed(const char* data, std::size_t n, const Sink& sink);
-
-  /// Flushes a trailing unterminated line, if any (feed disconnect mid-
-  /// line).  Returns true when a partial was flushed; it is delivered to
-  /// the sink with oversized == (it had overflowed).
-  bool finish(const Sink& sink);
-
-  std::uint64_t oversize_lines() const { return oversize_lines_; }
-
- private:
-  std::size_t max_line_bytes_;  // non-const so LineReader stays movable
-  std::string buffer_;
-  bool discarding_ = false;  ///< inside an oversize line, pre-resync
-  std::uint64_t oversize_lines_ = 0;
-};
-
 /// Per-connection flat read buffer for the zero-copy batched ingest path
-/// (the successor to LineReader on the daemon's sharded io loops, which
-/// stays for callers that want the per-line callback shape).  Usage per
-/// readiness event:
+/// on the daemon's io shards.  Usage per readiness event:
 ///
 ///   ssize_t n = read(fd, buf.tail(), buf.tail_capacity());
 ///   if (n > 0) { buf.commit(n); while (buf.parse(entries) made progress) ... }

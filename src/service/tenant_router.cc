@@ -12,8 +12,6 @@ TenantRouter::TenantRouter(const RouterConfig& config)
     : config_(config), ladder_(config.ladder) {
   if (config_.capacity == 0)
     throw std::invalid_argument("TenantRouter: capacity must be > 0");
-  if (!(config_.default_weight > 0.0))
-    throw std::invalid_argument("TenantRouter: default_weight must be > 0");
 }
 
 void TenantRouter::set_weight(const std::string& tenant, double weight) {
@@ -30,8 +28,7 @@ TenantRouter::Entry& TenantRouter::entry_locked(const std::string& name) {
   auto it = tenants_.find(name);
   if (it == tenants_.end()) {
     const auto w = weights_.find(name);
-    const double weight =
-        w == weights_.end() ? config_.default_weight : w->second;
+    const double weight = w == weights_.end() ? 1.0 : w->second;
     it = tenants_.emplace(name, Tenant{weight, {}}).first;
   }
   return *it;

@@ -59,8 +59,6 @@ using Clock = runtime::Clock;
 struct RouterConfig {
   /// Queued-record bound; also the bound on idle tenant entries.
   std::size_t capacity = 4096;
-  /// Weight for tenants never passed to set_weight().
-  double default_weight = 1.0;
   LadderConfig ladder;
   /// The router has one queue.  perfbench/daemon_workload.cc still reads
   /// this to size its capacity, so it stays, as a constant.
@@ -113,7 +111,7 @@ class TenantRouter {
   TenantRouter(const TenantRouter&) = delete;
   TenantRouter& operator=(const TenantRouter&) = delete;
 
-  /// Sets a tenant's fair-share weight (default_weight until called).
+  /// Sets a tenant's fair-share weight (1 until called).
   /// Throws std::invalid_argument unless the weight is finite and > 0.
   void set_weight(const std::string& tenant, double weight);
 

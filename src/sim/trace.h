@@ -70,14 +70,12 @@ class TraceSink {
 
 class Trace {
  public:
-  explicit Trace(bool record_steal_events = true)
-      : record_steal_events_(record_steal_events) {}
+  Trace() = default;
 
   /// Spill mode: intervals stream to `sink` (which must outlive the trace)
   /// instead of accumulating; intervals() stays empty.  Steal/admission
   /// events forward to the sink immediately when recorded.
-  explicit Trace(TraceSink* sink, bool record_steal_events = true)
-      : sink_(sink), record_steal_events_(record_steal_events) {}
+  explicit Trace(TraceSink* sink) : sink_(sink) {}
 
   /// True when records stream to a sink instead of accumulating in-core.
   bool spilling() const { return sink_ != nullptr; }
@@ -90,7 +88,6 @@ class Trace {
     intervals_.push_back(iv);
   }
   void add_steal(const StealEvent& ev) {
-    if (!record_steal_events_) return;
     if (sink_ != nullptr) {
       sink_->on_steal(ev);
       return;
@@ -98,7 +95,6 @@ class Trace {
     steals_.push_back(ev);
   }
   void add_admission(const AdmissionEvent& ev) {
-    if (!record_steal_events_) return;
     if (sink_ != nullptr) {
       sink_->on_admission(ev);
       return;
@@ -138,7 +134,6 @@ class Trace {
   std::vector<StealEvent> steals_;
   std::vector<AdmissionEvent> admissions_;
   std::vector<PendingSpan> pending_;  // indexed by proc; spill mode only
-  bool record_steal_events_;
 };
 
 /// TraceSink writing a plain-text trace file: one record per line,

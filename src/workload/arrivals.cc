@@ -15,11 +15,6 @@ double PoissonArrivals::next_ms() {
   return now_ms_;
 }
 
-UniformArrivals::UniformArrivals(double period_ms) : period_ms_(period_ms) {
-  if (!(period_ms > 0.0))
-    throw std::invalid_argument("UniformArrivals: period <= 0");
-}
-
 MmppArrivals::MmppArrivals(double qps_burst, double qps_calm,
                            double mean_sojourn_ms, sim::Rng rng)
     : qps_burst_(qps_burst),
@@ -48,29 +43,6 @@ double MmppArrivals::next_ms() {
     in_burst_ = !in_burst_;
     state_end_ms_ = now_ms_ + rng_.exponential(1.0 / mean_sojourn_ms_);
   }
-}
-
-TraceArrivals::TraceArrivals(std::vector<double> times_ms)
-    : times_ms_(std::move(times_ms)) {
-  for (std::size_t i = 1; i < times_ms_.size(); ++i)
-    if (times_ms_[i] < times_ms_[i - 1])
-      throw std::invalid_argument(
-          "TraceArrivals: times must be non-decreasing");
-}
-
-double TraceArrivals::next_ms() {
-  if (next_ >= times_ms_.size())
-    throw std::out_of_range("TraceArrivals: trace exhausted");
-  return times_ms_[next_++];
-}
-
-double UniformArrivals::next_ms() {
-  if (first_) {
-    first_ = false;
-    return now_ms_;
-  }
-  now_ms_ += period_ms_;
-  return now_ms_;
 }
 
 }  // namespace pjsched::workload

@@ -26,20 +26,6 @@ class PoissonArrivals {
   sim::Rng rng_;
 };
 
-/// Deterministic, evenly spaced arrivals (period = 1000/qps ms); used by
-/// tests and by the Section 5 lower-bound instance, which releases jobs at
-/// exact multiples of a fixed period.
-class UniformArrivals {
- public:
-  explicit UniformArrivals(double period_ms);
-  double next_ms();
-
- private:
-  double period_ms_;
-  double now_ms_ = 0.0;
-  bool first_ = true;
-};
-
 /// Markov-modulated Poisson process with two states (burst / calm): the
 /// process alternates between exponentially-distributed sojourns in a
 /// high-rate and a low-rate state.  At equal average rate this produces a
@@ -54,28 +40,12 @@ class MmppArrivals {
 
   double next_ms();
 
-  /// Long-run average rate: the two states are symmetric in dwell time.
-  double average_qps() const { return (qps_burst_ + qps_calm_) / 2.0; }
-
  private:
   double qps_burst_, qps_calm_, mean_sojourn_ms_;
   bool in_burst_ = true;
   double now_ms_ = 0.0;
   double state_end_ms_ = 0.0;
   sim::Rng rng_;
-};
-
-/// Replays an explicit list of absolute arrival times (e.g. from a
-/// production trace); must be non-decreasing.
-class TraceArrivals {
- public:
-  explicit TraceArrivals(std::vector<double> times_ms);
-  double next_ms();
-  bool exhausted() const { return next_ >= times_ms_.size(); }
-
- private:
-  std::vector<double> times_ms_;
-  std::size_t next_ = 0;
 };
 
 /// Generates `count` absolute arrival times in ms from any arrival source.

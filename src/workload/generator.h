@@ -28,11 +28,6 @@ struct GeneratorConfig {
   std::vector<double> weight_classes = {1.0};
 };
 
-/// Converts simulated Time (unit-work time) to milliseconds under `cfg`.
-inline double time_to_ms(core::Time t, const GeneratorConfig& cfg) {
-  return t / cfg.units_per_ms;
-}
-
 /// Builds one parallel-for job DAG of approximately `work_ms` total work:
 /// a unit-work root, `grains` body nodes splitting the work as evenly as
 /// integer units allow, and a unit-work join.
@@ -44,8 +39,8 @@ core::Instance generate_instance(const WorkDistribution& dist,
                                  const GeneratorConfig& cfg);
 
 /// Like generate_instance but with caller-supplied absolute arrival times
-/// in ms (e.g. from MmppArrivals or TraceArrivals); cfg.num_jobs and
-/// cfg.qps are ignored — one job per arrival.
+/// in ms (e.g. from MmppArrivals); cfg.num_jobs and cfg.qps are ignored —
+/// one job per arrival.
 core::Instance generate_instance_with_arrivals(
     const WorkDistribution& dist, const GeneratorConfig& cfg,
     const std::vector<double>& arrivals_ms);

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/core/parse.h"
 #include "src/dag/serialize.h"
 
 namespace pjsched::workload {
@@ -39,16 +40,16 @@ bool next_token(std::istream& is, std::string& tok) {
   return false;
 }
 
-double expect_double(std::istream& is, const char* what) {
+/// Reads the next token and parses it with `parse` (core::parse_unsigned
+/// or core::parse_finite), naming `what` in the error.
+template <typename Parse>
+auto expect_number(std::istream& is, const char* what, Parse parse) {
   std::string tok;
   if (!next_token(is, tok))
     throw std::invalid_argument(std::string("read_instance: missing ") + what);
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(tok, &pos);
-    if (pos != tok.size()) throw std::invalid_argument(tok);
-    return v;
-  } catch (const std::exception&) {
+    return parse(tok);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument(std::string("read_instance: bad ") + what +
                                 " '" + tok + "'");
   }
@@ -60,11 +61,9 @@ core::Instance read_instance(std::istream& is) {
   std::string tok;
   if (!next_token(is, tok) || tok != "instance")
     throw std::invalid_argument("read_instance: expected 'instance' header");
-  const double count_raw = expect_double(is, "job count");
-  if (count_raw < 1 || count_raw != static_cast<double>(
-                                        static_cast<std::size_t>(count_raw)))
-    throw std::invalid_argument("read_instance: bad job count");
-  const auto count = static_cast<std::size_t>(count_raw);
+  const auto count = expect_number(is, "job count",
+                                   core::parse_unsigned<std::size_t>);
+  if (count < 1) throw std::invalid_argument("read_instance: bad job count");
 
   core::Instance inst;
   inst.jobs.reserve(count);
@@ -72,8 +71,8 @@ core::Instance read_instance(std::istream& is) {
     if (!next_token(is, tok) || tok != "job")
       throw std::invalid_argument("read_instance: expected 'job' record");
     core::JobSpec spec;
-    spec.arrival = expect_double(is, "arrival");
-    spec.weight = expect_double(is, "weight");
+    spec.arrival = expect_number(is, "arrival", core::parse_finite);
+    spec.weight = expect_number(is, "weight", core::parse_finite);
     spec.graph = dag::read_text(is);
     inst.jobs.push_back(std::move(spec));
   }

@@ -1,5 +1,5 @@
-// Tests for the extended arrival processes (MMPP, trace replay) and the
-// arrivals-driven instance generator plus SLO metrics.
+// Tests for the MMPP arrival process, the arrivals-driven instance
+// generator and the SLO metric.
 #include <gtest/gtest.h>
 
 #include "src/metrics/stats.h"
@@ -23,7 +23,6 @@ TEST(MmppArrivalsTest, StrictlyIncreasing) {
 TEST(MmppArrivalsTest, AverageRateMatches) {
   // Symmetric sojourns: long-run rate = (burst + calm) / 2.
   MmppArrivals arr(1600.0, 400.0, 20.0, sim::Rng(2));
-  EXPECT_DOUBLE_EQ(arr.average_qps(), 1000.0);
   const auto times = take_arrivals(arr, 60000);
   const double measured_qps =
       static_cast<double>(times.size()) / (times.back() / 1000.0);
@@ -57,21 +56,6 @@ TEST(MmppArrivalsTest, BadParamsRejected) {
                std::invalid_argument);
 }
 
-TEST(TraceArrivalsTest, ReplaysExactly) {
-  TraceArrivals arr({0.0, 1.5, 1.5, 9.0});
-  EXPECT_DOUBLE_EQ(arr.next_ms(), 0.0);
-  EXPECT_DOUBLE_EQ(arr.next_ms(), 1.5);
-  EXPECT_FALSE(arr.exhausted());
-  EXPECT_DOUBLE_EQ(arr.next_ms(), 1.5);
-  EXPECT_DOUBLE_EQ(arr.next_ms(), 9.0);
-  EXPECT_TRUE(arr.exhausted());
-  EXPECT_THROW(arr.next_ms(), std::out_of_range);
-}
-
-TEST(TraceArrivalsTest, DecreasingTraceRejected) {
-  EXPECT_THROW(TraceArrivals({3.0, 1.0}), std::invalid_argument);
-}
-
 TEST(GeneratorWithArrivalsTest, OneJobPerArrival) {
   const DiscreteWorkDistribution dist("d", {{5.0, 1.0}});
   GeneratorConfig cfg;
@@ -92,14 +76,6 @@ TEST(GeneratorWithArrivalsTest, EmptyArrivalsRejected) {
 }
 
 // --- SLO metrics ---
-
-TEST(SloTest, MissFraction) {
-  EXPECT_DOUBLE_EQ(metrics::slo_miss_fraction({1.0, 2.0, 3.0, 4.0}, 2.5), 0.5);
-  EXPECT_DOUBLE_EQ(metrics::slo_miss_fraction({1.0, 2.0}, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(metrics::slo_miss_fraction({}, 1.0), 0.0);
-  // Threshold is inclusive (miss = strictly greater).
-  EXPECT_DOUBLE_EQ(metrics::slo_miss_fraction({2.0, 2.0}, 2.0), 0.0);
-}
 
 TEST(SloTest, TightestSlo) {
   std::vector<double> flows;

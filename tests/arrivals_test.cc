@@ -35,19 +35,8 @@ TEST(PoissonArrivalsTest, BadQpsRejected) {
   EXPECT_THROW(PoissonArrivals(-5.0, sim::Rng(1)), std::invalid_argument);
 }
 
-TEST(UniformArrivalsTest, ExactSpacing) {
-  UniformArrivals arr(4.0);
-  EXPECT_DOUBLE_EQ(arr.next_ms(), 0.0);
-  EXPECT_DOUBLE_EQ(arr.next_ms(), 4.0);
-  EXPECT_DOUBLE_EQ(arr.next_ms(), 8.0);
-}
-
-TEST(UniformArrivalsTest, BadPeriodRejected) {
-  EXPECT_THROW(UniformArrivals(0.0), std::invalid_argument);
-}
-
 TEST(TakeArrivalsTest, Count) {
-  UniformArrivals arr(1.0);
+  PoissonArrivals arr(100.0, sim::Rng(1));
   EXPECT_EQ(take_arrivals(arr, 17).size(), 17u);
 }
 

@@ -175,6 +175,23 @@ TEST(CliTest, LoadMissingFileFails) {
   EXPECT_NE(r.err.find("cannot open"), std::string::npos);
 }
 
+TEST(CliTest, LoadRejectsNonFiniteOrSignedNumbers) {
+  const std::string path = ::testing::TempDir() + "pjsched_cli_bad.inst";
+  for (const char* job : {"job nan 1\ndag 1 0\nnode 0 1\nend\n",
+                          "job inf 1\ndag 1 0\nnode 0 1\nend\n",
+                          "job 0 inf\ndag 1 0\nnode 0 1\nend\n",
+                          "job 0 1\ndag 1 0\nnode 0 -5\nend\n"}) {
+    {
+      std::ofstream f(path);
+      f << "instance 1\n" << job << "endinstance\n";
+    }
+    const auto r = run({"run", "--load=" + path});
+    EXPECT_EQ(r.code, 2) << job;
+    EXPECT_NE(r.err.find("read_"), std::string::npos) << r.err;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, ChromeTraceWritten) {
   const std::string path = "/tmp/pjsched_cli_test_trace.json";
   const auto r = run({"run", "--jobs=8", "--m=2", "--scheduler=admit-first",

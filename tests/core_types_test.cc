@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "src/dag/builders.h"
 #include "src/metrics/streaming_stats.h"
 #include "src/sched/scheduler.h"
@@ -94,6 +97,17 @@ TEST(InstanceTest, ValidateCatchesBadJobs) {
   auto bad_weight = make_instance({{0.0, dag::single_node(1)}});
   bad_weight.jobs[0].weight = 0.0;
   EXPECT_THROW(bad_weight.validate(), std::invalid_argument);
+
+  // NaN compares false both ways, so `arrival < 0` alone lets it through.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::nan(""), inf}) {
+    auto arrival = make_instance({{0.0, dag::single_node(1)}});
+    arrival.jobs[0].arrival = bad;
+    EXPECT_THROW(arrival.validate(), std::invalid_argument) << bad;
+    auto weight = make_instance({{0.0, dag::single_node(1)}});
+    weight.jobs[0].weight = bad;
+    EXPECT_THROW(weight.validate(), std::invalid_argument) << bad;
+  }
 
   core::Instance unsealed;
   unsealed.jobs.emplace_back();

@@ -212,11 +212,5 @@ TEST(GeneratorTest, BadConfigRejected) {
   EXPECT_THROW(generate_instance(dist, cfg), std::invalid_argument);
 }
 
-TEST(TimeConversionTest, RoundTrip) {
-  GeneratorConfig cfg;
-  cfg.units_per_ms = 10.0;
-  EXPECT_DOUBLE_EQ(time_to_ms(250.0, cfg), 25.0);
-}
-
 }  // namespace
 }  // namespace pjsched::workload

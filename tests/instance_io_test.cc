@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/dag/builders.h"
 #include "src/workload/distributions.h"
 #include "src/workload/generator.h"
@@ -75,6 +77,25 @@ TEST(InstanceIoTest, MalformedInputsRejected) {
       instance_from_text("instance 1\njob -1 1\ndag 1 0\nnode 0 1\nend\n"
                          "endinstance\n"),
       std::invalid_argument);  // negative arrival fails validate()
+}
+
+TEST(InstanceIoTest, NonFiniteOrSignedNumbersRejected) {
+  // Each line replaces the one job record of a valid file.
+  for (const char* job : {
+           "job nan 1\ndag 1 0\nnode 0 1\nend\n",
+           "job inf 1\ndag 1 0\nnode 0 1\nend\n",
+           "job 0 inf\ndag 1 0\nnode 0 1\nend\n",
+           "job 0 nan\ndag 1 0\nnode 0 1\nend\n",
+           "job 0 1\ndag 1 0\nnode 0 -5\nend\n",
+       }) {
+    const std::string text =
+        std::string("instance 1\n") + job + "endinstance\n";
+    EXPECT_THROW(instance_from_text(text), std::invalid_argument) << job;
+  }
+  EXPECT_THROW(
+      instance_from_text("instance -1\njob 0 1\ndag 1 0\nnode 0 1\nend\n"
+                         "endinstance\n"),
+      std::invalid_argument);
 }
 
 TEST(InstanceIoTest, UnsealedOrInvalidInstanceRejectedOnWrite) {

@@ -135,6 +135,20 @@ TEST_F(ReplayFileTest, CorruptTokenIsDistinguishedFromTruncation) {
   }
 }
 
+TEST_F(ReplayFileTest, NonFiniteArrivalIsCorrupt) {
+  std::string text = valid_text();
+  const auto pos = text.find("job 5");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 5, "job nan");
+  const auto path = write_fixture("replay_nan.inst", text);
+  try {
+    runtime::load_replay_instance(path);
+    FAIL() << "expected ReplayFileError";
+  } catch (const runtime::ReplayFileError& e) {
+    EXPECT_EQ(e.kind(), runtime::ReplayFileError::Kind::kCorrupt);
+  }
+}
+
 TEST_F(ReplayFileTest, TrailingGarbageIsCorrupt) {
   const auto path = write_fixture("replay_trailing.inst",
                                   valid_text() + "job 9 1\n");

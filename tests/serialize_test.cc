@@ -90,6 +90,20 @@ TEST(SerializeTest, MalformedInputsRejected) {
       std::invalid_argument);  // duplicate edge
 }
 
+TEST(SerializeTest, SignedOrOutOfRangeNumbersRejected) {
+  // Counts, ids and work are unsigned decimals: no sign (std::stoull
+  // would wrap "-5" to 2^64 - 5), nothing past 2^64 - 1.
+  for (const char* text : {
+           "dag 1 0\nnode 0 -5\nend\n",
+           "dag 1 0\nnode 0 +5\nend\n",
+           "dag 1 0\nnode -0 5\nend\n",
+           "dag -1 0\nend\n",
+           "dag 2 1\nnode 0 1\nnode 1 1\nedge -0 1\nend\n",
+           "dag 1 0\nnode 0 18446744073709551616\nend\n",
+       })
+    EXPECT_THROW(from_text(text), std::invalid_argument) << text;
+}
+
 TEST(SerializeTest, CycleInTextRejectedAtSeal) {
   EXPECT_THROW(
       from_text("dag 2 2\nnode 0 1\nnode 1 1\nedge 0 1\nedge 1 0\nend\n"),

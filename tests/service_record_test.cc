@@ -1,7 +1,7 @@
 // Defensive-parsing tests for the feed wire format (src/service/record.*):
 // the parser must accept exactly the documented grammar and turn every
-// other byte sequence into kMalformed with a diagnostic — never a crash,
-// never a half-parsed record.
+// other byte sequence into kMalformed (kOversize past the line bound) with
+// a diagnostic — never a crash, never a record from a bad line.
 #include "src/service/record.h"
 
 #include <gtest/gtest.h>
@@ -15,19 +15,25 @@
 namespace pjsched::service {
 namespace {
 
+ParseStatus parse(std::string_view line, JobRecord* rec = nullptr,
+                  const char** error = nullptr) {
+  JobRecord scratch;
+  return parse_record_view(line, rec != nullptr ? rec : &scratch, error);
+}
+
 JobRecord must_parse(const std::string& line) {
   JobRecord rec;
-  std::string error;
-  EXPECT_EQ(parse_record(line, &rec, &error), ParseStatus::kRecord)
-      << line << " -> " << error;
+  const char* error = nullptr;
+  EXPECT_EQ(parse(line, &rec, &error), ParseStatus::kRecord)
+      << line << " -> " << (error != nullptr ? error : "");
   return rec;
 }
 
-void must_reject(const std::string& line) {
-  JobRecord rec;
-  std::string error;
-  EXPECT_EQ(parse_record(line, &rec, &error), ParseStatus::kMalformed) << line;
-  EXPECT_FALSE(error.empty()) << line;
+void must_reject(const std::string& line,
+                 ParseStatus status = ParseStatus::kMalformed) {
+  const char* error = nullptr;
+  EXPECT_EQ(parse(line, nullptr, &error), status) << line;
+  EXPECT_TRUE(error != nullptr && *error != '\0') << line;
 }
 
 TEST(ServiceRecord, ParsesMinimalAndFullRecords) {
@@ -49,13 +55,11 @@ TEST(ServiceRecord, ParsesMinimalAndFullRecords) {
 }
 
 TEST(ServiceRecord, BlankLinesAndCommentsAreEmpty) {
-  JobRecord rec;
-  std::string error;
-  EXPECT_EQ(parse_record("", &rec, &error), ParseStatus::kEmpty);
-  EXPECT_EQ(parse_record("   \t ", &rec, &error), ParseStatus::kEmpty);
-  EXPECT_EQ(parse_record("# a comment", &rec, &error), ParseStatus::kEmpty);
+  EXPECT_EQ(parse(""), ParseStatus::kEmpty);
+  EXPECT_EQ(parse("   \t "), ParseStatus::kEmpty);
+  EXPECT_EQ(parse("# a comment"), ParseStatus::kEmpty);
   // A trailing comment after a record is fine.
-  EXPECT_EQ(parse_record("job a 1 # why", &rec, &error), ParseStatus::kRecord);
+  EXPECT_EQ(parse("job a 1 # why"), ParseStatus::kRecord);
 }
 
 TEST(ServiceRecord, HostileInputIsMalformedNeverFatal) {
@@ -79,7 +83,7 @@ TEST(ServiceRecord, HostileInputIsMalformedNeverFatal) {
   must_reject("job a 1 =v");                   // empty key
   must_reject("job a 1 k=");                   // empty value
   must_reject("job a 1 orphan");               // bare token
-  must_reject(std::string(kMaxLineBytes + 1, 'a'));  // oversize line
+  must_reject(std::string(kMaxLineBytes + 1, 'a'), ParseStatus::kOversize);
 }
 
 TEST(ServiceRecord, WorkBoundsAreInclusive) {

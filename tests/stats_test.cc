@@ -133,11 +133,6 @@ TEST(TightestSloTest, MatchesQuantile) {
   EXPECT_EQ(tightest_slo(v, 1.0), 10.0);
 }
 
-TEST(WeightedMaxTest, PicksWeightedArgmax) {
-  EXPECT_DOUBLE_EQ(weighted_max({5.0, 2.0}, {1.0, 10.0}), 20.0);
-  EXPECT_THROW(weighted_max({1.0}, {1.0, 2.0}), std::invalid_argument);
-}
-
 TEST(HistogramTest, BinningAndClamping) {
   Histogram h(0.0, 10.0, 5);
   h.add(0.5);    // bin 0

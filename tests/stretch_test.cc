@@ -56,18 +56,6 @@ TEST(StretchTest, BySpanStretchAtLeastOneOverSpeed) {
   }
 }
 
-TEST(StretchTest, SpanLowerBound) {
-  auto inst = make_instance({
-      {0.0, dag::parallel_for_dag(4, 5)},  // P = 7, W = 22
-      {0.0, dag::single_node(3)},
-  });
-  EXPECT_DOUBLE_EQ(
-      core::stretch_span_lower_bound(inst, core::StretchKind::kBySpan), 1.0);
-  // by-work: max(7/22, 3/3) = 1.0.
-  EXPECT_DOUBLE_EQ(
-      core::stretch_span_lower_bound(inst, core::StretchKind::kByWork), 1.0);
-}
-
 TEST(StretchTest, BwfWithStretchWeightsBeatsFifoOnAdversarialMix) {
   // A giant job saturates the machine; tiny jobs arrive behind it.  FIFO
   // makes the tiny jobs wait (enormous stretch); BWF with by-work stretch

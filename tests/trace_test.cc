@@ -41,20 +41,14 @@ TEST(TraceTest, CoalesceSortsByProcessorThenTime) {
   EXPECT_DOUBLE_EQ(t.intervals()[2].start, 5.0);
 }
 
-TEST(TraceTest, StealEventRecordingCanBeDisabled) {
-  Trace quiet(/*record_steal_events=*/false);
-  quiet.add_steal({0, 1, true, 5});
-  quiet.add_admission({0, 2, 6});
-  EXPECT_TRUE(quiet.steals().empty());
-  EXPECT_TRUE(quiet.admissions().empty());
-
-  Trace loud;
-  loud.add_steal({0, 1, true, 5});
-  loud.add_admission({0, 2, 6});
-  ASSERT_EQ(loud.steals().size(), 1u);
-  EXPECT_TRUE(loud.steals()[0].success);
-  ASSERT_EQ(loud.admissions().size(), 1u);
-  EXPECT_EQ(loud.admissions()[0].job, 2u);
+TEST(TraceTest, RecordsStealAndAdmissionEvents) {
+  Trace t;
+  t.add_steal({0, 1, true, 5});
+  t.add_admission({0, 2, 6});
+  ASSERT_EQ(t.steals().size(), 1u);
+  EXPECT_TRUE(t.steals()[0].success);
+  ASSERT_EQ(t.admissions().size(), 1u);
+  EXPECT_EQ(t.admissions()[0].job, 2u);
 }
 
 TEST(TraceTest, EmptyCoalesceIsNoop) {

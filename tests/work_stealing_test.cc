@@ -17,9 +17,8 @@ using testutil::make_instance;
 TEST(WorkStealingTest, Names) {
   EXPECT_EQ(sched::WorkStealingScheduler(0).name(), "admit-first");
   EXPECT_EQ(sched::WorkStealingScheduler(16).name(), "steal-16-first");
-  EXPECT_EQ(sched::make_admit_first().name(), "admit-first");
-  EXPECT_EQ(sched::make_steal_k_first(4).name(), "steal-4-first");
-  EXPECT_EQ(sched::make_steal_k_first(4).steal_k(), 4u);
+  EXPECT_EQ(sched::WorkStealingScheduler(4).name(), "steal-4-first");
+  EXPECT_EQ(sched::WorkStealingScheduler(4).steal_k(), 4u);
 }
 
 TEST(WorkStealingTest, CompletesRandomInstancesForAllK) {

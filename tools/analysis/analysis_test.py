@@ -121,14 +121,51 @@ class FixtureCase(Staging):
         self.assert_rule_fires("lock-order", "stale-hierarchy",
                                extra=self.hierarchy("hierarchy_stale.md"))
 
-    def test_dot_out_and_check_roundtrip(self):
-        self.stage("lock_order_pass.h", "src/runtime")
+    def write_dot(self):
         dot = os.path.join(self.tmp, "lock-order.dot")
         code, out, err = self.analyze("lock-order", "--dot-out", dot)
         self.assertEqual(code, 0, out + err)
+        return dot
+
+    def test_dot_out_and_check_roundtrip(self):
+        self.stage("lock_order_pass.h", "src/runtime")
+        dot = self.write_dot()
         self.assert_clean("lock-order", extra=("--check-dot", dot))
         with open(dot, "a", encoding="utf-8") as f:
             f.write("// drift\n")
+        self.assert_rule_fires("lock-order", "lock-order-dot",
+                               extra=("--check-dot", dot))
+
+    # The graph pins locks and edges, not the lines they sit on.
+    def edit(self, path, old, new):
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        self.assertIn(old, text)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text.replace(old, new, 1))
+
+    def test_dot_ignores_moved_locks(self):
+        src = self.stage("lock_order_pass.h", "src/runtime")
+        dot = self.write_dot()
+        self.edit(src, "class Ordered {", "\n\n\nclass Ordered {")
+        self.edit(src, "  Mutex a_;", "\n  Mutex a_;")
+        self.assert_clean("lock-order", extra=("--check-dot", dot))
+
+    def test_dot_catches_added_lock(self):
+        src = self.stage("lock_order_pass.h", "src/runtime")
+        dot = self.write_dot()
+        self.edit(src, "  Mutex b_;", "  Mutex b_;\n  Mutex c_;")
+        self.assert_rule_fires("lock-order", "lock-order-dot",
+                               extra=("--check-dot", dot))
+
+    def test_dot_catches_added_edge(self):
+        src = self.stage("lock_order_pass.h", "src/runtime")
+        self.edit(src, "  Mutex b_;", "  Mutex b_;\n  Mutex c_;")
+        self.edit(src, "  void take_b() {",
+                  "  void take_c() { MutexLock l(c_); }\n  void take_b() {")
+        dot = self.write_dot()
+        self.edit(src, "void take_c() { MutexLock l(c_); }",
+                  "void take_c() { MutexLock l1(b_); MutexLock l2(c_); }")
         self.assert_rule_fires("lock-order", "lock-order-dot",
                                extra=("--check-dot", dot))
 

@@ -128,8 +128,10 @@ def find_cycles(edges) -> list[list[str]]:
 
 
 def to_dot(edges, all_locks, leaves=frozenset()) -> str:
-    """Deterministic DOT: sorted nodes and edges, first acquisition site as
-    the edge label.  Regenerate with tools/analysis/regen_lock_order.sh."""
+    """Deterministic DOT: sorted locks labelled with their files, and sorted
+    edges.  No line numbers, so an edit that only moves a declaration or an
+    acquisition leaves the graph as it was; findings carry the lines.
+    Regenerate with tools/analysis/regen_lock_order.sh."""
     lines = [
         "// Generated by tools/analysis/pjsched_analysis.py --pass "
         "lock-order --dot-out.",
@@ -140,13 +142,11 @@ def to_dot(edges, all_locks, leaves=frozenset()) -> str:
         "  node [shape=box, fontname=\"monospace\"];",
     ]
     for lock in sorted(all_locks):
-        file, line = all_locks[lock]
+        file, _line = all_locks[lock]
         shape = ", style=dashed" if lock in leaves else ""
-        lines.append(
-            f"  \"{lock}\" [label=\"{lock}\\n{file}:{line}\"{shape}];")
+        lines.append(f"  \"{lock}\" [label=\"{lock}\\n{file}\"{shape}];")
     for (a, b) in sorted(edges):
-        file, line, _ctx = edges[(a, b)]
-        lines.append(f"  \"{a}\" -> \"{b}\" [label=\"{file}:{line}\"];")
+        lines.append(f"  \"{a}\" -> \"{b}\";")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
