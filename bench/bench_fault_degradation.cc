@@ -21,10 +21,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/parse.h"
 #include "src/core/run.h"
 #include "src/core/types.h"
 #include "src/metrics/table.h"
@@ -47,13 +49,17 @@ Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      args.jobs = static_cast<std::size_t>(std::stoull(arg.substr(7)));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--csv") {
-      args.csv = true;
-    } else {
+    try {
+      if (arg.rfind("--jobs=", 0) == 0) {
+        args.jobs = core::parse_unsigned<std::size_t>(arg.substr(7));
+      } else if (arg.rfind("--seed=", 0) == 0) {
+        args.seed = core::parse_unsigned<std::uint64_t>(arg.substr(7));
+      } else if (arg == "--csv") {
+        args.csv = true;
+      } else {
+        throw std::invalid_argument(arg);
+      }
+    } catch (const std::invalid_argument&) {
       std::cerr << "usage: " << argv[0] << " [--jobs=N] [--seed=S] [--csv]\n";
       std::exit(2);
     }
@@ -140,7 +146,7 @@ void run_real_runtime(const Args& args) {
             runtime::spin_for_units(10, /*ns_per_unit=*/2000.0);
           });
         },
-        submit);
+        std::move(submit));
   }
   pool.wait_all();
   const auto counts = pool.recorder().outcome_counts();

@@ -14,10 +14,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/core/parse.h"
 
 namespace pjsched::benchfig2 {
 
@@ -27,19 +29,24 @@ struct Args {
   bool csv = false;
 };
 
-/// Parses "--jobs=N", "--seed=S", "--csv" from argv; anything else is
-/// rejected with a usage message.
+/// Parses "--jobs=N", "--seed=S", "--csv" from argv; anything else, or a
+/// count that is not a whole unsigned number, is rejected with a usage
+/// message (exit 2).
 inline Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      args.jobs = static_cast<std::size_t>(std::stoull(arg.substr(7)));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--csv") {
-      args.csv = true;
-    } else {
+    try {
+      if (arg.rfind("--jobs=", 0) == 0) {
+        args.jobs = core::parse_unsigned<std::size_t>(arg.substr(7));
+      } else if (arg.rfind("--seed=", 0) == 0) {
+        args.seed = core::parse_unsigned<std::uint64_t>(arg.substr(7));
+      } else if (arg == "--csv") {
+        args.csv = true;
+      } else {
+        throw std::invalid_argument(arg);
+      }
+    } catch (const std::invalid_argument&) {
       std::cerr << "usage: " << argv[0] << " [--jobs=N] [--seed=S] [--csv]\n";
       std::exit(2);
     }

@@ -99,17 +99,17 @@ Options parse(const std::vector<std::string>& args) {
       } else if (consume(arg, "jobs", &v)) {
         opt.jobs = core::parse_unsigned<std::size_t>(v);
       } else if (consume(arg, "qps", &v)) {
-        opt.qps = std::stod(v);
+        opt.qps = core::parse_finite(v);
       } else if (consume(arg, "seed", &v)) {
         opt.seed = core::parse_unsigned<std::uint64_t>(v);
       } else if (consume(arg, "grains", &v)) {
         opt.grains = core::parse_unsigned<std::size_t>(v);
       } else if (consume(arg, "units-per-ms", &v)) {
-        opt.units_per_ms = std::stod(v);
+        opt.units_per_ms = core::parse_finite(v);
       } else if (consume(arg, "m", &v)) {
         opt.m = core::parse_unsigned<unsigned>(v);
       } else if (consume(arg, "speed", &v)) {
-        opt.speed = std::stod(v);
+        opt.speed = core::parse_finite(v);
       } else if (consume(arg, "load", &v)) {
         opt.load_file = v;
       } else if (arg == "--gantt") {
@@ -131,7 +131,7 @@ Options parse(const std::vector<std::string>& args) {
         std::istringstream iss(v);
         std::string tok;
         while (std::getline(iss, tok, ','))
-          opt.weight_classes.push_back(std::stod(tok));
+          opt.weight_classes.push_back(core::parse_finite(tok));
         if (opt.weight_classes.empty())
           usage_error("--weights needs at least one value");
       } else if (consume(arg, "trials", &v)) {
@@ -151,10 +151,11 @@ Options parse(const std::vector<std::string>& args) {
               !std::getline(fields, m_str, ':'))
             usage_error("--degrade events are t:m[:s], got '" + tok + "'");
           core::MachineEvent e;
-          e.time = std::stod(t_str);
+          e.time = core::parse_finite(t_str);
           e.processors = core::parse_unsigned<unsigned>(m_str);
-          e.speed = std::getline(fields, s_str, ':') ? std::stod(s_str)
-                                                     : -1.0;  // inherit
+          e.speed = std::getline(fields, s_str, ':')
+                        ? core::parse_finite(s_str)
+                        : -1.0;  // inherit
           opt.degradation.push_back(e);
         }
         if (opt.degradation.empty())

@@ -50,19 +50,23 @@ struct BlockLayout {
 // writes, start on a fresh cache line and the block ends on a line
 // boundary, so a counter write never invalidates a line that holds the
 // read-mostly part.  Node tasks point at the run by raw pointer: the block
-// is the job's SubmitOptions::state, which the pool frees only after the
-// job's last task has exited.
+// is owned by the job's SubmitOptions::on_finish, which the pool destroys
+// only after the job's last task has exited.
 struct DagRun {
   static constexpr std::align_val_t kAlign{kDestructiveInterference};
 
-  static DagRun* make(const dag::Dag& graph, NodeBody body) {
+  struct Deleter {
+    void operator()(DagRun* run) const noexcept {
+      run->~DagRun();
+      ::operator delete(run, kAlign);
+    }
+  };
+  using Ptr = std::unique_ptr<DagRun, Deleter>;
+
+  static Ptr make(const dag::Dag& graph, NodeBody body) {
     const BlockLayout at(graph);
-    return new (::operator new(at.bytes, kAlign))
-        DagRun(graph, std::move(body), at);
-  }
-  static void destroy(DagRun* run) {
-    run->~DagRun();
-    ::operator delete(run, kAlign);
+    return Ptr(new (::operator new(at.bytes, kAlign))
+                   DagRun(graph, std::move(body), at));
   }
 
   DagRun(const DagRun&) = delete;
@@ -176,12 +180,13 @@ JobHandle submit_dag(ThreadPool& pool, const dag::Dag& graph, NodeBody body,
                      SubmitOptions options) {
   if (!graph.sealed())
     throw std::invalid_argument("submit_dag: DAG must be sealed");
-  if (options.state)
+  if (options.on_finish)
     throw std::invalid_argument(
-        "submit_dag: options.state must be empty; the run's block takes it");
-  DagRun* const run = DagRun::make(graph, std::move(body));
-  // Should the control block's allocation throw, shared_ptr runs destroy.
-  options.state = std::shared_ptr<void>(run, &DagRun::destroy);
+        "submit_dag: options.on_finish must be empty; it owns the block");
+  DagRun::Ptr block = DagRun::make(graph, std::move(body));
+  DagRun* const run = block.get();
+  // The hook's capture owns the block, so the pool frees it with the hook.
+  options.on_finish = [block = std::move(block)](const Job&) {};
   return pool.submit(
       [run](TaskContext& ctx) {
         // Hand the sources out as one ready list; this task is the job root.

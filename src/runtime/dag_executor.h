@@ -5,17 +5,17 @@
 //
 // submit_dag packs the sealed DAG into one flat execution block per job:
 // node work, the successor CSR, the sources, per-node dependence counters
-// and the NodeBody, in a single allocation.  The block rides in the job's
-// SubmitOptions::state, so the pool frees it exactly once, after the job's
-// last task has exited, whatever the job's outcome.  Each DAG node runs in
-// one task, which carries only a raw pointer to the block and a list of
-// ready node ids.  When a node finishes it resolves its successors'
-// dependence counters and spawns one task over those that became ready: the
-// dynamic unfolding of Section 2, realized with atomics instead of the
-// simulator's PackedDag frontier.  A task over a list spawns each half of
-// the list's tail as a task of its own, the far half first, and runs the
-// list's first node, so one steal takes half of a job's ready siblings, as
-// in TBB's recursively split parallel_for.
+// and the NodeBody, in a single allocation.  The job's
+// SubmitOptions::on_finish owns the block, so the pool frees it exactly
+// once, after the job's last task has exited, whatever the job's outcome.
+// Each DAG node runs in one task, which carries only a raw pointer to the
+// block and a list of ready node ids.  When a node finishes it resolves its
+// successors' dependence counters and spawns one task over those that
+// became ready: the dynamic unfolding of Section 2, realized with atomics
+// instead of the simulator's PackedDag frontier.  A task over a list spawns
+// each half of the list's tail as a task of its own, the far half first,
+// and runs the list's first node, so one steal takes half of a job's ready
+// siblings, as in TBB's recursively split parallel_for.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +42,9 @@ void spin_for_units(dag::Work units, double ns_per_unit);
 
 /// Submits `graph` as one job with `options` (weight, deadline).  The job's
 /// execution block holds everything the run reads from the DAG, so
-/// `graph` may be destroyed as soon as this returns.  `options.state` must
-/// be empty: the block takes that slot.  Returns the pool's job handle
-/// (flow time lands in the pool's recorder).
+/// `graph` may be destroyed as soon as this returns.  `options.on_finish`
+/// must be empty: the block's owner takes that slot.  Returns the pool's
+/// job handle (flow time lands in the pool's recorder).
 JobHandle submit_dag(ThreadPool& pool, const dag::Dag& graph, NodeBody body,
                      SubmitOptions options);
 JobHandle submit_dag(ThreadPool& pool, const dag::Dag& graph, NodeBody body,

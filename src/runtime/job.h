@@ -117,19 +117,6 @@ class Job {
     while (!finished_.load(std::memory_order_acquire)) cv_.wait(mu_);
   }
 
-  /// wait() bounded by `timeout`: true once the job is terminal, false if
-  /// the timeout passed first.  Spurious wakes re-wait for the remainder.
-  bool wait_for(Clock::duration timeout) const {
-    const Clock::time_point deadline = Clock::now() + timeout;
-    MutexLock lock(mu_);
-    while (!finished_.load(std::memory_order_acquire)) {
-      const Clock::time_point now = Clock::now();
-      if (now >= deadline) return false;
-      cv_.wait_for(mu_, deadline - now);
-    }
-    return true;
-  }
-
   /// Flow time in seconds (valid after completion).
   double flow_seconds() const {
     return std::chrono::duration<double>(completion_time_ - submit_time_)
@@ -226,9 +213,9 @@ class Job {
   Clock::time_point completion_time_{};
   Clock::time_point deadline_{};
   bool has_deadline_ = false;  // written before the job is visible to workers
-  /// SubmitOptions::state: set by submit() before the job is visible to
-  /// workers, dropped by the job's last finish_job (see there).
-  std::shared_ptr<void> state_;
+  /// SubmitOptions::on_finish: set by submit() before the job is visible
+  /// to workers, run and destroyed by the job's last finish_job (see there).
+  InlineFn<void(const Job&)> on_finish_;
   mutable Mutex mu_;
   mutable CondVar cv_;
   std::string error_ PJSCHED_GUARDED_BY(mu_);  // first failure wins

@@ -150,7 +150,7 @@ JobHandle ThreadPool::submit(TaskFn root, SubmitOptions options) {
   job->mark_submitted();
   if (options.deadline.has_value())
     job->set_deadline(job->submit_time() + *options.deadline);
-  job->state_ = std::move(options.state);  // before any task can see the job
+  job->on_finish_ = std::move(options.on_finish);  // before tasks see the job
   job->add_pending();  // the root task
   {
     MutexLock lock(done_mu_);
@@ -204,9 +204,13 @@ void ThreadPool::finish_job(Job* job, unsigned recorder_shard) {
   if (job->finish_one()) {
     recorder_.record(*job, recorder_shard);
     // Every task of the job has exited (each held a pending count until
-    // then), so nothing points into its state any more.  Dropped before the
-    // count below, so wait_all() returning means every state is gone.
-    job->state_.reset();
+    // then), so nothing points into the hook's captures any more.  Run and
+    // destroyed before the count below, so wait_all() returning means every
+    // hook has run and is gone.
+    if (job->on_finish_) {
+      job->on_finish_(*job);
+      job->on_finish_.reset();
+    }
     // The last access to *job: from here submit() may drop the pool's
     // reference, and with it the job.
     job->mark_retired();

@@ -118,13 +118,16 @@ struct SubmitOptions {
   /// Enforcement is cooperative: checked before every task of the job
   /// executes (long task bodies should poll TaskContext::cancelled()).
   std::optional<Clock::duration> deadline;
-  /// State that must live exactly as long as the job's tasks.  submit()
-  /// moves it into the job, and finish_job drops it once the job's last
-  /// task has exited: after the recorder write, before wait_all() can count
-  /// the job.  That holds for every terminal outcome, including shed and
-  /// rejected jobs whose root never ran.  So tasks may point into it by raw
-  /// pointer (submit_dag keeps its per-job execution block here).
-  std::shared_ptr<void> state;
+  /// Runs exactly once, with the finished job, on the thread that retires
+  /// it: after the recorder write, before wait_all() can count the job.
+  /// That holds for every terminal outcome, including shed and rejected
+  /// jobs whose root never ran (their hook runs on the thread whose
+  /// submit() or shutdown() dropped them).  The pool destroys the hook,
+  /// and everything it captures, right after the call, once the job's last
+  /// task has exited.  So tasks may point into a capture by raw pointer
+  /// (submit_dag owns its per-job execution block this way).  It must not
+  /// throw.
+  InlineFn<void(const Job&)> on_finish;
 };
 
 class ThreadPool;
@@ -250,7 +253,7 @@ class ThreadPool {
   /// worker blocked the pool deadlocks.  Such calls throw std::logic_error
   /// deterministically (full queue or not); use TaskContext::spawn or a
   /// non-blocking policy instead.  Both throws come before a job exists,
-  /// so `options.state` is then dropped with the argument.
+  /// so `options.on_finish` is then destroyed unrun with the argument.
   JobHandle submit(TaskFn root, SubmitOptions options);
   JobHandle submit(TaskFn root, double weight = 1.0);
 
@@ -333,9 +336,9 @@ class ThreadPool {
   /// releases the task.  Runs on non-worker threads (submit / shutdown).
   void terminate_unadmitted(Task* task, bool rejected);
   /// Drains one pending count; on the job's last task records it in the
-  /// given recorder shard, drops its SubmitOptions::state and, only when
-  /// this was the last outstanding job, notifies done_cv_ (completions of
-  /// non-final jobs touch no lock).
+  /// given recorder shard, runs and destroys its SubmitOptions::on_finish
+  /// and, only when this was the last outstanding job, notifies done_cv_
+  /// (completions of non-final jobs touch no lock).
   void finish_job(Job* job, unsigned recorder_shard);
   /// Recorder shard for non-worker threads (submit, shutdown, watchdog).
   unsigned external_shard() const { return workers(); }

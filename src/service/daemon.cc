@@ -34,12 +34,6 @@ constexpr std::size_t kTenantFlowReservoir = 1024;
 /// How many recent malformed-line samples the quarantine keeps.
 constexpr std::size_t kQuarantineKeep = 16;
 
-/// The age up to which a full window waits on its oldest job rather than
-/// on arrivals, and the dispatcher's longest sleep while records queue
-/// behind a full window.  It bounds the time a long oldest job keeps the
-/// dispatcher from noticing the slots of younger jobs that finished first.
-constexpr std::chrono::milliseconds kDispatchBackstop{1};
-
 int make_wake_pipe(int* rd, int* wr) {
   int fds[2];
   if (::pipe(fds) != 0) return -1;
@@ -89,11 +83,22 @@ void spin_cancellable(runtime::TaskContext& ctx, double units,
   }
 }
 
+/// A finish hook submits the next record from a pool worker.  A bounded
+/// kBlock queue throws there, inside the pool's job retirement, and the
+/// other policies would drop a record the window had already admitted.
+const runtime::PoolOptions& unbounded(const runtime::PoolOptions& pool) {
+  if (pool.admission_capacity != 0)
+    throw std::invalid_argument(
+        "Daemon: config.pool.admission_capacity must be 0; the dispatch "
+        "window bounds what the daemon submits");
+  return pool;
+}
+
 }  // namespace
 
 Daemon::Daemon(const DaemonConfig& config)
     : config_(config),
-      pool_(config.pool),
+      pool_(unbounded(config.pool)),
       router_(config.router),
       window_(config.dispatch_window > 0
                   ? config.dispatch_window
@@ -115,7 +120,6 @@ Daemon::Daemon(const DaemonConfig& config)
     }
     tcp_port_ = bound;
   }
-  dispatcher_ = std::thread([this] { dispatcher_main(); });
   maintenance_ = std::thread([this] { maintenance_main(); });
   if (unix_listen_fd_ >= 0 || tcp_listen_fd_ >= 0) {
     std::size_t n = config_.io_threads;
@@ -132,8 +136,7 @@ Daemon::Daemon(const DaemonConfig& config)
         }
         close_fd(unix_listen_fd_);
         close_fd(tcp_listen_fd_);
-        raise_stop();
-        dispatcher_.join();
+        stop_.store(true, std::memory_order_release);
         maintenance_.join();
         pool_.shutdown();
         throw std::runtime_error("pjschedd: wake pipe creation failed");
@@ -145,24 +148,15 @@ Daemon::Daemon(const DaemonConfig& config)
   }
 }
 
-void Daemon::raise_stop() {
-  {
-    runtime::MutexLock lock(work_mu_);
-    stop_.store(true, std::memory_order_release);
-  }
-  work_cv_.notify_all();
-}
-
 Daemon::~Daemon() {
   router_.begin_drain();
-  raise_stop();
+  stop_.store(true, std::memory_order_release);
   for (auto& shard : io_shards_) wake_shard(shard->wake_wr);
   for (auto& shard : io_shards_) {
     if (shard->thread.joinable()) shard->thread.join();
     close_fd(shard->wake_rd);
     close_fd(shard->wake_wr);
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
   if (maintenance_.joinable()) maintenance_.join();
 
   // Anything still queued in the router was accepted but will never be
@@ -171,10 +165,17 @@ Daemon::~Daemon() {
   QueuedRecord rec;
   while (router_.try_pop(&rec)) account_shed(rec, ShedReason::kRejectDrain);
 
-  // Drain the pool (every dispatched job reaches a terminal outcome), then
-  // take the final reap so tenant counters cover all of them.
+  // A pump that popped a record before stop_ may still be submitting it,
+  // and a submit after pool_.shutdown() throws: wait until every popped
+  // record has finished.  Only finish hooks pump by now, and the pool
+  // counts a job only once its hook has returned, so wait_all() is that
+  // wait; the loop re-checks the count it stands for.
+  for (;;) {
+    pool_.wait_all();
+    runtime::MutexLock lock(state_mu_);
+    if (inflight_ == 0) break;
+  }
   pool_.shutdown();
-  reap_finished();
 
   close_fd(unix_listen_fd_);
   close_fd(tcp_listen_fd_);
@@ -197,7 +198,7 @@ PushOutcome Daemon::submit_record(JobRecord record) {
   const PushOutcome out = router_.push(std::move(record), &evictions, &reason);
   if (!evictions.empty()) account_sheds(evictions);
   if (out == PushOutcome::kShed) account_shed_reason(tenant, reason);
-  if (pump()) wake_dispatcher();
+  pump();
   return out;
 }
 
@@ -241,7 +242,7 @@ void Daemon::dispatch(QueuedRecord rec) {
     if (spent >= budget) {
       runtime::MutexLock lock(state_mu_);
       ++tenants_[rec.record.tenant].deadline_expired;
-      --dispatching_;
+      --inflight_;
       return;
     }
     opts.deadline = budget - spent;
@@ -251,7 +252,12 @@ void Daemon::dispatch(QueuedRecord rec) {
   const unsigned fanout = std::max(1u, rec.record.fanout);
   const double per = work / static_cast<double>(fanout);
   const double ns = config_.ns_per_unit;
-  runtime::JobHandle handle = pool_.submit(
+  // this, the tenant and the ingest time: 48 bytes, stored inline.
+  opts.on_finish = [this, tenant = std::move(rec.record.tenant),
+                    ingest = rec.ingest](const runtime::Job& job) {
+    finish(tenant, ingest, job);
+  };
+  pool_.submit(
       [per, fanout, ns](runtime::TaskContext& ctx) {
         if (fanout > 1) {
           runtime::WaitGroup wg;
@@ -267,86 +273,65 @@ void Daemon::dispatch(QueuedRecord rec) {
           spin_cancellable(ctx, per, ns);
         }
       },
-      opts);
-
-  runtime::MutexLock lock(state_mu_);
-  pending_.push_back(
-      PendingJob{std::move(handle), std::move(rec.record.tenant), rec.ingest});
-  --dispatching_;
+      std::move(opts));
 }
 
-bool Daemon::pump() {
+void Daemon::pump() {
   QueuedRecord rec;
   while (true) {
     {
       runtime::MutexLock lock(state_mu_);
-      if (reap_locked() + dispatching_ >= window_) return router_.depth() > 0;
-      if (!router_.try_pop(&rec)) return false;
-      ++dispatching_;
+      if (stop_.load(std::memory_order_relaxed) || inflight_ >= window_ ||
+          !router_.try_pop(&rec))
+        return;
+      ++inflight_;
     }
     dispatch(std::move(rec));
   }
 }
 
-void Daemon::wake_dispatcher() {
-  bool raised = false;
+void Daemon::finish(const std::string& tenant, Clock::time_point ingest,
+                    const runtime::Job& job) {
   {
-    runtime::MutexLock lock(work_mu_);
-    raised = !backlog_;
-    backlog_ = true;
-  }
-  if (raised) work_cv_.notify_one();
-}
-
-void Daemon::dispatcher_main() {
-  while (true) {
-    const bool backlog = pump();
-    if (stop_.load(std::memory_order_acquire)) return;
-    if (!backlog) {
-      // Nothing queued behind a full window: each arrival dispatches
-      // itself, and one that finds the window full raises the flag.  Only
-      // this branch lowers it, each time before a pump, so a backlog's
-      // later arrivals find it raised and wake nobody.
-      runtime::MutexLock lock(work_mu_);
-      if (!backlog_) {
-        while (!backlog_ && !stop_.load(std::memory_order_acquire))
-          work_cv_.wait(work_mu_);
-        ++wakeups_;
-      }
-      backlog_ = false;
-      continue;
-    }
-    // A backlog behind a full window sends no arrivals to refill it.  Wait
-    // on the oldest in-flight job (pending_ is in dispatch order) until it
-    // is kDispatchBackstop old: its completion is what frees a slot.  An
-    // older job is a long one that younger jobs outlive; their slots are
-    // found by arrivals, or at the timed wait's end.
-    runtime::JobHandle oldest;
-    Clock::duration left{};
-    {
-      runtime::MutexLock lock(state_mu_);
-      // Another thread reaped since the pump: pump again.
-      if (pending_.size() + dispatching_ < window_) continue;
-      if (!pending_.empty()) {
-        const runtime::JobHandle& front = pending_.front().handle;
-        left = front->submit_time() + kDispatchBackstop - Clock::now();
-        if (left > Clock::duration::zero()) {
-          oldest = front;
-          ++window_waits_;
+    runtime::MutexLock lock(state_mu_);
+    TenantCounters& t = tenants_[tenant];
+    switch (job.outcome()) {
+      case runtime::JobOutcome::kCompleted: {
+        ++t.completed;
+        const double flow =
+            std::chrono::duration<double>(job.completion_time() - ingest)
+                .count();
+        t.max_flow_seconds = std::max(t.max_flow_seconds, flow);
+        t.sum_flow_seconds += flow;
+        ++t.flow_samples;
+        auto fit = flow_.find(tenant);
+        if (fit == flow_.end()) {
+          metrics::StreamingFlowStats::Options opts;
+          opts.reservoir = kTenantFlowReservoir;
+          fit = flow_.emplace(tenant, metrics::StreamingFlowStats(opts)).first;
         }
+        // Arrival 0 / completion `flow` records the flow value itself.
+        fit->second.record(t.flow_samples, 0.0, 1.0, flow);
+        break;
       }
+      case runtime::JobOutcome::kFailed:
+        ++t.failed;
+        break;
+      case runtime::JobOutcome::kDeadlineExpired:
+        ++t.deadline_expired;
+        break;
+      case runtime::JobOutcome::kShed:
+        ++t.shed;
+        break;
+      case runtime::JobOutcome::kRejected:
+        ++t.rejected;
+        break;
+      case runtime::JobOutcome::kRunning:
+        break;  // unreachable: a hook runs only for a terminal job
     }
-    if (!oldest) {
-      runtime::MutexLock lock(work_mu_);
-      work_cv_.wait_for(work_mu_, kDispatchBackstop);
-      ++wakeups_;
-      continue;
-    }
-    if (!oldest->wait_for(left)) {
-      runtime::MutexLock lock(state_mu_);
-      ++window_timeouts_;
-    }
+    --inflight_;
   }
+  pump();
 }
 
 void Daemon::maintenance_main() {
@@ -362,7 +347,6 @@ void Daemon::maintenance_main() {
     evictions.clear();
     router_.tick(stalled, &evictions);
     if (!evictions.empty()) account_sheds(evictions);
-    reap_finished();
 
     std::this_thread::sleep_for(config_.tick_interval);
   }
@@ -402,73 +386,16 @@ void Daemon::account_sheds(const std::vector<ShedRecord>& sheds) {
   for (const ShedRecord& s : sheds) account_shed(s.item, s.reason);
 }
 
-std::size_t Daemon::reap_finished() {
-  runtime::MutexLock lock(state_mu_);
-  return reap_locked();
-}
-
-std::size_t Daemon::reap_locked() {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    PendingJob& p = pending_[i];
-    if (!p.handle->finished()) {
-      if (kept != i) pending_[kept] = std::move(p);
-      ++kept;
-      continue;
-    }
-    TenantCounters& t = tenants_[p.tenant];
-    switch (p.handle->outcome()) {
-      case runtime::JobOutcome::kCompleted: {
-        ++t.completed;
-        const double flow = std::chrono::duration<double>(
-                                p.handle->completion_time() - p.ingest)
-                                .count();
-        t.max_flow_seconds = std::max(t.max_flow_seconds, flow);
-        t.sum_flow_seconds += flow;
-        ++t.flow_samples;
-        auto fit = flow_.find(p.tenant);
-        if (fit == flow_.end()) {
-          metrics::StreamingFlowStats::Options opts;
-          opts.reservoir = kTenantFlowReservoir;
-          fit = flow_.emplace(p.tenant, metrics::StreamingFlowStats(opts))
-                    .first;
-        }
-        // Arrival 0 / completion `flow` records the flow value itself.
-        fit->second.record(t.flow_samples, 0.0, 1.0, flow);
-        break;
-      }
-      case runtime::JobOutcome::kFailed:
-        ++t.failed;
-        break;
-      case runtime::JobOutcome::kDeadlineExpired:
-        ++t.deadline_expired;
-        break;
-      case runtime::JobOutcome::kShed:
-        ++t.shed;
-        break;
-      case runtime::JobOutcome::kRejected:
-        ++t.rejected;
-        break;
-      case runtime::JobOutcome::kRunning:
-        break;  // unreachable: finished() implies terminal
-    }
-  }
-  pending_.resize(kept);
-  return kept;
-}
-
 bool Daemon::drain(std::chrono::milliseconds timeout) {
   router_.begin_drain();
   const Clock::time_point deadline = Clock::now() + timeout;
   while (Clock::now() < deadline) {
-    if (pump()) wake_dispatcher();
     // In this order: a record popped after the depth read was counted in
-    // dispatching_ by the hold that popped it, and one that has left
-    // dispatching_ is in pending_, read in the same hold.
+    // inflight_ by the hold that popped it.
     const std::size_t queued = router_.depth();
     {
       runtime::MutexLock lock(state_mu_);
-      if (queued == 0 && dispatching_ == 0 && reap_locked() == 0) return true;
+      if (queued == 0 && inflight_ == 0) return true;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -492,16 +419,10 @@ DaemonSnapshot Daemon::snapshot() const {
   snap.router = router_.stats();
   snap.pool = pool_.stats();
   snap.admission = pool_.admission_stats();
-  {
-    runtime::MutexLock lock(work_mu_);
-    snap.wakeups = wakeups_;
-  }
   runtime::MutexLock lock(state_mu_);
   snap.feed = feed_;
   snap.tenants = tenants_;
-  snap.inflight = pending_.size();
-  snap.window_waits = window_waits_;
-  snap.window_timeouts = window_timeouts_;
+  snap.inflight = inflight_;
   snap.quarantine.assign(quarantine_.begin(), quarantine_.end());
   for (const auto& [name, stats] : flow_) {
     const auto it = snap.tenants.find(name);
@@ -528,9 +449,6 @@ std::string Daemon::metrics_text() const {
       << " timeouts=" << s.feed.read_timeouts
       << " slow_drip=" << s.feed.slow_drip << " batches=" << s.feed.batches
       << "]"
-      << " dispatch[window_waits=" << s.window_waits
-      << " window_timeouts=" << s.window_timeouts
-      << " wakeups=" << s.wakeups << "]"
       << " inflight=" << s.inflight << "\n";
   for (const auto& [name, t] : s.tenants) {
     out << "  tenant " << name << ": submitted=" << t.submitted
@@ -581,10 +499,7 @@ std::string Daemon::metrics_machine() const {
       << "ingest.disconnects " << s.feed.disconnects << "\n"
       << "ingest.read_timeouts " << s.feed.read_timeouts << "\n"
       << "ingest.slow_drip " << s.feed.slow_drip << "\n"
-      << "ingest.commands " << s.feed.commands << "\n"
-      << "dispatch.window_waits " << s.window_waits << "\n"
-      << "dispatch.window_timeouts " << s.window_timeouts << "\n"
-      << "dispatch.wakeups " << s.wakeups << "\n";
+      << "ingest.commands " << s.feed.commands << "\n";
   for (const auto& [name, t] : s.tenants) {
     const std::string prefix = "tenant." + name + ".";
     out << prefix << "submitted " << t.submitted << "\n"
@@ -715,7 +630,7 @@ void Daemon::admit_records(std::vector<JobRecord>& records,
         bump_shed_counter(tenants_[records[i].tenant], outcomes[i].reason);
   }
   records.clear();
-  if (pump()) wake_dispatcher();
+  pump();
 }
 
 void Daemon::io_shard_main(std::size_t shard_index) {

@@ -2,23 +2,18 @@
 // (TenantRouter) -> ThreadPool execution, with full terminal-outcome
 // accounting per tenant.
 //
+// Dispatch has no thread of its own.  pump() pops weighted-fair, enforces
+// the record's deadline budget (time already spent queued in the router
+// counts against it) and submits to the pool, at most dispatch_window jobs
+// in flight.  It runs on the thread that admits an arrival (an io shard or
+// the submit_record caller), and on the thread that retires a dispatched
+// job: the job's finish hook books its outcome into the tenant's counters,
+// frees its window slot and pumps (docs/service.md, "Dispatch").
+//
 // Threads owned by a Daemon:
 //
-//   dispatcher   refills a full dispatch window from a backlog already
-//                queued in the router.  Every arrival is dispatched by
-//                pump() on the thread that admits it (an io shard or the
-//                submit_record caller): pop weighted-fair, enforce the
-//                record's deadline budget (time already spent queued in
-//                the router counts against it) and submit to the pool, at
-//                most dispatch_window jobs in flight.  An arrival that
-//                finds the window full wakes the dispatcher, which waits
-//                on its oldest in-flight job (its Job condvar) while that
-//                job is younger than 1 ms, and on work_cv_ for at most
-//                1 ms after; with nothing queued it sleeps on work_cv_
-//                with no timer (docs/service.md, "Dispatch");
 //   maintenance  ticks the degradation ladder (utilization + watchdog
-//                stall signal), accounts tick-time evictions, and reaps
-//                finished pool jobs into per-tenant counters;
+//                stall signal) and accounts tick-time evictions;
 //   io shards (optional) N poll()-based event loops (--io-threads; default
 //                hw_concurrency/4) over the configured Unix/TCP listeners
 //                and their connections.  Shard 0 accepts and hands each new
@@ -62,6 +57,8 @@
 namespace pjsched::service {
 
 struct DaemonConfig {
+  /// Its admission queue must stay unbounded (admission_capacity 0): a
+  /// finish hook submits the next record from a pool worker.
   runtime::PoolOptions pool;
   RouterConfig router;
 
@@ -82,19 +79,18 @@ struct DaemonConfig {
   /// Byte cap on the slow-dribble guard: a connection is closed once this
   /// many bytes arrive without a completed line, however fast they come.
   std::size_t slow_drip_byte_cap = 16 * kMaxLineBytes;
-  /// Ladder/reaper cadence.
+  /// Ladder cadence.
   std::chrono::milliseconds tick_interval{10};
   /// Connections beyond this are accepted and immediately closed.
   std::size_t max_connections = 64;
   /// CPU time rendered per work unit (see runtime::spin_for_units).
   double ns_per_unit = 1000.0;
-  /// Max jobs dispatched to the pool but not yet reaped (0 = 4x workers).
-  /// Dispatch stops popping at the window so the backlog stays in the
-  /// ROUTER — where weighted fairness and the ladder's utilization signal
-  /// live — instead of leaking into the pool's FIFO queue.  Arrivals
-  /// refill a full window as they come; behind a queued backlog the
-  /// dispatcher refills it when its oldest in-flight job finishes, or
-  /// every 1 ms once that job is 1 ms old.
+  /// Max records popped from the router but not yet finished (0 = 4x
+  /// workers).  Dispatch stops popping at the window so the backlog stays
+  /// in the ROUTER — where weighted fairness and the ladder's utilization
+  /// signal live — instead of leaking into the pool's FIFO queue.  Arrivals
+  /// fill the window as they come; each finishing job refills its own slot
+  /// from a backlog already queued.
   std::size_t dispatch_window = 0;
 };
 
@@ -154,28 +150,20 @@ struct DaemonSnapshot {
   runtime::AdmissionQueue::Stats admission;
   FeedStats feed;
   std::map<std::string, TenantCounters> tenants;
-  std::size_t inflight = 0;  ///< dispatched to the pool, not yet reaped
-  /// Full-window waits on the oldest in-flight job, and those that ended
-  /// at the job's 1 ms mark rather than at its completion.
-  std::uint64_t window_waits = 0;
-  std::uint64_t window_timeouts = 0;
-  /// The dispatcher's other sleeps, on work_cv_: woken by an arrival that
-  /// found the window full, or by the 1 ms timer with a backlog queued.
-  /// An arrival that finds room is dispatched on its own thread and wakes
-  /// nobody, so this grows only with full windows.
-  std::uint64_t wakeups = 0;
+  std::size_t inflight = 0;  ///< popped from the router, not yet finished
   std::vector<std::string> quarantine;  ///< recent malformed-line samples
 };
 
 class Daemon {
  public:
-  /// Starts the pool and the dispatcher/maintenance threads; the io thread
-  /// too when a listener is configured.  Throws std::runtime_error when a
+  /// Starts the pool and the maintenance thread; the io threads too when a
+  /// listener is configured.  Throws std::invalid_argument when
+  /// config.pool bounds the admission queue, and std::runtime_error when a
   /// configured listener cannot be created.
   explicit Daemon(const DaemonConfig& config);
   /// Stops ingest, cancels nothing that is running, sheds whatever is
-  /// still queued in the router (terminal outcome: rejected/drain), drains
-  /// the pool, joins all threads.
+  /// still queued in the router (terminal outcome: rejected/drain), waits
+  /// for the jobs in flight, joins all threads.
   ~Daemon();
 
   Daemon(const Daemon&) = delete;
@@ -219,12 +207,6 @@ class Daemon {
   int tcp_port() const { return tcp_port_; }
 
  private:
-  struct PendingJob {
-    runtime::JobHandle handle;
-    std::string tenant;
-    Clock::time_point ingest{};
-  };
-
   /// One live feed connection, owned by exactly one io shard.
   struct Connection {
     int fd = -1;
@@ -251,9 +233,6 @@ class Daemon {
     std::thread thread;
   };
 
-  /// Sets stop_ under work_mu_ and wakes the dispatcher.
-  void raise_stop();
-  void dispatcher_main();
   void maintenance_main();
   void io_shard_main(std::size_t shard_index);
   /// Accept-side of shard 0: drains a readable listener, balancing new
@@ -274,23 +253,19 @@ class Daemon {
                      std::vector<ShedRecord>& evictions);
 
   /// The one dispatch routine, run by whichever thread changed the state:
-  /// reaps finished jobs, then pops and dispatches while the window has
-  /// room.  True when it stopped at a full window with records queued.
-  bool pump();
-  /// Raises the backlog flag for a pump() that stopped at a full window;
-  /// notifies work_cv_ only when the flag was down.
-  void wake_dispatcher();
-  /// Submits one popped record to the pool outside every lock, then
-  /// moves it from the in-hand count to pending_ (or books its expiry).
+  /// pops and dispatches while the window has room, until stop_.
+  void pump();
+  /// Submits one popped record to the pool outside every lock, with
+  /// finish() as its hook (or books its expiry and frees its slot).
   void dispatch(QueuedRecord rec);
+  /// A dispatched job's finish hook, on the thread that retires it: books
+  /// the outcome into the tenant's counters, frees the window slot, pumps.
+  void finish(const std::string& tenant, Clock::time_point ingest,
+              const runtime::Job& job);
   /// Books a terminal outcome for a record the router gave up on.
   void account_shed_reason(const std::string& tenant, ShedReason reason);
   void account_shed(const QueuedRecord& rec, ShedReason reason);
   void account_sheds(const std::vector<ShedRecord>& sheds);
-  /// Moves finished pending jobs into tenant counters; returns how many
-  /// jobs are still in flight.
-  std::size_t reap_finished();
-  std::size_t reap_locked() PJSCHED_REQUIRES(state_mu_);
   /// Saves a quarantine sample for diagnosis.  `count_malformed` is false
   /// for slow-drip closes, which have their own counter.
   void quarantine_line(std::string_view line, std::string_view why,
@@ -307,26 +282,17 @@ class Daemon {
   /// Per-tenant completed-flow reservoirs backing the p99 export.
   std::map<std::string, metrics::StreamingFlowStats> flow_
       PJSCHED_GUARDED_BY(state_mu_);
-  std::vector<PendingJob> pending_ PJSCHED_GUARDED_BY(state_mu_);
-  /// Records popped from the router but not yet entered in pending_ (or
-  /// expired).  The pop and this count share one state_mu_ hold, so a
-  /// record in some thread's hand fills a window slot, and drain(), which
-  /// reads this after the router depth, never misses it.
-  std::size_t dispatching_ PJSCHED_GUARDED_BY(state_mu_) = 0;
+  /// Records popped from the router and not yet finished: in some
+  /// thread's hand, or in the pool with their finish hook not yet run.  The
+  /// pop and this count share one state_mu_ hold, so a record in hand
+  /// fills a window slot, and drain(), which reads this after the router
+  /// depth, never misses it.
+  std::size_t inflight_ PJSCHED_GUARDED_BY(state_mu_) = 0;
   FeedStats feed_ PJSCHED_GUARDED_BY(state_mu_);
   std::deque<std::string> quarantine_ PJSCHED_GUARDED_BY(state_mu_);
-  std::uint64_t window_waits_ PJSCHED_GUARDED_BY(state_mu_) = 0;
-  std::uint64_t window_timeouts_ PJSCHED_GUARDED_BY(state_mu_) = 0;
 
-  /// Dispatcher wakeup: a pump() that stopped at a full window raises
-  /// backlog_; the dispatcher lowers it only once a pump of its own has
-  /// found nothing queued behind a full window.
-  mutable runtime::Mutex work_mu_;
-  runtime::CondVar work_cv_;
-  bool backlog_ PJSCHED_GUARDED_BY(work_mu_) = false;
-  std::uint64_t wakeups_ PJSCHED_GUARDED_BY(work_mu_) = 0;
-
-  /// Stored under work_mu_, so the dispatcher's untimed sleep sees it.
+  /// Ends ingest, the maintenance loop and dispatch: pump() reads it under
+  /// state_mu_, so no record is popped after a hold that saw it set.
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> last_watchdog_dumps_{0};
   /// Open connections across all io shards (max_connections gate).
@@ -337,7 +303,6 @@ class Daemon {
   int tcp_port_ = -1;
   Clock::time_point started_{};
 
-  std::thread dispatcher_;
   std::thread maintenance_;
   std::vector<std::unique_ptr<IoShard>> io_shards_;
 };

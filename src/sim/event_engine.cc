@@ -539,8 +539,9 @@ core::EngineStats Engine::run() {
   m_ = opts_.machine.processors;
   s_ = opts_.machine.speed;
   if (m_ == 0) throw std::invalid_argument("run_event_engine: zero processors");
-  if (!(s_ > 0.0))
-    throw std::invalid_argument("run_event_engine: speed must be > 0");
+  if (!(s_ > 0.0) || !std::isfinite(s_))
+    throw std::invalid_argument(
+        "run_event_engine: speed must be finite and > 0");
 
   // Degradation timeline: machine events are decision points like arrivals
   // and completions; (m, s) are piecewise constant between them.
@@ -549,10 +550,10 @@ core::EngineStats Engine::run() {
     if (e.processors == 0)
       throw std::invalid_argument(
           "run_event_engine: machine event with zero processors");
-    if (!(e.speed > 0.0))
+    if (!(e.speed > 0.0) || !std::isfinite(e.speed))
       throw std::invalid_argument(
-          "run_event_engine: machine event speed must be > 0");
-    if (e.time < 0.0)
+          "run_event_engine: machine event speed must be finite and > 0");
+    if (!(e.time >= 0.0))  // NaN too
       throw std::invalid_argument(
           "run_event_engine: machine event before time 0");
   }

@@ -94,8 +94,9 @@ core::EngineStats run_impl(core::JobSource& source,
   const unsigned m = options.machine.processors;
   const double s = options.machine.speed;
   if (m == 0) throw std::invalid_argument("run_step_engine: zero processors");
-  if (!(s > 0.0))
-    throw std::invalid_argument("run_step_engine: speed must be > 0");
+  if (!(s > 0.0) || !std::isfinite(s))
+    throw std::invalid_argument(
+        "run_step_engine: speed must be finite and > 0");
   const unsigned k = options.steal_k;
 
   // Degradation events (processor count changes only; the step length is
@@ -105,7 +106,7 @@ core::EngineStats run_impl(core::JobSource& source,
     if (e.processors == 0)
       throw std::invalid_argument(
           "run_step_engine: machine event with zero workers");
-    if (e.time < 0.0)
+    if (!(e.time >= 0.0))  // NaN too
       throw std::invalid_argument(
           "run_step_engine: machine event before time 0");
     if (e.speed != s)

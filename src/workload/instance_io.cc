@@ -13,12 +13,21 @@ namespace pjsched::workload {
 
 void write_instance(std::ostream& os, const core::Instance& instance) {
   instance.validate();
+  // Arrivals and weights in the default float format at max_digits10, so
+  // the file reads back as exactly this instance; the caller's format is
+  // restored afterwards.
+  const std::ios_base::fmtflags flags = os.flags();
+  const std::streamsize precision =
+      os.precision(std::numeric_limits<double>::max_digits10);
+  os.unsetf(std::ios_base::floatfield);
   os << "instance " << instance.size() << '\n';
   for (const core::JobSpec& job : instance.jobs) {
     os << "job " << job.arrival << ' ' << job.weight << '\n';
     dag::write_text(os, job.graph);
   }
   os << "endinstance\n";
+  os.flags(flags);
+  os.precision(precision);
 }
 
 std::string instance_to_text(const core::Instance& instance) {

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace pjsched::cli {
 namespace {
@@ -118,6 +120,23 @@ TEST(CliTest, WeightsFlag) {
 
 // Every scheduler streams, the OPT bound included: its streamed run is the
 // opt-sim bound itself, so the two lines print the same value.
+TEST(CliTest, FloatFlagsMustParseWholeAndFinite) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"run", "--jobs=50", "--speed=inf"},
+      {"run", "--jobs=50", "--scheduler=fifo", "--degrade=100:8:inf"},
+      {"run", "--jobs=50", "--scheduler=fifo", "--degrade=nan:8"},
+      {"run", "--jobs=50", "--qps=12abc"},
+      {"run", "--jobs=50", "--qps=inf"},
+      {"run", "--jobs=50", "--weights=1,2x"},
+      {"run", "--jobs=50", "--units-per-ms=nan"},
+      {"generate", "--jobs=50", "--qps=1e999"},
+  };
+  for (const auto& args : cases) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 2) << args.back() << ": " << r.err;
+  }
+}
+
 TEST(CliTest, StreamedOptRun) {
   const auto r = run({"run", "--streamed", "--scheduler=opt", "--jobs=40",
                       "--m=4"});

@@ -132,12 +132,12 @@ TEST(DagExecutorTest, UnsealedDagRejected) {
                std::invalid_argument);
 }
 
-TEST(DagExecutorTest, SubmitOptionsStateMustBeEmpty) {
+TEST(DagExecutorTest, SubmitOptionsOnFinishMustBeEmpty) {
   ThreadPool pool({.workers = 1, .steal_k = 0, .seed = 8});
   SubmitOptions options;
-  options.state = std::make_shared<int>(0);
+  options.on_finish = [](const Job&) {};
   EXPECT_THROW(submit_dag(pool, dag::single_node(1),
-                          [](dag::NodeId, dag::Work) {}, options),
+                          [](dag::NodeId, dag::Work) {}, std::move(options)),
                std::invalid_argument);
 }
 
@@ -156,13 +156,14 @@ double submit_allocations_per_job(const dag::Dag& graph) {
   return static_cast<double>(allocations) / kJobs;
 }
 
-// The job, its execution block and the block's shared_ptr control block:
-// three allocations, none of which multiplies with the DAG's size.
-TEST(DagExecutorTest, SubmitAllocatesThreeTimesPerJobWhateverItsSize) {
+// The job and its execution block: two allocations, neither of which
+// multiplies with the DAG's size.  The finish hook that owns the block is
+// stored inline in the job.
+TEST(DagExecutorTest, SubmitAllocatesTwicePerJobWhateverItsSize) {
   const double one_node = submit_allocations_per_job(dag::single_node(1));
   const double wide = submit_allocations_per_job(dag::parallel_for_dag(32, 1));
-  EXPECT_LE(one_node, 3.1);
-  EXPECT_LE(wide, 3.1);
+  EXPECT_LE(one_node, 2.1);
+  EXPECT_LE(wide, 2.1);
   EXPECT_EQ(std::lround(one_node), std::lround(wide));
 }
 
@@ -330,7 +331,7 @@ TEST(DagExecutorLifetimeTest, DeadlineExpiredJob) {
         runs.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       },
-      options);
+      std::move(options));
   pool.wait_all();
   EXPECT_EQ(job->outcome(), JobOutcome::kDeadlineExpired);
   EXPECT_LE(runs.load(), 1);  // node 1 starts past the deadline: skipped

@@ -5,6 +5,7 @@
 // changes.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "src/dag/builders.h"
@@ -81,6 +82,15 @@ TEST(EventEngineDegradationTest, ZeroProcessorEventThrows) {
 TEST(EventEngineDegradationTest, NegativeEventTimeThrows) {
   auto inst = make_instance({{0.0, dag::single_node(1)}});
   EXPECT_THROW(run_fifo(inst, {2, 1.0, {{-1.0, 1, 1.0}}}),
+               std::invalid_argument);
+}
+
+TEST(EngineDegradationTest, NanEventTimeThrows) {
+  auto inst = make_instance({{0.0, dag::single_node(1)}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(run_fifo(inst, {2, 1.0, {{nan, 1, 1.0}}}),
+               std::invalid_argument);
+  EXPECT_THROW(run_ws(inst, {2, 1.0, {{nan, 1, 1.0}}}),
                std::invalid_argument);
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/dag/builders.h"
 #include "src/metrics/audit.h"
 #include "src/sched/fifo.h"
@@ -133,6 +135,15 @@ TEST(EventEngineTest, InvalidArgumentsRejected) {
   EXPECT_THROW(fifo.run(inst, {1, 0.0}), std::invalid_argument);
   core::Instance empty;
   EXPECT_THROW(fifo.run(empty, {1, 1.0}), std::invalid_argument);
+}
+
+TEST(EventEngineTest, NonFiniteSpeedRejected) {
+  auto inst = make_instance({{0.0, dag::single_node(1)}});
+  sched::FifoScheduler fifo;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(fifo.run(inst, {1, inf}), std::invalid_argument);
+  EXPECT_THROW(fifo.run(inst, {1, 1.0, {{1.0, 1, inf}}}),
+               std::invalid_argument);
 }
 
 TEST(EventEngineTest, ManyJobsAllComplete) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
 #include <string>
 
 #include "src/dag/builders.h"
@@ -41,6 +43,22 @@ TEST(InstanceIoTest, RoundTripGeneratedInstance) {
   ASSERT_EQ(back.size(), inst.size());
   EXPECT_EQ(back.total_work(), inst.total_work());
   EXPECT_EQ(back.max_critical_path(), inst.max_critical_path());
+  // Bit for bit: a saved instance replays as the generated one.
+  for (std::size_t i = 0; i < inst.size(); ++i) {
+    EXPECT_EQ(back.jobs[i].arrival, inst.jobs[i].arrival) << "job " << i;
+    EXPECT_EQ(back.jobs[i].weight, inst.jobs[i].weight) << "job " << i;
+  }
+}
+
+TEST(InstanceIoTest, WriterRestoresTheStreamFormat) {
+  GeneratorConfig cfg;
+  cfg.num_jobs = 5;
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(2);
+  write_instance(out, generate_instance(bing_distribution(), cfg));
+  out.str("");
+  out << 1.0 / 3.0;
+  EXPECT_EQ(out.str(), "0.33");
 }
 
 TEST(InstanceIoTest, CommentsTolerated) {

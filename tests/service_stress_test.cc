@@ -111,7 +111,9 @@ TEST(ServiceStress, FloodingTenantCannotStarveAWellBehavedOne) {
     for (int i = 0; i < kFloodRecords; ++i) {
       JobRecord r;
       r.tenant = "flood";
-      r.work = 8;
+      // 1 ms per job: each outlasts its submission many times over, so two
+      // workers cannot keep pace however slow the build makes the feed.
+      r.work = 2000;
       daemon.submit_record(std::move(r));
     }
   });
@@ -134,6 +136,8 @@ TEST(ServiceStress, FloodingTenantCannotStarveAWellBehavedOne) {
   const DaemonSnapshot snap = daemon.snapshot();
   const TenantCounters& flood = snap.tenants.at("flood");
   const TenantCounters& nice = snap.tenants.at("nice");
+  // The premise of the shed checks below: the flood filled the router.
+  ASSERT_EQ(snap.router.peak_depth, config.router.capacity);
   EXPECT_EQ(flood.submitted, static_cast<std::uint64_t>(kFloodRecords));
   EXPECT_EQ(nice.submitted, static_cast<std::uint64_t>(kNiceRecords));
   EXPECT_EQ(flood.submitted, flood.terminal());

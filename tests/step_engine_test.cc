@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/dag/builders.h"
 #include "src/metrics/audit.h"
 #include "tests/test_util.h"
@@ -156,6 +158,13 @@ TEST(StepEngineTest, InvalidArgumentsRejected) {
   opt.machine = {0, 1.0};
   EXPECT_THROW(testutil::run_step_engine_on(inst, opt), std::invalid_argument);
   opt.machine = {1, 0.0};
+  EXPECT_THROW(testutil::run_step_engine_on(inst, opt), std::invalid_argument);
+}
+
+TEST(StepEngineTest, NonFiniteSpeedRejected) {
+  auto inst = make_instance({{0.0, dag::single_node(1)}});
+  sim::StepEngineOptions opt;
+  opt.machine = {1, std::numeric_limits<double>::infinity()};
   EXPECT_THROW(testutil::run_step_engine_on(inst, opt), std::invalid_argument);
 }
 

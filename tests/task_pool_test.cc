@@ -180,7 +180,7 @@ TEST(TaskPoolStressTest, SpawnStealCancelChurnRecyclesSlots) {
                            sum.fetch_add(i, std::memory_order_relaxed);
                        });
         },
-        options);
+        std::move(options));
   }
   pool.wait_all();
 

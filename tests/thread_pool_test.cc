@@ -194,7 +194,7 @@ TEST(ThreadPoolTest, SubmitAfterShutdownRejected) {
   EXPECT_THROW(pool.submit([](TaskContext&) {}), std::logic_error);
   SubmitOptions with_deadline;
   with_deadline.deadline = std::chrono::seconds(1);
-  EXPECT_THROW(pool.submit([](TaskContext&) {}, with_deadline),
+  EXPECT_THROW(pool.submit([](TaskContext&) {}, std::move(with_deadline)),
                std::logic_error);
 }
 
@@ -379,7 +379,8 @@ TEST(ThreadPoolFaultTest, DeadlineExpiredJobIsCancelled) {
   while (!started.load()) std::this_thread::yield();
   SubmitOptions options;
   options.deadline = std::chrono::milliseconds(5);
-  auto late = pool.submit([&](TaskContext&) { late_ran.store(true); }, options);
+  auto late = pool.submit([&](TaskContext&) { late_ran.store(true); },
+                          std::move(options));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   release.store(true);  // deadline long past once the worker gets to it
   pool.wait_all();
@@ -394,7 +395,7 @@ TEST(ThreadPoolFaultTest, GenerousDeadlineDoesNotCancel) {
   ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 23});
   SubmitOptions options;
   options.deadline = std::chrono::seconds(30);
-  auto job = pool.submit([](TaskContext&) {}, options);
+  auto job = pool.submit([](TaskContext&) {}, std::move(options));
   job->wait();
   EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
   EXPECT_EQ(pool.stats().jobs_deadline_expired, 0u);
@@ -602,7 +603,7 @@ TEST(ThreadPoolFaultTest, ExpiredQueuedJobRecordsDeadlineNotShed) {
   gate.submit_to(pool);
   SubmitOptions with_deadline;
   with_deadline.deadline = std::chrono::milliseconds(0);
-  auto expired = pool.submit([](TaskContext&) {}, with_deadline);
+  auto expired = pool.submit([](TaskContext&) {}, std::move(with_deadline));
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   auto evictor = pool.submit([](TaskContext&) {});  // shed-oldest evicts
   EXPECT_TRUE(expired->finished());
@@ -625,6 +626,99 @@ TEST(ThreadPoolFaultTest, CancelledFlagVisibleInsideBody) {
       [&](TaskContext& ctx) { observed_cancelled.store(ctx.cancelled()); });
   job->wait();
   EXPECT_FALSE(observed_cancelled.load());
+}
+
+// ---------------------------------------------------------------------------
+// SubmitOptions::on_finish: one call per job, whatever its outcome.
+
+/// Builds a finish hook that counts its calls and notes the outcome and the
+/// thread it saw.  The hook's capture holds `sentinel`, so the sentinel's
+/// use_count() shows whether the pool has destroyed the hook yet.
+struct HookProbe {
+  std::atomic<int> calls{0};
+  std::atomic<JobOutcome> seen{JobOutcome::kRunning};
+  std::thread::id thread;
+  std::shared_ptr<int> sentinel = std::make_shared<int>(0);
+  /// How long the hook sleeps before it counts: wait_all() must cover it.
+  std::chrono::milliseconds delay{0};
+
+  SubmitOptions options() {
+    SubmitOptions o;
+    o.on_finish = [this, keep = sentinel](const Job& job) {
+      std::this_thread::sleep_for(delay);
+      EXPECT_TRUE(job.finished());
+      thread = std::this_thread::get_id();
+      seen.store(job.outcome());
+      calls.fetch_add(1);
+    };
+    return o;
+  }
+
+  void expect_ran_once(JobOutcome outcome) const {
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(seen.load(), outcome);
+    EXPECT_EQ(sentinel.use_count(), 1);  // the hook is gone
+  }
+};
+
+TEST(ThreadPoolHookTest, OnFinishRunsOnceForEachExecutedOutcome) {
+  ThreadPool pool({.workers = 1, .steal_k = 0, .seed = 40});
+  WorkerGate gate;
+  gate.submit_to(pool);
+  HookProbe completed, failed, expired;
+  expired.delay = std::chrono::milliseconds(20);  // the last job to retire
+  auto ok = pool.submit([](TaskContext&) {}, completed.options());
+  auto bad = pool.submit(
+      [](TaskContext&) { throw std::runtime_error("boom"); },
+      failed.options());
+  SubmitOptions late = expired.options();
+  late.deadline = std::chrono::milliseconds(1);
+  auto timed_out = pool.submit([](TaskContext&) {}, std::move(late));
+  EXPECT_EQ(completed.sentinel.use_count(), 2);  // held until the job ends
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  gate.release.store(true);
+  pool.wait_all();  // returns only after every hook has run
+  completed.expect_ran_once(JobOutcome::kCompleted);
+  failed.expect_ran_once(JobOutcome::kFailed);
+  expired.expect_ran_once(JobOutcome::kDeadlineExpired);
+  EXPECT_EQ(ok->outcome(), JobOutcome::kCompleted);
+  EXPECT_EQ(bad->outcome(), JobOutcome::kFailed);
+  EXPECT_EQ(timed_out->outcome(), JobOutcome::kDeadlineExpired);
+  EXPECT_NE(completed.thread, std::this_thread::get_id());  // a worker's
+}
+
+TEST(ThreadPoolHookTest, OnFinishRunsForShedAndRejectedRoots) {
+  PoolOptions options;
+  options.workers = 1;
+  options.seed = 41;
+  options.admission_capacity = 1;
+  options.backpressure = BackpressurePolicy::kShedOldest;
+  ThreadPool shedding(options);
+  options.backpressure = BackpressurePolicy::kRejectNewest;
+  ThreadPool rejecting(options);
+  WorkerGate shed_gate, reject_gate;
+  shed_gate.submit_to(shedding);
+  reject_gate.submit_to(rejecting);
+
+  HookProbe shed, evictor, accepted, rejected;
+  shedding.submit([](TaskContext&) {}, shed.options());
+  shedding.submit([](TaskContext&) {}, evictor.options());
+  rejecting.submit([](TaskContext&) {}, accepted.options());
+  rejecting.submit([](TaskContext&) {}, rejected.options());
+  // Their roots never ran: each hook ran on this thread, inside submit().
+  shed.expect_ran_once(JobOutcome::kShed);
+  rejected.expect_ran_once(JobOutcome::kRejected);
+  EXPECT_EQ(shed.thread, std::this_thread::get_id());
+  EXPECT_EQ(rejected.thread, std::this_thread::get_id());
+  EXPECT_EQ(evictor.calls.load(), 0);
+  EXPECT_EQ(accepted.sentinel.use_count(), 2);
+
+  shed_gate.release.store(true);
+  reject_gate.release.store(true);
+  shedding.wait_all();
+  rejecting.wait_all();
+  evictor.expect_ran_once(JobOutcome::kCompleted);
+  accepted.expect_ran_once(JobOutcome::kCompleted);
 }
 
 TEST(FlowRecorderTest, OutcomeAccountingAndFlowExclusion) {

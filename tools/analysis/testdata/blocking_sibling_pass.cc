@@ -1,5 +1,5 @@
 // Fixture: a scoped lock's block closes before a wait that sits in a
-// sibling block at the same brace depth (the dispatcher's shape: read the
+// sibling block at the same brace depth (a refill loop's shape: read the
 // oldest in-flight job under the lock, then wait on it outside).  Depth
 // alone cannot tell the two blocks apart.  Expect clean.
 #include "src/runtime/mutex.h"
