@@ -12,21 +12,20 @@
 // recovered by stealing).
 //
 // Section 2 (real runtime): a ThreadPool with injected task failures, a
-// stalled worker, per-job deadlines, and a bounded shed-oldest admission
-// queue — demonstrating that overload + faults degrade into counted
-// outcomes (failed / deadline-expired / shed) instead of hangs or crashes.
+// stalled worker and per-job deadlines — demonstrating that overload +
+// faults degrade into counted outcomes (failed / deadline-expired) instead
+// of hangs or crashes.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/core/parse.h"
+#include "bench/bench_args.h"
 #include "src/core/run.h"
 #include "src/core/types.h"
 #include "src/metrics/table.h"
@@ -38,34 +37,7 @@
 namespace {
 
 using namespace pjsched;
-
-struct Args {
-  std::size_t jobs = 2000;
-  std::uint64_t seed = 42;
-  bool csv = false;
-};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--jobs=", 0) == 0) {
-        args.jobs = core::parse_unsigned<std::size_t>(arg.substr(7));
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        args.seed = core::parse_unsigned<std::uint64_t>(arg.substr(7));
-      } else if (arg == "--csv") {
-        args.csv = true;
-      } else {
-        throw std::invalid_argument(arg);
-      }
-    } catch (const std::invalid_argument&) {
-      std::cerr << "usage: " << argv[0] << " [--jobs=N] [--seed=S] [--csv]\n";
-      std::exit(2);
-    }
-  }
-  return args;
-}
+using bench::Args;
 
 void run_simulated(const Args& args) {
   workload::GeneratorConfig gen;
@@ -123,16 +95,14 @@ void run_real_runtime(const Args& args) {
   options.workers = 4;
   options.steal_k = 16;
   options.seed = args.seed;
-  options.admission_capacity = 32;
-  options.backpressure = runtime::BackpressurePolicy::kShedOldest;
   options.fault_plan.seed = args.seed;
   options.fault_plan.task_failure_probability = 0.01;
   options.fault_plan.worker_stalls = {{/*worker=*/3, /*stall=*/200us}};
 
   runtime::ThreadPool pool(options);
   for (std::size_t j = 0; j < jobs; ++j) {
-    // Paced arrivals: fast enough to overload the stalled pool at times
-    // (exercising shed-oldest), slow enough that most jobs complete.
+    // Paced arrivals: fast enough to overload the stalled pool at times,
+    // slow enough that most jobs complete.
     std::this_thread::sleep_for(60us);
     runtime::SubmitOptions submit;
     // Every 4th job carries a tight deadline some of which will expire
@@ -155,15 +125,12 @@ void run_real_runtime(const Args& args) {
 
   std::cout << "\n# real runtime under faults — " << jobs
             << " jobs, 4 workers (one stalled), 1% injected task failures,\n"
-            << "# deadlines on every 4th job, admission capacity 32 "
-               "(shed-oldest)\n";
+            << "# deadlines on every 4th job\n";
   metrics::Table table({"outcome", "jobs"});
   table.add_row({"completed", metrics::Table::cell(counts.completed)});
   table.add_row({"failed", metrics::Table::cell(counts.failed)});
   table.add_row(
       {"deadline-expired", metrics::Table::cell(counts.deadline_expired)});
-  table.add_row({"shed", metrics::Table::cell(counts.shed)});
-  table.add_row({"rejected", metrics::Table::cell(counts.rejected)});
   if (args.csv)
     table.print_csv(std::cout);
   else
@@ -182,7 +149,7 @@ void run_real_runtime(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
+  const Args args = bench::parse_args(argc, argv, /*default_jobs=*/2000);
   run_simulated(args);
   run_real_runtime(args);
   return 0;

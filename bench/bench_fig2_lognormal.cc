@@ -5,7 +5,7 @@
 
 int main(int argc, char** argv) {
   using namespace pjsched;
-  const auto args = benchfig2::parse_args(argc, argv);
+  const auto args = bench::parse_args(argc, argv, benchfig2::kDefaultJobs);
   const auto dist = workload::default_lognormal_distribution();
   benchfig2::run_fig2(dist, {800.0, 1000.0, 1200.0}, args, "Figure 2(c)");
   return 0;

@@ -11,51 +11,19 @@
 // with the admit-first gap widening as utilization grows.
 #pragma once
 
-#include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
+#include "bench/bench_args.h"
 #include "src/core/experiment.h"
-#include "src/core/parse.h"
 
 namespace pjsched::benchfig2 {
 
-struct Args {
-  std::size_t jobs = 10000;
-  std::uint64_t seed = 42;
-  bool csv = false;
-};
-
-/// Parses "--jobs=N", "--seed=S", "--csv" from argv; anything else, or a
-/// count that is not a whole unsigned number, is rejected with a usage
-/// message (exit 2).
-inline Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--jobs=", 0) == 0) {
-        args.jobs = core::parse_unsigned<std::size_t>(arg.substr(7));
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        args.seed = core::parse_unsigned<std::uint64_t>(arg.substr(7));
-      } else if (arg == "--csv") {
-        args.csv = true;
-      } else {
-        throw std::invalid_argument(arg);
-      }
-    } catch (const std::invalid_argument&) {
-      std::cerr << "usage: " << argv[0] << " [--jobs=N] [--seed=S] [--csv]\n";
-      std::exit(2);
-    }
-  }
-  return args;
-}
+/// Jobs per QPS point when --jobs is absent.
+constexpr std::size_t kDefaultJobs = 10000;
 
 inline void run_fig2(const workload::WorkDistribution& dist,
-                     std::vector<double> qps_values, const Args& args,
+                     std::vector<double> qps_values, const bench::Args& args,
                      const char* figure_label) {
   core::ExperimentConfig cfg;
   cfg.processors = 16;  // the paper's dual 8-core Xeon testbed

@@ -15,10 +15,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
+#include "src/core/parse.h"
 #include "src/metrics/table.h"
 #include "src/runtime/thread_pool.h"
 #include "src/sim/rng.h"
@@ -105,10 +106,18 @@ RunOutcome run_policy(unsigned steal_k, std::size_t requests,
 
 int main(int argc, char** argv) {
   using namespace pjsched;
-  const std::size_t requests =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 60;
-  const std::size_t paths =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 20000;
+  std::size_t requests = 60;
+  std::size_t paths = 20000;
+  try {
+    if (argc > 1) requests = core::parse_unsigned<std::size_t>(argv[1]);
+    if (argc > 2) paths = core::parse_unsigned<std::size_t>(argv[2]);
+    if (argc > 3 || requests == 0 || paths == 0)
+      throw std::invalid_argument("counts must be >= 1");
+  } catch (const std::invalid_argument&) {
+    std::cerr << "usage: " << argv[0]
+              << " [requests] [paths_per_request]  (each >= 1)\n";
+    return 2;
+  }
 
   std::cout << "Option-pricing server on the threaded work-stealing "
                "runtime: "

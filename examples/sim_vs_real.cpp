@@ -11,10 +11,11 @@
 // simulator shows what the same schedule would do on a full machine.
 //
 //   $ ./sim_vs_real [jobs] [workers]     (defaults 40, hardware)
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
+#include "src/core/parse.h"
 #include "src/core/run.h"
 #include "src/metrics/table.h"
 #include "src/runtime/replayer.h"
@@ -23,11 +24,17 @@
 
 int main(int argc, char** argv) {
   using namespace pjsched;
-  const std::size_t jobs =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 40;
-  const unsigned workers =
-      argc > 2 ? static_cast<unsigned>(std::atoi(argv[2]))
-               : std::max(2u, std::thread::hardware_concurrency());
+  std::size_t jobs = 40;
+  unsigned workers = std::max(2u, std::thread::hardware_concurrency());
+  try {
+    if (argc > 1) jobs = core::parse_unsigned<std::size_t>(argv[1]);
+    if (argc > 2) workers = core::parse_unsigned<unsigned>(argv[2]);
+    if (argc > 3 || jobs == 0 || workers == 0)
+      throw std::invalid_argument("counts must be >= 1");
+  } catch (const std::invalid_argument&) {
+    std::cerr << "usage: " << argv[0] << " [jobs] [workers]  (each >= 1)\n";
+    return 2;
+  }
 
   const auto dist = workload::finance_distribution();
   workload::GeneratorConfig gen;

@@ -10,18 +10,28 @@
 // right objective for latency SLOs.
 //
 //   $ ./web_search_server [qps...]      (defaults: 600 900 1200 1400)
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/core/parse.h"
 #include "src/workload/distributions.h"
 
 int main(int argc, char** argv) {
   using namespace pjsched;
 
   std::vector<double> qps_values;
-  for (int i = 1; i < argc; ++i) qps_values.push_back(std::atof(argv[i]));
+  try {
+    for (int i = 1; i < argc; ++i) {
+      qps_values.push_back(core::parse_finite(argv[i]));
+      if (!(qps_values.back() > 0.0))
+        throw std::invalid_argument("qps must be > 0");
+    }
+  } catch (const std::invalid_argument&) {
+    std::cerr << "usage: " << argv[0] << " [qps...]  (each finite and > 0)\n";
+    return 2;
+  }
   if (qps_values.empty()) qps_values = {600.0, 900.0, 1200.0, 1400.0};
 
   const auto dist = workload::bing_distribution();

@@ -139,8 +139,8 @@ void spawn_ready(TaskContext& ctx, DagRun* run, const dag::NodeId* ids,
 
 void run_node(TaskContext& ctx, DagRun* run, dag::NodeId v) {
   // Cooperative cancellation needs no check here: the pool skips every task
-  // of a cancelled job (failure, deadline, shedding) before its body runs,
-  // so the remaining nodes never execute and never resolve successors.
+  // of a cancelled job (failure or deadline) before its body runs, so the
+  // remaining nodes never execute and never resolve successors.
   run->body(v, run->work[v]);
   // Compact the successors that became ready to the front of v's own
   // slice.  No other node's task touches it, and each entry is read before

@@ -43,12 +43,6 @@ void FlowRecorder::record(double flow_seconds, double weight,
     case JobOutcome::kDeadlineExpired:
       ++s.counts.deadline_expired;
       break;
-    case JobOutcome::kShed:
-      ++s.counts.shed;
-      break;
-    case JobOutcome::kRejected:
-      ++s.counts.rejected;
-      break;
   }
 }
 
@@ -63,8 +57,6 @@ FlowRecorder::OutcomeCounts FlowRecorder::outcome_counts() const {
     total.completed += s.counts.completed;
     total.failed += s.counts.failed;
     total.deadline_expired += s.counts.deadline_expired;
-    total.shed += s.counts.shed;
-    total.rejected += s.counts.rejected;
   }
   return total;
 }

@@ -4,15 +4,15 @@
 // weighted max).
 //
 // Every job lands here with its terminal outcome.  Flow-time statistics
-// (max / weighted max / summary) cover *completed* jobs only — a failed,
-// deadline-expired, shed, or rejected job has no meaningful flow time and
-// must not contaminate the objective — but every outcome is counted and visible
+// (max / weighted max / summary) cover *completed* jobs only — a failed or
+// deadline-expired job has no meaningful flow time and must not
+// contaminate the objective — but every outcome is counted and visible
 // through outcome_counts(), so degraded runs are auditable.
 //
 // Sharded for the hot path: writes land in per-shard statistics (the
-// ThreadPool gives each worker its own shard plus one for non-worker
-// callers), each behind its own interference-padded mutex, so concurrent
-// job completions on different workers never contend on a global lock.
+// ThreadPool gives each worker its own shard), each behind its own
+// interference-padded mutex, so concurrent job completions on different
+// workers never contend on a global lock.
 // Readers merge the shards on demand — reads are report-time operations,
 // writes are the per-job hot path, and the trade goes to the writer.
 //
@@ -36,17 +36,14 @@ namespace pjsched::runtime {
 
 class FlowRecorder {
  public:
-  /// Per-terminal-outcome job counts.  `shed` and `rejected` mirror
-  /// PoolStats::jobs_shed and PoolStats::jobs_rejected one-to-one.
+  /// Per-terminal-outcome job counts.
   struct OutcomeCounts {
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
     std::uint64_t deadline_expired = 0;
-    std::uint64_t shed = 0;      ///< queued jobs dropped (kShed)
-    std::uint64_t rejected = 0;  ///< submissions refused (kRejected)
 
     std::uint64_t total() const {
-      return completed + failed + deadline_expired + shed + rejected;
+      return completed + failed + deadline_expired;
     }
   };
 

@@ -7,9 +7,8 @@
 // means done.  Flow time = completion - submission.
 //
 // Fault model: a job ends in exactly one terminal outcome.  `Completed` is
-// the fault-free path; `Failed` (a task body threw), `DeadlineExpired`
-// (the per-job deadline passed before the job finished), and `Shed` (the
-// bounded admission queue dropped the job under overload) are the degraded
+// the fault-free path; `Failed` (a task body threw) and `DeadlineExpired`
+// (the per-job deadline passed before the job finished) are the degraded
 // paths.  Cancellation is cooperative and monotone: the first cause wins
 // (try_cancel is a single CAS), every not-yet-started task of a cancelled
 // job is skipped instead of executed, and a skipped task still drains the
@@ -46,10 +45,6 @@ enum class JobOutcome : std::uint8_t {
   kCompleted,        ///< every task finished without fault
   kFailed,           ///< a task body threw; remaining tasks were cancelled
   kDeadlineExpired,  ///< the per-job deadline passed; remaining tasks cancelled
-  kShed,             ///< a queued job dropped by shed-oldest (or a shutdown
-                     ///< drain); never executed
-  kRejected,         ///< the submission itself was refused (reject-newest on
-                     ///< a full queue, or the queue closed mid-submit)
 };
 
 inline const char* to_string(JobOutcome o) {
@@ -58,8 +53,6 @@ inline const char* to_string(JobOutcome o) {
     case JobOutcome::kCompleted: return "completed";
     case JobOutcome::kFailed: return "failed";
     case JobOutcome::kDeadlineExpired: return "deadline-expired";
-    case JobOutcome::kShed: return "shed";
-    case JobOutcome::kRejected: return "rejected";
   }
   return "?";
 }
@@ -93,8 +86,8 @@ class Job {
     return outcome_.load(std::memory_order_acquire);
   }
 
-  /// True once the job has a degraded outcome (Failed / DeadlineExpired /
-  /// Shed / Rejected): remaining tasks will be skipped.  Long-running task
+  /// True once the job has a degraded outcome (Failed / DeadlineExpired):
+  /// remaining tasks will be skipped.  Long-running task
   /// bodies should poll TaskContext::cancelled() to stop early.
   bool cancelled() const {
     const JobOutcome o = outcome();

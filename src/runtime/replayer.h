@@ -74,8 +74,8 @@ struct ReplayReport {
   metrics::Summary flow_seconds;   ///< wall-clock flow-time summary
                                    ///< (completed jobs only)
   double max_weighted_flow_seconds = 0.0;
-  /// Terminal outcomes of every submitted job; under fault injection or a
-  /// bounded admission queue, completed < total.
+  /// Terminal outcomes of every submitted job; under fault injection,
+  /// completed < total.
   FlowRecorder::OutcomeCounts outcomes;
   PoolStats pool_stats;
   double wall_seconds = 0.0;       ///< total replay duration

@@ -11,11 +11,11 @@
 //     block of kBlockSize slots in one heap allocation;
 //   * a task is usually freed by the worker that allocated it (local pop or
 //     a steal executed to completion) — that free is a plain freelist push;
-//   * a task freed on a *different* thread (stolen task, shutdown drain,
-//     rejected submission) is pushed onto the owning pool's `reclaim_`
-//     Treiber stack with one CAS; the owner drains it wholesale (a single
-//     exchange) the next time its freelist runs dry.  The drain is the only
-//     pop, so the stack has no ABA window.
+//   * a task freed on a *different* thread (a stolen task, or a job's root,
+//     which its submitter allocated) is pushed onto the owning pool's
+//     `reclaim_` Treiber stack with one CAS; the owner drains it wholesale
+//     (a single exchange) the next time its freelist runs dry.  The drain
+//     is the only pop, so the stack has no ABA window.
 //
 // Thread contract: `allocate` is owner-only (the ThreadPool's external
 // submission pool serializes its callers with a mutex); `release` is safe

@@ -9,10 +9,6 @@
 namespace pjsched::runtime {
 
 namespace {
-// Set for the lifetime of each worker thread; lets submit() detect a call
-// from inside a task body of the same pool (see the kBlock guard there).
-thread_local const ThreadPool* t_worker_of_pool = nullptr;
-
 // Victims probed per steal round (bounded multi-probe): a failed round has
 // looked at several deques, so fail_count — which still counts *rounds*,
 // preserving the paper's steal-k admission semantics — represents real
@@ -90,10 +86,8 @@ bool TaskContext::poll_deadline() {
 }
 
 ThreadPool::ThreadPool(const PoolOptions& options)
-    : admission_(options.admission_capacity, options.backpressure),
-      // One recorder shard per worker plus one shared by every non-worker
-      // caller (submit-side rejections, the shutdown drain).
-      recorder_((options.workers == 0 ? 1 : options.workers) + 1),
+    : // One recorder shard per worker: every job retires on a worker.
+      recorder_(options.workers == 0 ? 1 : options.workers),
       steal_k_(options.steal_k),
       watchdog_sink_(options.watchdog_sink) {
   const unsigned n = options.workers == 0 ? 1 : options.workers;
@@ -124,21 +118,11 @@ JobHandle ThreadPool::submit(TaskFn root, double weight) {
 }
 
 JobHandle ThreadPool::submit(TaskFn root, SubmitOptions options) {
+  static constexpr const char* kShutDown =
+      "ThreadPool::submit: pool is shut down; submissions after shutdown() "
+      "are a caller error";
   if (!accepting_.load(std::memory_order_acquire))
-    throw std::logic_error(
-        "ThreadPool::submit: pool is shut down; submissions after shutdown() "
-        "are a caller error");
-  // A worker blocking in admission_.push can never drain the queue it is
-  // waiting on; with every worker stuck the pool deadlocks.  Fail loudly
-  // and deterministically (not just when the queue happens to be full).
-  if (t_worker_of_pool == this && admission_.capacity() > 0 &&
-      admission_.policy() == BackpressurePolicy::kBlock)
-    throw std::logic_error(
-        "ThreadPool::submit: called from a task body of this pool while the "
-        "admission queue is bounded with BackpressurePolicy::kBlock; a "
-        "blocked worker cannot drain the queue it waits on (deadlock). "
-        "Submit from an external thread, use TaskContext::spawn, or pick a "
-        "non-blocking backpressure policy");
+    throw std::logic_error(kShutDown);
   // order: acq_rel (was an implicit seq_cst) — the release half orders the
   // increment before this job's publication via the admission queue, so a
   // completion comparing jobs_completed_ == jobs_submitted_ (both acquire)
@@ -167,42 +151,28 @@ JobHandle ThreadPool::submit(TaskFn root, SubmitOptions options) {
     MutexLock lock(external_mu_);
     task = external_pool_.allocate(job.get(), std::move(root), nullptr);
   }
-  Task* evicted = nullptr;
-  const AdmissionQueue::PushResult result = admission_.push(task, &evicted);
-  if (evicted != nullptr) terminate_unadmitted(evicted, /*rejected=*/false);
-  if (result == AdmissionQueue::PushResult::kRejected)
-    terminate_unadmitted(task, /*rejected=*/true);
+  if (!admission_.push(task)) {
+    // shutdown() closed the queue after the check above: fail as a late
+    // submit does.  The root and the job, and with it the hook, die unrun,
+    // and the job leaves the books under done_mu_, as a finished one does,
+    // so a wait_all() already waiting on it returns.
+    TaskPool::release(task, /*local=*/nullptr);
+    {
+      MutexLock lock(done_mu_);
+      std::erase(live_jobs_, job);
+      // order: acq_rel — the mirror of the increment above.
+      jobs_submitted_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    done_cv_.notify_all();
+    throw std::logic_error(kShutDown);
+  }
   wake_one_if_parked();
   return job;
 }
 
-void ThreadPool::terminate_unadmitted(Task* task, bool rejected) {
-  Job* job = task->job;
-  // A job whose deadline already passed while it sat in the queue expired,
-  // it was not shed — prefer the more informative outcome.
-  // order: relaxed (all three tallies) — monotone outcome counters read by
-  // stats() only; the authoritative outcome transition is the try_cancel
-  // CAS, which carries the ordering.
-  if (job->deadline_passed(Clock::now()) &&
-      job->try_cancel(JobOutcome::kDeadlineExpired)) {
-    jobs_deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-  } else if (job->try_cancel(rejected ? JobOutcome::kRejected
-                                      : JobOutcome::kShed)) {
-    // order: relaxed — same monotone-tally contract as above.
-    if (rejected)
-      jobs_rejected_.fetch_add(1, std::memory_order_relaxed);
-    else
-      jobs_shed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Runs on submit / shutdown threads, never a worker: no local pool, the
-  // slot returns to its owner via the lock-free reclaim path.
-  TaskPool::release(task, /*local=*/nullptr);
-  finish_job(job, external_shard());  // the root never ran; drain pending
-}
-
-void ThreadPool::finish_job(Job* job, unsigned recorder_shard) {
+void ThreadPool::finish_job(Job* job, unsigned worker) {
   if (job->finish_one()) {
-    recorder_.record(*job, recorder_shard);
+    recorder_.record(*job, worker);
     // Every task of the job has exited (each held a pending count until
     // then), so nothing points into the hook's captures any more.  Run and
     // destroyed before the count below, so wait_all() returning means every
@@ -251,19 +221,17 @@ void ThreadPool::shutdown() {
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire))
     return;  // already shut down (or shutting down on another thread)
+  // Closed before the drain: a racing submit() either enqueued before this
+  // point, and wait_all() below covers its job, or it fails and throws.
+  admission_.close();
   wait_all();
   stop_.store(true, std::memory_order_release);
-  admission_.close();  // unblock submitters stuck on a full bounded queue
   // Every parked worker must see stop_: the epoch bump under idle_mu_
   // orders the store before any later snapshot, and ends every wait on an
   // earlier one.
   wake(/*all=*/true);
   for (auto& w : workers_)
     if (w->thread.joinable()) w->thread.join();
-  // A submit() racing shutdown() may have enqueued a task after the final
-  // drain; record such jobs as Shed rather than leaking them.
-  while (Task* leftover = admission_.try_pop())
-    terminate_unadmitted(leftover, /*rejected=*/false);
   if (watchdog_.joinable()) {
     {
       MutexLock lock(watchdog_mu_);
@@ -335,8 +303,6 @@ PoolStats ThreadPool::stats() const {
   total.jobs_deadline_expired =
       jobs_deadline_expired_.load(std::memory_order_relaxed);
   // order: relaxed — same diagnostic-counter contract as above.
-  total.jobs_shed = jobs_shed_.load(std::memory_order_relaxed);
-  total.jobs_rejected = jobs_rejected_.load(std::memory_order_relaxed);
   total.watchdog_dumps = watchdog_dumps_.load(std::memory_order_relaxed);
   return total;
 }
@@ -359,8 +325,8 @@ std::string ThreadPool::dump_state() const {
     total_tasks += s.tasks_executed;
     total_blocks += s.slab_blocks;
   }
-  // One stats() call: depth, peak, and the shed/reject tallies all come
-  // from the same lock hold, so the dump's queue line always adds up.
+  // One stats() call: depth, peak and the tallies all come from the same
+  // lock hold, so the dump's queue line always adds up.
   const AdmissionQueue::Stats qs = admission_.stats();
   out << "ThreadPool diagnostic dump\n"
       << "  jobs: submitted=" << submitted << " terminal=" << completed
@@ -368,10 +334,7 @@ std::string ThreadPool::dump_state() const {
       << "  tasks executed=" << total_tasks
       << " slab_blocks=" << total_blocks << "\n"
       << "  admission queue: depth=" << qs.depth << " peak=" << qs.peak_depth
-      << " capacity=" << admission_.capacity() << " ("
-      << to_string(admission_.policy()) << ") accepted=" << qs.accepted
-      << " popped=" << qs.popped << " shed=" << qs.shed
-      << " rejected=" << qs.rejected_full + qs.rejected_closed << "\n"
+      << " accepted=" << qs.accepted << " popped=" << qs.popped << "\n"
       // order: relaxed — a diagnostic reading; parked workers beside a
       // non-empty queue are what a lost wake-up looks like.
       << "  parked workers=" << sleepers_.load(std::memory_order_relaxed)
@@ -569,7 +532,6 @@ bool ThreadPool::try_run_one(unsigned index, WorkerState& w, bool helping) {
 }
 
 void ThreadPool::worker_main(unsigned index) {
-  t_worker_of_pool = this;
   WorkerState& w = *workers_[index];
   unsigned spin_budget = kSpinRoundsStep;
   unsigned idle_rounds = 0;

@@ -5,9 +5,9 @@
 //
 // Architecture:
 //   * one worker thread per configured slot, each owning a Chase–Lev deque;
-//   * a global FIFO AdmissionQueue of job root tasks — optionally bounded,
-//     with a backpressure policy (block / reject-newest / shed-oldest) so
-//     overload degrades gracefully instead of growing without bound;
+//   * a global, unbounded FIFO AdmissionQueue of job root tasks: every
+//     submitted job enters it once and leaves it only when a worker admits
+//     it (overload control lives above the pool, in the service layer);
 //   * workers run: local pop -> (policy-gated) admit -> random steal;
 //     under steal-k-first a worker admits only after k consecutive failed
 //     steal attempts, under admit-first (k = 0) it checks the global queue
@@ -19,7 +19,8 @@
 //   * tasks spawn subtasks onto their worker's deque (TaskContext::spawn)
 //     and join with help-first waiting (TaskContext::wait_help), which
 //     executes other tasks instead of blocking the thread;
-//   * job flow times and terminal outcomes land in a FlowRecorder.
+//   * job flow times and terminal outcomes land in a FlowRecorder, one
+//     shard per worker: every job retires on a worker.
 //
 // Fault tolerance (see docs/runtime.md, "Failure model"):
 //   * an exception escaping a task body is contained at the task boundary:
@@ -64,11 +65,6 @@ struct PoolOptions {
   unsigned steal_k = 0;
   std::uint64_t seed = 1;
 
-  /// Admission-queue bound; 0 = unbounded (the seed behavior).
-  std::size_t admission_capacity = 0;
-  /// What a full bounded queue does with a new submission.
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-
   /// Faults to inject (empty plan = none; see fault_injection.h).
   FaultPlan fault_plan;
 
@@ -102,11 +98,6 @@ struct PoolStats {
   std::uint64_t faults_injected = 0;  ///< task failures injected by the plan
   std::uint64_t jobs_failed = 0;      ///< jobs ended Failed
   std::uint64_t jobs_deadline_expired = 0;
-  std::uint64_t jobs_shed = 0;        ///< queued jobs dropped by shed-oldest
-                                      ///< or a shutdown drain (outcome kShed)
-  std::uint64_t jobs_rejected = 0;    ///< submissions rejected: reject-newest
-                                      ///< or a closed queue (outcome
-                                      ///< kRejected)
   std::uint64_t watchdog_dumps = 0;
 };
 
@@ -118,15 +109,13 @@ struct SubmitOptions {
   /// Enforcement is cooperative: checked before every task of the job
   /// executes (long task bodies should poll TaskContext::cancelled()).
   std::optional<Clock::duration> deadline;
-  /// Runs exactly once, with the finished job, on the thread that retires
-  /// it: after the recorder write, before wait_all() can count the job.
-  /// That holds for every terminal outcome, including shed and rejected
-  /// jobs whose root never ran (their hook runs on the thread whose
-  /// submit() or shutdown() dropped them).  The pool destroys the hook,
-  /// and everything it captures, right after the call, once the job's last
-  /// task has exited.  So tasks may point into a capture by raw pointer
-  /// (submit_dag owns its per-job execution block this way).  It must not
-  /// throw.
+  /// Runs exactly once, with the finished job, on the pool worker that
+  /// retires it: after the recorder write, before wait_all() can count the
+  /// job, whatever its outcome.  The pool destroys the hook, and everything
+  /// it captures, right after the call, once the job's last task has
+  /// exited.  So tasks may point into a capture by raw pointer (submit_dag
+  /// owns its per-job execution block this way).  A submit() that throws
+  /// destroys the hook unrun.  It must not throw.
   InlineFn<void(const Job&)> on_finish;
 };
 
@@ -190,8 +179,8 @@ class TaskContext {
   /// task boundary.
   void wait_help(WaitGroup& wg);
 
-  /// True once this task's job has been cancelled (failure, deadline, or
-  /// shedding).  Long-running bodies should poll this and return early.
+  /// True once this task's job has been cancelled (failure or deadline).
+  /// Long-running bodies should poll this and return early.
   bool cancelled() const { return job_->cancelled(); }
 
   /// Cooperative deadline enforcement for long task bodies.  The pool
@@ -230,39 +219,25 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Submits a job whose root task is `root`; returns immediately unless
-  /// the admission queue is bounded with the kBlock policy and full.
-  /// The submission time recorded for flow accounting is *now*.
-  ///
-  /// Under a bounded queue the returned handle may already be terminal:
-  /// outcome() == kRejected when this submission was refused
-  /// (reject-newest) — and a *different* job's handle becomes kShed when
-  /// shed-oldest evicts it.  A dropped job whose deadline had already
-  /// passed in the queue is recorded as kDeadlineExpired instead.  Callers
-  /// that care must check the handle, not assume eventual execution.
+  /// Submits a job whose root task is `root` and returns at once; the job
+  /// waits in the unbounded admission queue until a worker admits it.  The
+  /// submission time recorded for flow accounting is *now*.  Safe from any
+  /// thread, a task body of this pool included.
   ///
   /// Calling submit() after shutdown() fails loudly: it throws
-  /// std::logic_error and the job is not enqueued.  (A submit racing
-  /// shutdown() either throws, runs to completion, or — if it slips into
-  /// the closing queue — is recorded as Rejected or Shed; it is never
-  /// silently dropped.)
-  ///
-  /// submit() must not be called from inside a task body of this pool when
-  /// the admission queue is bounded with BackpressurePolicy::kBlock: a
-  /// worker blocking on a full queue cannot drain it, and with every
-  /// worker blocked the pool deadlocks.  Such calls throw std::logic_error
-  /// deterministically (full queue or not); use TaskContext::spawn or a
-  /// non-blocking policy instead.  Both throws come before a job exists,
-  /// so `options.on_finish` is then destroyed unrun with the argument.
+  /// std::logic_error.  A submit() racing shutdown() has exactly two
+  /// results: it throws std::logic_error, with nothing counted, recorded
+  /// or run and `options.on_finish` destroyed unrun; or its job reaches
+  /// completed, failed or deadline-expired before shutdown() returns.
   JobHandle submit(TaskFn root, SubmitOptions options);
   JobHandle submit(TaskFn root, double weight = 1.0);
 
   /// Blocks until every job submitted so far has reached a terminal
-  /// outcome (completed, failed, deadline-expired, or shed).
+  /// outcome (completed, failed or deadline-expired).
   void wait_all();
 
-  /// Stops accepting jobs, drains, and joins workers (idempotent; also run
-  /// by the destructor).
+  /// Closes the admission queue, drains every job it accepted, and joins
+  /// the workers (idempotent; also run by the destructor).
   void shutdown();
 
   unsigned workers() const { return static_cast<unsigned>(workers_.size()); }
@@ -278,8 +253,7 @@ class ThreadPool {
   PoolStats stats() const;
 
   /// One coherent snapshot of the admission queue's own books (taken in a
-  /// single critical section; see AdmissionQueue::Stats) — the service
-  /// layer's shed cross-checks compare these against recorder outcomes.
+  /// single critical section; see AdmissionQueue::Stats).
   AdmissionQueue::Stats admission_stats() const { return admission_.stats(); }
 
   /// Human-readable snapshot of pool state: job counters, admission-queue
@@ -330,18 +304,11 @@ class ThreadPool {
   void execute(Task* task, unsigned worker, WorkerState& w);
   /// One steal round: up to kStealProbes victims, random start, rotating.
   Task* try_steal(unsigned thief, WorkerState& me);
-  /// Terminates a job whose root task never ran: marks it kRejected (the
-  /// submission was refused) or kShed (a queued job was dropped) — or
-  /// kDeadlineExpired when its deadline already passed — records it, and
-  /// releases the task.  Runs on non-worker threads (submit / shutdown).
-  void terminate_unadmitted(Task* task, bool rejected);
   /// Drains one pending count; on the job's last task records it in the
-  /// given recorder shard, runs and destroys its SubmitOptions::on_finish
-  /// and, only when this was the last outstanding job, notifies done_cv_
-  /// (completions of non-final jobs touch no lock).
-  void finish_job(Job* job, unsigned recorder_shard);
-  /// Recorder shard for non-worker threads (submit, shutdown, watchdog).
-  unsigned external_shard() const { return workers(); }
+  /// worker's recorder shard, runs and destroys its
+  /// SubmitOptions::on_finish and, only when this was the last outstanding
+  /// job, notifies done_cv_ (completions of non-final jobs touch no lock).
+  void finish_job(Job* job, unsigned worker);
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
   AdmissionQueue admission_;
@@ -363,8 +330,6 @@ class ThreadPool {
   std::atomic<std::uint64_t> jobs_completed_{0};
   std::atomic<std::uint64_t> jobs_failed_{0};
   std::atomic<std::uint64_t> jobs_deadline_expired_{0};
-  std::atomic<std::uint64_t> jobs_shed_{0};
-  std::atomic<std::uint64_t> jobs_rejected_{0};
   std::atomic<std::uint64_t> watchdog_dumps_{0};
   /// Workers announced in park(); read by every waker, written only when a
   /// worker parks or unparks.  On its own cache line, away from the

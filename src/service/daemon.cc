@@ -25,12 +25,6 @@ namespace {
 /// enough that the per-shard scratch stays cache-resident.
 constexpr std::size_t kParseBatchEntries = 256;
 
-/// Reservoir capacity for the per-tenant p99 flow export: the estimate is
-/// exact for a tenant's first 1024 completions.  Any client can name new
-/// tenants, so a reservoir grows with its samples rather than reserving
-/// the whole capacity for a tenant that may complete one job.
-constexpr std::size_t kTenantFlowReservoir = 1024;
-
 /// How many recent malformed-line samples the quarantine keeps.
 constexpr std::size_t kQuarantineKeep = 16;
 
@@ -83,22 +77,11 @@ void spin_cancellable(runtime::TaskContext& ctx, double units,
   }
 }
 
-/// A finish hook submits the next record from a pool worker.  A bounded
-/// kBlock queue throws there, inside the pool's job retirement, and the
-/// other policies would drop a record the window had already admitted.
-const runtime::PoolOptions& unbounded(const runtime::PoolOptions& pool) {
-  if (pool.admission_capacity != 0)
-    throw std::invalid_argument(
-        "Daemon: config.pool.admission_capacity must be 0; the dispatch "
-        "window bounds what the daemon submits");
-  return pool;
-}
-
 }  // namespace
 
 Daemon::Daemon(const DaemonConfig& config)
     : config_(config),
-      pool_(unbounded(config.pool)),
+      pool_(config.pool),
       router_(config.router),
       window_(config.dispatch_window > 0
                   ? config.dispatch_window
@@ -191,7 +174,7 @@ PushOutcome Daemon::submit_record(JobRecord record) {
   const std::string tenant = record.tenant;  // push() consumes the record
   {
     runtime::MutexLock lock(state_mu_);
-    ++tenants_[tenant].submitted;
+    ++tenants_[tenant].counters.submitted;
   }
   std::vector<ShedRecord> evictions;
   ShedReason reason{};
@@ -241,7 +224,7 @@ void Daemon::dispatch(QueuedRecord rec) {
     const auto spent = Clock::now() - rec.ingest;
     if (spent >= budget) {
       runtime::MutexLock lock(state_mu_);
-      ++tenants_[rec.record.tenant].deadline_expired;
+      ++tenants_[rec.record.tenant].counters.deadline_expired;
       --inflight_;
       return;
     }
@@ -294,7 +277,8 @@ void Daemon::finish(const std::string& tenant, Clock::time_point ingest,
                     const runtime::Job& job) {
   {
     runtime::MutexLock lock(state_mu_);
-    TenantCounters& t = tenants_[tenant];
+    TenantBook& book = tenants_[tenant];
+    TenantCounters& t = book.counters;
     switch (job.outcome()) {
       case runtime::JobOutcome::kCompleted: {
         ++t.completed;
@@ -304,14 +288,8 @@ void Daemon::finish(const std::string& tenant, Clock::time_point ingest,
         t.max_flow_seconds = std::max(t.max_flow_seconds, flow);
         t.sum_flow_seconds += flow;
         ++t.flow_samples;
-        auto fit = flow_.find(tenant);
-        if (fit == flow_.end()) {
-          metrics::StreamingFlowStats::Options opts;
-          opts.reservoir = kTenantFlowReservoir;
-          fit = flow_.emplace(tenant, metrics::StreamingFlowStats(opts)).first;
-        }
         // Arrival 0 / completion `flow` records the flow value itself.
-        fit->second.record(t.flow_samples, 0.0, 1.0, flow);
+        book.flows.record(t.flow_samples, 0.0, 1.0, flow);
         break;
       }
       case runtime::JobOutcome::kFailed:
@@ -319,12 +297,6 @@ void Daemon::finish(const std::string& tenant, Clock::time_point ingest,
         break;
       case runtime::JobOutcome::kDeadlineExpired:
         ++t.deadline_expired;
-        break;
-      case runtime::JobOutcome::kShed:
-        ++t.shed;
-        break;
-      case runtime::JobOutcome::kRejected:
-        ++t.rejected;
         break;
       case runtime::JobOutcome::kRunning:
         break;  // unreachable: a hook runs only for a terminal job
@@ -375,7 +347,7 @@ void bump_shed_counter(TenantCounters& t, ShedReason reason) {
 void Daemon::account_shed_reason(const std::string& tenant,
                                  ShedReason reason) {
   runtime::MutexLock lock(state_mu_);
-  bump_shed_counter(tenants_[tenant], reason);
+  bump_shed_counter(tenants_[tenant].counters, reason);
 }
 
 void Daemon::account_shed(const QueuedRecord& rec, ShedReason reason) {
@@ -421,14 +393,13 @@ DaemonSnapshot Daemon::snapshot() const {
   snap.admission = pool_.admission_stats();
   runtime::MutexLock lock(state_mu_);
   snap.feed = feed_;
-  snap.tenants = tenants_;
+  for (const auto& [name, book] : tenants_) {
+    TenantCounters& t = snap.tenants.emplace_hint(snap.tenants.end(), name,
+                                                  book.counters)->second;
+    t.p99_flow_seconds = book.flows.summary().p99;
+  }
   snap.inflight = inflight_;
   snap.quarantine.assign(quarantine_.begin(), quarantine_.end());
-  for (const auto& [name, stats] : flow_) {
-    const auto it = snap.tenants.find(name);
-    if (it != snap.tenants.end())
-      it->second.p99_flow_seconds = stats.summary().p99;
-  }
   return snap;
 }
 
@@ -440,8 +411,7 @@ std::string Daemon::metrics_text() const {
       << " popped=" << s.router.popped << " shed=" << s.router.total_shed()
       << " peak=" << s.router.peak_depth << "]"
       << " pool[executed=" << s.pool.tasks_executed
-      << " parks=" << s.pool.parks << " shed=" << s.pool.jobs_shed
-      << " rejected=" << s.pool.jobs_rejected
+      << " parks=" << s.pool.parks
       << " expired=" << s.pool.jobs_deadline_expired
       << " failed=" << s.pool.jobs_failed << "]"
       << " feed[records=" << s.feed.records << " malformed=" << s.feed.malformed
@@ -487,8 +457,6 @@ std::string Daemon::metrics_machine() const {
       << "pool.parks " << s.pool.parks << "\n"
       << "pool.jobs_failed " << s.pool.jobs_failed << "\n"
       << "pool.jobs_deadline_expired " << s.pool.jobs_deadline_expired << "\n"
-      << "pool.jobs_shed " << s.pool.jobs_shed << "\n"
-      << "pool.jobs_rejected " << s.pool.jobs_rejected << "\n"
       << "ingest.records " << s.feed.records << "\n"
       << "ingest.batches " << s.feed.batches << "\n"
       << "ingest.malformed " << s.feed.malformed << "\n"
@@ -617,17 +585,18 @@ void Daemon::admit_records(std::vector<JobRecord>& records,
     runtime::MutexLock lock(state_mu_);
     feed_.records += records.size();
     ++feed_.batches;
-    for (const JobRecord& r : records) ++tenants_[r.tenant].submitted;
+    for (const JobRecord& r : records) ++tenants_[r.tenant].counters.submitted;
   }
   evictions.clear();
   router_.admit_batch({records.data(), records.size()}, &outcomes, &evictions);
   {
     runtime::MutexLock lock(state_mu_);
     for (const ShedRecord& s : evictions)
-      bump_shed_counter(tenants_[s.item.record.tenant], s.reason);
+      bump_shed_counter(tenants_[s.item.record.tenant].counters, s.reason);
     for (std::size_t i = 0; i < records.size(); ++i)
       if (outcomes[i].outcome == PushOutcome::kShed)
-        bump_shed_counter(tenants_[records[i].tenant], outcomes[i].reason);
+        bump_shed_counter(tenants_[records[i].tenant].counters,
+                          outcomes[i].reason);
   }
   records.clear();
   pump();

@@ -57,8 +57,6 @@
 namespace pjsched::service {
 
 struct DaemonConfig {
-  /// Its admission queue must stay unbounded (admission_capacity 0): a
-  /// finish hook submits the next record from a pool worker.
   runtime::PoolOptions pool;
   RouterConfig router;
 
@@ -104,10 +102,9 @@ struct TenantCounters {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t deadline_expired = 0;
-  std::uint64_t shed = 0;      ///< fair-share / shed-new / shed-queued, plus
-                               ///< pool-level shed
-  std::uint64_t rejected = 0;  ///< reject-tenant / drain, plus pool-level
-                               ///< rejection
+  std::uint64_t shed = 0;      ///< router: fair-share / shed-new /
+                               ///< shed-queued
+  std::uint64_t rejected = 0;  ///< router: reject-tenant / drain
   /// Flow accounting over *completed* records, measured from ingest (router
   /// queueing counts — the whole point of max flow time).
   double max_flow_seconds = 0.0;
@@ -157,9 +154,8 @@ struct DaemonSnapshot {
 class Daemon {
  public:
   /// Starts the pool and the maintenance thread; the io threads too when a
-  /// listener is configured.  Throws std::invalid_argument when
-  /// config.pool bounds the admission queue, and std::runtime_error when a
-  /// configured listener cannot be created.
+  /// listener is configured.  Throws std::runtime_error when a configured
+  /// listener cannot be created.
   explicit Daemon(const DaemonConfig& config);
   /// Stops ingest, cancels nothing that is running, sheds whatever is
   /// still queued in the router (terminal outcome: rejected/drain), waits
@@ -277,11 +273,21 @@ class Daemon {
   /// config_.dispatch_window, with 0 resolved to 4x workers.
   const std::size_t window_;
 
+  /// Reservoir capacity for the per-tenant p99 flow export: the estimate is
+  /// exact for a tenant's first 1024 completions.  Any client can name new
+  /// tenants, so a reservoir grows with its samples rather than reserving
+  /// the whole capacity for a tenant that may complete one job.
+  static constexpr std::size_t kTenantFlowReservoir = 1024;
+
+  /// One tenant's books: its counters, and the completed-flow reservoir
+  /// behind their p99.
+  struct TenantBook {
+    TenantCounters counters;
+    metrics::StreamingFlowStats flows{{.reservoir = kTenantFlowReservoir}};
+  };
+
   mutable runtime::Mutex state_mu_;
-  std::map<std::string, TenantCounters> tenants_ PJSCHED_GUARDED_BY(state_mu_);
-  /// Per-tenant completed-flow reservoirs backing the p99 export.
-  std::map<std::string, metrics::StreamingFlowStats> flow_
-      PJSCHED_GUARDED_BY(state_mu_);
+  std::map<std::string, TenantBook> tenants_ PJSCHED_GUARDED_BY(state_mu_);
   /// Records popped from the router and not yet finished: in some
   /// thread's hand, or in the pool with their finish hook not yet run.  The
   /// pop and this count share one state_mu_ hold, so a record in hand

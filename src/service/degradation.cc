@@ -4,19 +4,43 @@
 
 namespace pjsched::service {
 
-Rung DegradationLadder::target_up(double u) const {
-  if (u >= config_.reject_enter) return Rung::kRejectTenant;
-  if (u >= config_.shed_queued_enter) return Rung::kShedQueued;
-  if (u >= config_.shed_new_enter) return Rung::kShedNew;
+namespace {
+
+// Enter/exit utilization thresholds per rung; each exit lies strictly
+// below its enter (the hysteresis band).
+constexpr double kShedNewEnter = 0.70;
+constexpr double kShedNewExit = 0.45;
+constexpr double kShedQueuedEnter = 0.85;
+constexpr double kShedQueuedExit = 0.60;
+constexpr double kRejectEnter = 0.95;
+constexpr double kRejectExit = 0.70;
+
+static_assert(kShedNewExit < kShedNewEnter &&
+                  kShedQueuedExit < kShedQueuedEnter &&
+                  kRejectExit < kRejectEnter &&
+                  kShedNewEnter < kShedQueuedEnter &&
+                  kShedQueuedEnter < kRejectEnter &&
+                  kShedNewExit <= kShedQueuedExit &&
+                  kShedQueuedExit <= kRejectExit,
+              "each exit lies below its enter, and both rise with the rungs");
+
+/// Highest rung whose enter threshold the utilization reaches.
+Rung target_up(double u) {
+  if (u >= kRejectEnter) return Rung::kRejectTenant;
+  if (u >= kShedQueuedEnter) return Rung::kShedQueued;
+  if (u >= kShedNewEnter) return Rung::kShedNew;
   return Rung::kNormal;
 }
 
-Rung DegradationLadder::target_down(double u) const {
-  if (u >= config_.reject_exit) return Rung::kRejectTenant;
-  if (u >= config_.shed_queued_exit) return Rung::kShedQueued;
-  if (u >= config_.shed_new_exit) return Rung::kShedNew;
+/// Highest rung whose *exit* threshold the utilization still sustains.
+Rung target_down(double u) {
+  if (u >= kRejectExit) return Rung::kRejectTenant;
+  if (u >= kShedQueuedExit) return Rung::kShedQueued;
+  if (u >= kShedNewExit) return Rung::kShedNew;
   return Rung::kNormal;
 }
+
+}  // namespace
 
 Rung DegradationLadder::on_sample(double utilization, bool stalled) {
   ++samples_;
@@ -40,7 +64,7 @@ Rung DegradationLadder::on_sample(double utilization, bool stalled) {
   const Rung down = target_down(u);
   if (up > rung_) {
     down_streak_ = 0;
-    if (++up_streak_ >= config_.up_hold) {
+    if (++up_streak_ >= kUpHold) {
       // Jump straight to the indicated rung: a spike past two enter
       // thresholds should not serve a hold at every intermediate rung.
       rung_ = up;
@@ -49,7 +73,7 @@ Rung DegradationLadder::on_sample(double utilization, bool stalled) {
     }
   } else if (down < rung_) {
     up_streak_ = 0;
-    if (++down_streak_ >= config_.down_hold) {
+    if (++down_streak_ >= kDownHold) {
       // Step down one rung at a time: recovery re-earns each rung.
       rung_ = static_cast<Rung>(static_cast<std::uint8_t>(rung_) - 1);
       ++transitions_;

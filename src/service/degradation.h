@@ -14,18 +14,18 @@
 // The ladder is driven by two signals: queue utilization (aggregate queued
 // records / capacity) and the pool watchdog's stall flag.  Escalation and
 // de-escalation are hysteretic — each rung has an enter threshold and a
-// strictly lower exit threshold, and both directions require the signal to
-// hold for a configurable number of consecutive samples — so a square-wave
-// load whose period is shorter than the hold, or whose low phase sits
-// inside the hysteresis band, cannot make the ladder oscillate.
+// strictly lower exit threshold (fixed, in degradation.cc), and both
+// directions require the signal to hold for kUpHold / kDownHold
+// consecutive samples — so a square-wave load whose period is shorter than
+// the hold, or whose low phase sits inside the hysteresis band, cannot make
+// the ladder oscillate.
 //
 // Deterministic and externally synchronized: on_sample is a pure function
-// of (config, sample history); the TenantRouter calls it under its own
-// lock.  No wall-clock, no randomness — campaigns replay bit-for-bit.
+// of the sample history; the TenantRouter calls it under its own lock.  No
+// wall-clock, no randomness — campaigns replay bit-for-bit.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 
 namespace pjsched::service {
 
@@ -48,41 +48,13 @@ inline const char* to_string(Rung r) {
   return "?";
 }
 
-struct LadderConfig {
-  // Enter/exit utilization thresholds per rung; exit must be strictly
-  // below enter (the hysteresis band).
-  double shed_new_enter = 0.70;
-  double shed_new_exit = 0.45;
-  double shed_queued_enter = 0.85;
-  double shed_queued_exit = 0.60;
-  double reject_enter = 0.95;
-  double reject_exit = 0.70;
-  /// Consecutive samples at/above an enter threshold before escalating.
-  unsigned up_hold = 2;
-  /// Consecutive samples below the current rung's exit threshold before
-  /// stepping down one rung (recovery is deliberately slower than attack).
-  unsigned down_hold = 8;
-
-  /// Throws std::invalid_argument when the bands are inconsistent.
-  void validate() const {
-    const bool ordered =
-        shed_new_exit < shed_new_enter &&
-        shed_queued_exit < shed_queued_enter && reject_exit < reject_enter &&
-        shed_new_enter < shed_queued_enter &&
-        shed_queued_enter < reject_enter &&
-        shed_new_exit <= shed_queued_exit && shed_queued_exit <= reject_exit;
-    if (!ordered || up_hold == 0 || down_hold == 0)
-      throw std::invalid_argument(
-          "LadderConfig: thresholds must satisfy exit < enter per rung, be "
-          "monotone across rungs, and holds must be >= 1");
-  }
-};
-
 class DegradationLadder {
  public:
-  explicit DegradationLadder(const LadderConfig& config) : config_(config) {
-    config_.validate();
-  }
+  /// Consecutive samples at/above an enter threshold before escalating.
+  static constexpr unsigned kUpHold = 2;
+  /// Consecutive samples below the current rung's exit threshold before
+  /// stepping down one rung (recovery is deliberately slower than attack).
+  static constexpr unsigned kDownHold = 8;
 
   /// One evaluation.  `utilization` is the queue-depth signal in [0, 1]
   /// (values above 1 are clamped); `stalled` is the watchdog signal — a
@@ -105,12 +77,6 @@ class DegradationLadder {
   std::uint64_t stall_escalations() const { return stall_escalations_; }
 
  private:
-  /// Highest rung whose enter threshold the utilization reaches.
-  Rung target_up(double u) const;
-  /// Highest rung whose *exit* threshold the utilization still sustains.
-  Rung target_down(double u) const;
-
-  LadderConfig config_;
   Rung rung_ = Rung::kNormal;
   unsigned up_streak_ = 0;
   unsigned down_streak_ = 0;

@@ -8,8 +8,7 @@
 
 namespace pjsched::service {
 
-TenantRouter::TenantRouter(const RouterConfig& config)
-    : config_(config), ladder_(config.ladder) {
+TenantRouter::TenantRouter(const RouterConfig& config) : config_(config) {
   if (config_.capacity == 0)
     throw std::invalid_argument("TenantRouter: capacity must be > 0");
 }

@@ -1,5 +1,6 @@
 // Per-tenant admission with weighted fair shedding — the layer between the
-// daemon's streaming ingest and the ThreadPool's bounded AdmissionQueue.
+// daemon's streaming ingest and the ThreadPool's admission queue, and the
+// daemon's one overload control: the pool admits whatever it is handed.
 //
 // One queue under one lock.  Within it:
 //
@@ -59,7 +60,6 @@ using Clock = runtime::Clock;
 struct RouterConfig {
   /// Queued-record bound; also the bound on idle tenant entries.
   std::size_t capacity = 4096;
-  LadderConfig ladder;
   /// The router has one queue.  perfbench/daemon_workload.cc still reads
   /// this to size its capacity, so it stays, as a constant.
   static constexpr std::size_t shards = 8;

@@ -281,16 +281,6 @@ NodeBody counting_body(std::shared_ptr<int> sentinel, std::atomic<int>& runs) {
   };
 }
 
-PoolOptions gated_options(std::uint64_t seed, BackpressurePolicy policy =
-                                                  BackpressurePolicy::kBlock) {
-  PoolOptions options;
-  options.workers = 1;
-  options.seed = seed;
-  options.admission_capacity = 1;
-  options.backpressure = policy;
-  return options;
-}
-
 TEST(DagExecutorLifetimeTest, CompletedJob) {
   ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 21});
   auto sentinel = std::make_shared<int>(0);
@@ -338,54 +328,6 @@ TEST(DagExecutorLifetimeTest, DeadlineExpiredJob) {
   EXPECT_EQ(sentinel.use_count(), 1);
 }
 
-TEST(DagExecutorLifetimeTest, ShedJobWhoseRootNeverRan) {
-  ThreadPool pool(gated_options(24, BackpressurePolicy::kShedOldest));
-  WorkerGate gate;
-  gate.submit_to(pool);
-  auto shed_sentinel = std::make_shared<int>(0);
-  auto kept_sentinel = std::make_shared<int>(0);
-  std::atomic<int> shed_runs{0}, kept_runs{0};
-  auto shed = submit_dag(pool, dag::star(4),
-                         counting_body(shed_sentinel, shed_runs));
-  auto kept = submit_dag(pool, dag::star(4),
-                         counting_body(kept_sentinel, kept_runs));
-  // Evicted by the second submission, on this thread: its block is gone
-  // before any worker saw the job, while the queued job's block lives on.
-  EXPECT_EQ(shed->outcome(), JobOutcome::kShed);
-  EXPECT_EQ(shed_sentinel.use_count(), 1);
-  EXPECT_EQ(kept_sentinel.use_count(), 2);
-  gate.release.store(true);
-  pool.wait_all();
-  EXPECT_EQ(shed_runs.load(), 0);
-  EXPECT_EQ(kept->outcome(), JobOutcome::kCompleted);
-  EXPECT_EQ(kept_runs.load(), 5);
-  EXPECT_EQ(shed_sentinel.use_count(), 1);
-  EXPECT_EQ(kept_sentinel.use_count(), 1);
-}
-
-TEST(DagExecutorLifetimeTest, RejectedJobWhoseRootNeverRan) {
-  ThreadPool pool(gated_options(25, BackpressurePolicy::kRejectNewest));
-  WorkerGate gate;
-  gate.submit_to(pool);
-  auto kept_sentinel = std::make_shared<int>(0);
-  auto rejected_sentinel = std::make_shared<int>(0);
-  std::atomic<int> kept_runs{0}, rejected_runs{0};
-  auto kept = submit_dag(pool, dag::star(4),
-                         counting_body(kept_sentinel, kept_runs));
-  auto rejected = submit_dag(pool, dag::star(4),
-                             counting_body(rejected_sentinel, rejected_runs));
-  EXPECT_EQ(rejected->outcome(), JobOutcome::kRejected);
-  EXPECT_EQ(rejected_sentinel.use_count(), 1);
-  EXPECT_EQ(kept_sentinel.use_count(), 2);
-  gate.release.store(true);
-  pool.wait_all();
-  EXPECT_EQ(rejected_runs.load(), 0);
-  EXPECT_EQ(kept->outcome(), JobOutcome::kCompleted);
-  EXPECT_EQ(kept_runs.load(), 5);
-  EXPECT_EQ(rejected_sentinel.use_count(), 1);
-  EXPECT_EQ(kept_sentinel.use_count(), 1);
-}
-
 TEST(DagExecutorLifetimeTest, SubmitAfterShutdownThrows) {
   ThreadPool pool({.workers = 1, .steal_k = 0, .seed = 26});
   pool.shutdown();
@@ -404,7 +346,7 @@ TEST(DagExecutorLifetimeTest, SubmitAfterShutdownThrows) {
 TEST(DagExecutorLifetimeTest, TemporaryDagDestroyedBeforeTheJobRuns) {
   const auto shape = [] { return dag::divide_and_conquer(4, 2); };
   const dag::Dag reference = shape();
-  ThreadPool pool(gated_options(27));
+  ThreadPool pool({.workers = 1, .steal_k = 0, .seed = 27});
   WorkerGate gate;
   gate.submit_to(pool);
   auto sentinel = std::make_shared<int>(0);

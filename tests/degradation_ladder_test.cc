@@ -1,7 +1,8 @@
 // State-transition tests for the overload degradation ladder
-// (src/service/degradation.*): hysteresis bands, hold counts, stall
-// escalation, the terminal drain rung — and the no-oscillation property
-// under square-wave load that the hysteresis exists to provide.
+// (src/service/degradation.*): hysteresis bands, the fixed hold counts
+// (kUpHold = 2, kDownHold = 8), stall escalation, the terminal drain rung —
+// and the no-oscillation property under square-wave load that the
+// hysteresis exists to provide.
 #include "src/service/degradation.h"
 
 #include <gtest/gtest.h>
@@ -11,12 +12,7 @@
 namespace pjsched::service {
 namespace {
 
-LadderConfig quick_config() {
-  LadderConfig c;
-  c.up_hold = 2;
-  c.down_hold = 3;  // fast enough to exercise recovery in-test
-  return c;
-}
+constexpr int kDownHold = static_cast<int>(DegradationLadder::kDownHold);
 
 /// Feeds `n` identical samples; returns the final rung.
 Rung feed(DegradationLadder& ladder, double u, int n, bool stalled = false) {
@@ -26,9 +22,9 @@ Rung feed(DegradationLadder& ladder, double u, int n, bool stalled = false) {
 }
 
 TEST(DegradationLadder, EscalatesOnlyAfterUpHold) {
-  DegradationLadder ladder(quick_config());
+  DegradationLadder ladder;
   EXPECT_EQ(ladder.rung(), Rung::kNormal);
-  // One sample above the enter threshold is not enough (up_hold = 2)...
+  // One sample above the enter threshold is not enough (kUpHold = 2)...
   EXPECT_EQ(ladder.on_sample(0.75, false), Rung::kNormal);
   // ...a dip resets the streak...
   EXPECT_EQ(ladder.on_sample(0.10, false), Rung::kNormal);
@@ -38,7 +34,7 @@ TEST(DegradationLadder, EscalatesOnlyAfterUpHold) {
 }
 
 TEST(DegradationLadder, SpikeJumpsStraightToIndicatedRung) {
-  DegradationLadder ladder(quick_config());
+  DegradationLadder ladder;
   // Utilization pinned at 0.99 indicates reject-tenant; after the up-hold
   // the ladder goes there directly instead of laddering through shed-new
   // and shed-queued one hold at a time.
@@ -47,18 +43,20 @@ TEST(DegradationLadder, SpikeJumpsStraightToIndicatedRung) {
 }
 
 TEST(DegradationLadder, RecoveryStepsDownOneRungAtATime) {
-  DegradationLadder ladder(quick_config());
+  DegradationLadder ladder;
   feed(ladder, 0.99, 2);
   ASSERT_EQ(ladder.rung(), Rung::kRejectTenant);
-  // Fully idle: each down_hold streak sheds exactly one rung.
-  EXPECT_EQ(feed(ladder, 0.0, 3), Rung::kShedQueued);
-  EXPECT_EQ(feed(ladder, 0.0, 3), Rung::kShedNew);
-  EXPECT_EQ(feed(ladder, 0.0, 3), Rung::kNormal);
+  // Fully idle: each kDownHold streak sheds exactly one rung, and one
+  // sample fewer sheds none.
+  EXPECT_EQ(feed(ladder, 0.0, kDownHold - 1), Rung::kRejectTenant);
+  EXPECT_EQ(feed(ladder, 0.0, 1), Rung::kShedQueued);
+  EXPECT_EQ(feed(ladder, 0.0, kDownHold), Rung::kShedNew);
+  EXPECT_EQ(feed(ladder, 0.0, kDownHold), Rung::kNormal);
   EXPECT_EQ(feed(ladder, 0.0, 50), Rung::kNormal);  // floor is stable
 }
 
 TEST(DegradationLadder, HysteresisBandHoldsPosition) {
-  DegradationLadder ladder(quick_config());
+  DegradationLadder ladder;
   feed(ladder, 0.75, 2);
   ASSERT_EQ(ladder.rung(), Rung::kShedNew);
   // 0.50 is below shed-new's enter (0.70) but above its exit (0.45):
@@ -72,7 +70,7 @@ TEST(DegradationLadder, SquareWaveLoadDoesNotOscillate) {
   // the band" can never complete an up_hold or down_hold streak, so after
   // the initial escalation the rung must stay put: transitions() stays 1
   // across thousands of samples.
-  DegradationLadder ladder(quick_config());
+  DegradationLadder ladder;
   feed(ladder, 0.75, 2);
   ASSERT_EQ(ladder.rung(), Rung::kShedNew);
   for (int i = 0; i < 5000; ++i)
@@ -80,13 +78,13 @@ TEST(DegradationLadder, SquareWaveLoadDoesNotOscillate) {
   EXPECT_EQ(ladder.rung(), Rung::kShedNew);
   EXPECT_EQ(ladder.transitions(), 1u);
 
-  // Even a wave whose low phase dips below exit cannot flap if its period
-  // is shorter than the holds: 2 highs / 2 lows never reaches down_hold=3.
-  DegradationLadder wave(quick_config());
+  // Even a wave whose low phase dips below exit cannot flap if that phase
+  // is shorter than the hold: kDownHold - 1 lows, then one high, repeated.
+  DegradationLadder wave;
   feed(wave, 0.75, 2);
   std::vector<Rung> seen;
   for (int i = 0; i < 4000; ++i) {
-    const double u = (i / 2) % 2 == 0 ? 0.75 : 0.10;
+    const double u = i % kDownHold == kDownHold - 1 ? 0.75 : 0.10;
     seen.push_back(wave.on_sample(u, false));
   }
   for (Rung r : seen) EXPECT_EQ(r, Rung::kShedNew);
@@ -94,7 +92,7 @@ TEST(DegradationLadder, SquareWaveLoadDoesNotOscillate) {
 }
 
 TEST(DegradationLadder, StallEscalatesImmediatelyAndCapsBelowDrain) {
-  DegradationLadder ladder(quick_config());
+  DegradationLadder ladder;
   // No utilization pressure at all: the watchdog alone drives it up, one
   // rung per stalled sample, capped at reject-tenant (drain is shutdown's
   // decision, not the watchdog's).
@@ -104,11 +102,12 @@ TEST(DegradationLadder, StallEscalatesImmediatelyAndCapsBelowDrain) {
   EXPECT_EQ(ladder.on_sample(0.0, true), Rung::kRejectTenant);
   EXPECT_EQ(ladder.stall_escalations(), 4u);
   // Recovery still hysteretic afterwards.
-  EXPECT_EQ(feed(ladder, 0.0, 3), Rung::kShedQueued);
+  EXPECT_EQ(feed(ladder, 0.0, kDownHold - 1), Rung::kRejectTenant);
+  EXPECT_EQ(feed(ladder, 0.0, 1), Rung::kShedQueued);
 }
 
 TEST(DegradationLadder, DrainIsTerminal) {
-  DegradationLadder ladder(quick_config());
+  DegradationLadder ladder;
   ladder.begin_drain();
   EXPECT_EQ(ladder.rung(), Rung::kDrain);
   EXPECT_EQ(feed(ladder, 0.0, 100), Rung::kDrain);
@@ -117,22 +116,8 @@ TEST(DegradationLadder, DrainIsTerminal) {
   EXPECT_EQ(ladder.rung(), Rung::kDrain);
 }
 
-TEST(DegradationLadder, ConfigValidationRejectsInvertedBands) {
-  LadderConfig bad = quick_config();
-  bad.shed_new_exit = bad.shed_new_enter + 0.01;  // exit above enter
-  EXPECT_THROW(DegradationLadder{bad}, std::invalid_argument);
-
-  LadderConfig zero_hold = quick_config();
-  zero_hold.up_hold = 0;
-  EXPECT_THROW(DegradationLadder{zero_hold}, std::invalid_argument);
-
-  LadderConfig unordered = quick_config();
-  unordered.shed_queued_enter = 0.60;  // below shed_new_enter
-  EXPECT_THROW(DegradationLadder{unordered}, std::invalid_argument);
-}
-
 TEST(DegradationLadder, UtilizationAboveOneIsClamped) {
-  DegradationLadder ladder(quick_config());
+  DegradationLadder ladder;
   EXPECT_EQ(feed(ladder, 42.0, 2), Rung::kRejectTenant);
 }
 

@@ -428,15 +428,5 @@ TEST(ServiceDaemon, DestroyedMidBurstWithJobsInFlight) {
   }
 }
 
-TEST(ServiceDaemon, BoundedPoolQueueIsRejected) {
-  // A finish hook submits from a pool worker, where a bounded kBlock
-  // queue throws inside the pool's job retirement.
-  DaemonConfig config = small_config();
-  config.pool.admission_capacity = 8;
-  EXPECT_THROW(Daemon daemon(config), std::invalid_argument);
-  config.pool.backpressure = runtime::BackpressurePolicy::kShedOldest;
-  EXPECT_THROW(Daemon daemon(config), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace pjsched::service

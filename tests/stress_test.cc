@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -150,41 +151,75 @@ TEST(StressTest, WeightExtremes) {
 TEST(RuntimeStressTest, ConcurrentSubmittersRacingShutdown) {
   runtime::ThreadPool pool({.workers = 4, .steal_k = 0, .seed = 40});
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 200;
+  constexpr int kPerThread = 2000;
   std::atomic<int> accepted{0};
   std::atomic<int> refused{0};
+  std::atomic<int> other_errors{0};
+  std::atomic<int> bodies{0};
+  std::atomic<int> hooks{0};
+  std::atomic<int> hooks_off_their_worker{0};
+  auto sentinel = std::make_shared<int>(0);
   std::vector<std::vector<runtime::JobHandle>> handles(kThreads);
+  std::atomic<int> started{0};
   std::vector<std::thread> submitters;
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
       for (int i = 0; i < kPerThread; ++i) {
+        // Shut down in the middle of the submission storm: the first
+        // submitter does it a quarter of the way in, beside the others.
+        if (t == 0 && i == kPerThread / 4) pool.shutdown();
+        // The body notes the worker it ran on; the hook must run there
+        // too, never on this submitter or on the shutdown thread.
+        auto ran_on = std::make_shared<std::thread::id>();
+        runtime::SubmitOptions options;
+        options.on_finish = [&, ran_on, keep = sentinel](const runtime::Job&) {
+          if (*ran_on != std::this_thread::get_id())
+            hooks_off_their_worker.fetch_add(1);
+          hooks.fetch_add(1);
+        };
         try {
-          handles[t].push_back(pool.submit([](runtime::TaskContext&) {}));
+          handles[t].push_back(pool.submit(
+              [&, ran_on](runtime::TaskContext&) {
+                *ran_on = std::this_thread::get_id();
+                bodies.fetch_add(1);
+              },
+              std::move(options)));
           accepted.fetch_add(1);
         } catch (const std::logic_error&) {
           refused.fetch_add(1);  // racing shutdown: loud, not silent
+        } catch (...) {
+          other_errors.fetch_add(1);
         }
       }
     });
   }
-  // Shut down somewhere in the middle of the submission storm.
-  std::this_thread::sleep_for(std::chrono::microseconds(500));
-  pool.shutdown();
   for (auto& t : submitters) t.join();
+  // Every refusal was a thrown std::logic_error, and nothing else failed.
+  EXPECT_EQ(other_errors.load(), 0);
   EXPECT_EQ(accepted.load() + refused.load(), kThreads * kPerThread);
-  // Every handle that submit() returned reached a terminal outcome: a
-  // racing job either ran or was recorded as shed (drained from the
-  // closing queue) / rejected (the push hit the already-closed queue),
-  // never dropped.
+  // Every handle that submit() returned completed before shutdown()
+  // returned; a refused submission was neither counted, recorded nor run,
+  // and its hook was destroyed unrun.
   for (const auto& per_thread : handles)
     for (const auto& job : per_thread) {
       EXPECT_TRUE(job->finished());
-      const auto o = job->outcome();
-      EXPECT_TRUE(o == runtime::JobOutcome::kCompleted ||
-                  o == runtime::JobOutcome::kShed ||
-                  o == runtime::JobOutcome::kRejected)
-          << runtime::to_string(o);
+      EXPECT_EQ(job->outcome(), runtime::JobOutcome::kCompleted)
+          << runtime::to_string(job->outcome());
     }
+  const auto n = static_cast<std::uint64_t>(accepted.load());
+  const std::string books = "submitted=" + std::to_string(n) +
+                            " terminal=" + std::to_string(n) + " pending=0";
+  EXPECT_NE(pool.dump_state().find(books), std::string::npos)
+      << pool.dump_state();
+  EXPECT_EQ(pool.recorder().outcome_counts().completed, n);
+  EXPECT_EQ(pool.recorder().count(), n);
+  EXPECT_EQ(pool.admission_stats().accepted, n);
+  EXPECT_EQ(bodies.load(), accepted.load());
+  EXPECT_EQ(hooks.load(), accepted.load());
+  EXPECT_EQ(hooks_off_their_worker.load(), 0);
+  EXPECT_EQ(sentinel.use_count(), 1);  // every hook is gone, run or not
 }
 
 TEST(RuntimeStressTest, ConcurrentSubmittersThenWaitAll) {
@@ -206,30 +241,6 @@ TEST(RuntimeStressTest, ConcurrentSubmittersThenWaitAll) {
   EXPECT_EQ(ran.load(), kThreads * kPerThread * 2);
   EXPECT_EQ(pool.recorder().outcome_counts().completed,
             static_cast<std::uint64_t>(kThreads * kPerThread));
-}
-
-TEST(RuntimeStressTest, BoundedQueueConcurrentSubmitters) {
-  runtime::PoolOptions options;
-  options.workers = 2;
-  options.seed = 42;
-  options.admission_capacity = 8;
-  options.backpressure = runtime::BackpressurePolicy::kShedOldest;
-  runtime::ThreadPool pool(options);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 150;
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < kThreads; ++t)
-    submitters.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i)
-        pool.submit([](runtime::TaskContext&) {});
-    });
-  for (auto& t : submitters) t.join();
-  pool.wait_all();
-  const auto counts = pool.recorder().outcome_counts();
-  // Conservation: every job is either completed or shed, nothing lost.
-  EXPECT_EQ(counts.completed + counts.shed,
-            static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(counts.failed, 0u);
 }
 
 TEST(RuntimeStressTest, ConcurrentSubmittersWithFaultInjection) {

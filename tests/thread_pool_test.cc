@@ -324,8 +324,8 @@ TEST(ThreadPoolParkTest, IdlePoolStaysParked) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault tolerance: exception containment, cancellation, deadlines,
-// bounded admission with backpressure, and the watchdog.
+// Fault tolerance: exception containment, cancellation, deadlines, and the
+// watchdog.
 
 TEST(ThreadPoolFaultTest, TaskExceptionIsContained) {
   ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 20});
@@ -399,80 +399,6 @@ TEST(ThreadPoolFaultTest, GenerousDeadlineDoesNotCancel) {
   job->wait();
   EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
   EXPECT_EQ(pool.stats().jobs_deadline_expired, 0u);
-}
-
-TEST(ThreadPoolFaultTest, RejectNewestPolicy) {
-  PoolOptions options;
-  options.workers = 1;
-  options.seed = 24;
-  options.admission_capacity = 2;
-  options.backpressure = BackpressurePolicy::kRejectNewest;
-  ThreadPool pool(options);
-  WorkerGate gate;
-  auto gate_job = gate.submit_to(pool);
-  std::vector<JobHandle> accepted, rejected;
-  for (int i = 0; i < 2; ++i)
-    accepted.push_back(pool.submit([](TaskContext&) {}));
-  for (int i = 0; i < 3; ++i)
-    rejected.push_back(pool.submit([](TaskContext&) {}));
-  // Rejection is synchronous: the handle is already terminal.
-  for (const auto& job : rejected) {
-    EXPECT_TRUE(job->finished());
-    EXPECT_EQ(job->outcome(), JobOutcome::kRejected);
-  }
-  gate.release.store(true);
-  pool.wait_all();
-  for (const auto& job : accepted)
-    EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
-  EXPECT_EQ(pool.stats().jobs_rejected, 3u);
-  const auto counts = pool.recorder().outcome_counts();
-  // Recorder and PoolStats agree: rejected is its own bucket, not shed.
-  EXPECT_EQ(counts.rejected, 3u);
-  EXPECT_EQ(counts.shed, 0u);
-  EXPECT_EQ(counts.completed, 3u);  // gate + 2 accepted
-}
-
-TEST(ThreadPoolFaultTest, ShedOldestPolicy) {
-  PoolOptions options;
-  options.workers = 1;
-  options.seed = 25;
-  options.admission_capacity = 2;
-  options.backpressure = BackpressurePolicy::kShedOldest;
-  ThreadPool pool(options);
-  WorkerGate gate;
-  gate.submit_to(pool);
-  auto a = pool.submit([](TaskContext&) {});
-  auto b = pool.submit([](TaskContext&) {});
-  auto c = pool.submit([](TaskContext&) {});  // evicts a
-  auto d = pool.submit([](TaskContext&) {});  // evicts b
-  EXPECT_EQ(a->outcome(), JobOutcome::kShed);
-  EXPECT_EQ(b->outcome(), JobOutcome::kShed);
-  gate.release.store(true);
-  pool.wait_all();
-  EXPECT_EQ(c->outcome(), JobOutcome::kCompleted);
-  EXPECT_EQ(d->outcome(), JobOutcome::kCompleted);
-  EXPECT_EQ(pool.stats().jobs_shed, 2u);
-  EXPECT_EQ(pool.recorder().outcome_counts().shed, 2u);
-  EXPECT_EQ(pool.recorder().outcome_counts().rejected, 0u);
-}
-
-TEST(ThreadPoolFaultTest, BlockPolicyCompletesEverything) {
-  PoolOptions options;
-  options.workers = 1;
-  options.seed = 26;
-  options.admission_capacity = 2;
-  options.backpressure = BackpressurePolicy::kBlock;
-  ThreadPool pool(options);
-  std::atomic<int> ran{0};
-  constexpr int kJobs = 50;
-  for (int i = 0; i < kJobs; ++i)
-    pool.submit([&](TaskContext&) { ran.fetch_add(1); });
-  pool.wait_all();
-  EXPECT_EQ(ran.load(), kJobs);
-  const auto counts = pool.recorder().outcome_counts();
-  EXPECT_EQ(counts.completed, static_cast<std::uint64_t>(kJobs));
-  EXPECT_EQ(counts.shed, 0u);
-  EXPECT_EQ(pool.stats().jobs_rejected, 0u);
 }
 
 TEST(ThreadPoolFaultTest, WatchdogFiresOnStall) {
@@ -564,58 +490,6 @@ TEST(ThreadPoolFaultTest, CancellationMidJoinDrainsBeforeUnwinding) {
   EXPECT_EQ(after->outcome(), JobOutcome::kCompleted);
 }
 
-TEST(ThreadPoolFaultTest, SubmitFromWorkerUnderBlockPolicyThrows) {
-  // A worker blocking in submit() on a full kBlock queue could never drain
-  // it — the call must fail loudly (and deterministically) instead.
-  PoolOptions options;
-  options.workers = 1;
-  options.seed = 32;
-  options.admission_capacity = 4;
-  options.backpressure = BackpressurePolicy::kBlock;
-  ThreadPool pool(options);
-  std::atomic<bool> threw{false};
-  auto job = pool.submit([&](TaskContext&) {
-    try {
-      pool.submit([](TaskContext&) {});
-    } catch (const std::logic_error&) {
-      threw.store(true);
-    }
-  });
-  job->wait();
-  EXPECT_TRUE(threw.load());
-  EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
-  // External threads are unaffected.
-  auto external = pool.submit([](TaskContext&) {});
-  external->wait();
-  EXPECT_EQ(external->outcome(), JobOutcome::kCompleted);
-}
-
-TEST(ThreadPoolFaultTest, ExpiredQueuedJobRecordsDeadlineNotShed) {
-  // A job evicted from the queue after its deadline passed expired — the
-  // eviction must not relabel it as Shed.
-  PoolOptions options;
-  options.workers = 1;
-  options.seed = 33;
-  options.admission_capacity = 1;
-  options.backpressure = BackpressurePolicy::kShedOldest;
-  ThreadPool pool(options);
-  WorkerGate gate;
-  gate.submit_to(pool);
-  SubmitOptions with_deadline;
-  with_deadline.deadline = std::chrono::milliseconds(0);
-  auto expired = pool.submit([](TaskContext&) {}, std::move(with_deadline));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto evictor = pool.submit([](TaskContext&) {});  // shed-oldest evicts
-  EXPECT_TRUE(expired->finished());
-  EXPECT_EQ(expired->outcome(), JobOutcome::kDeadlineExpired);
-  gate.release.store(true);
-  pool.wait_all();
-  EXPECT_EQ(evictor->outcome(), JobOutcome::kCompleted);
-  EXPECT_EQ(pool.stats().jobs_deadline_expired, 1u);
-  EXPECT_EQ(pool.stats().jobs_shed, 0u);
-  EXPECT_EQ(pool.recorder().outcome_counts().deadline_expired, 1u);
-}
-
 TEST(ThreadPoolFaultTest, CancelledFlagVisibleInsideBody) {
   // A body that observes its own job getting cancelled (via a second task
   // failing is hard to time; instead use the deadline path indirectly):
@@ -663,6 +537,9 @@ struct HookProbe {
 
 TEST(ThreadPoolHookTest, OnFinishRunsOnceForEachExecutedOutcome) {
   ThreadPool pool({.workers = 1, .steal_k = 0, .seed = 40});
+  std::thread::id worker;
+  pool.submit([&](TaskContext&) { worker = std::this_thread::get_id(); })
+      ->wait();
   WorkerGate gate;
   gate.submit_to(pool);
   HookProbe completed, failed, expired;
@@ -684,41 +561,30 @@ TEST(ThreadPoolHookTest, OnFinishRunsOnceForEachExecutedOutcome) {
   EXPECT_EQ(ok->outcome(), JobOutcome::kCompleted);
   EXPECT_EQ(bad->outcome(), JobOutcome::kFailed);
   EXPECT_EQ(timed_out->outcome(), JobOutcome::kDeadlineExpired);
-  EXPECT_NE(completed.thread, std::this_thread::get_id());  // a worker's
+  // Every job retires on a pool worker, so every hook runs there.
+  EXPECT_NE(worker, std::this_thread::get_id());
+  EXPECT_EQ(completed.thread, worker);
+  EXPECT_EQ(failed.thread, worker);
+  EXPECT_EQ(expired.thread, worker);
 }
 
-TEST(ThreadPoolHookTest, OnFinishRunsForShedAndRejectedRoots) {
-  PoolOptions options;
-  options.workers = 1;
-  options.seed = 41;
-  options.admission_capacity = 1;
-  options.backpressure = BackpressurePolicy::kShedOldest;
-  ThreadPool shedding(options);
-  options.backpressure = BackpressurePolicy::kRejectNewest;
-  ThreadPool rejecting(options);
-  WorkerGate shed_gate, reject_gate;
-  shed_gate.submit_to(shedding);
-  reject_gate.submit_to(rejecting);
-
-  HookProbe shed, evictor, accepted, rejected;
-  shedding.submit([](TaskContext&) {}, shed.options());
-  shedding.submit([](TaskContext&) {}, evictor.options());
-  rejecting.submit([](TaskContext&) {}, accepted.options());
-  rejecting.submit([](TaskContext&) {}, rejected.options());
-  // Their roots never ran: each hook ran on this thread, inside submit().
-  shed.expect_ran_once(JobOutcome::kShed);
-  rejected.expect_ran_once(JobOutcome::kRejected);
-  EXPECT_EQ(shed.thread, std::this_thread::get_id());
-  EXPECT_EQ(rejected.thread, std::this_thread::get_id());
-  EXPECT_EQ(evictor.calls.load(), 0);
-  EXPECT_EQ(accepted.sentinel.use_count(), 2);
-
-  shed_gate.release.store(true);
-  reject_gate.release.store(true);
-  shedding.wait_all();
-  rejecting.wait_all();
-  evictor.expect_ran_once(JobOutcome::kCompleted);
-  accepted.expect_ran_once(JobOutcome::kCompleted);
+TEST(ThreadPoolHookTest, OnFinishMaySubmitTheNextJob) {
+  // A hook submits from a pool worker (the daemon refills its dispatch
+  // window this way): the admission queue never blocks, and wait_all()
+  // covers the new job, which was counted before the hook's own job.
+  ThreadPool pool({.workers = 1, .steal_k = 0, .seed = 41});
+  std::atomic<int> ran{0};
+  JobHandle next;
+  SubmitOptions first;
+  first.on_finish = [&](const Job&) {
+    next = pool.submit([&](TaskContext&) { ran.fetch_add(1); });
+  };
+  pool.submit([&](TaskContext&) { ran.fetch_add(1); }, std::move(first));
+  pool.wait_all();
+  EXPECT_EQ(ran.load(), 2);
+  ASSERT_NE(next, nullptr);
+  EXPECT_EQ(next->outcome(), JobOutcome::kCompleted);
+  EXPECT_EQ(pool.recorder().outcome_counts().completed, 2u);
 }
 
 TEST(FlowRecorderTest, OutcomeAccountingAndFlowExclusion) {
@@ -726,17 +592,13 @@ TEST(FlowRecorderTest, OutcomeAccountingAndFlowExclusion) {
   recorder.record(1.0, 1.0, JobOutcome::kCompleted);
   recorder.record(9.0, 2.0, JobOutcome::kFailed);      // excluded from flows
   recorder.record(5.0, 1.0, JobOutcome::kDeadlineExpired);
-  recorder.record(2.0, 3.0, JobOutcome::kShed);
-  recorder.record(4.0, 1.0, JobOutcome::kRejected);
   recorder.record(3.0, 2.0, JobOutcome::kCompleted);
   const auto counts = recorder.outcome_counts();
   EXPECT_EQ(counts.completed, 2u);
   EXPECT_EQ(counts.failed, 1u);
   EXPECT_EQ(counts.deadline_expired, 1u);
-  EXPECT_EQ(counts.shed, 1u);
-  EXPECT_EQ(counts.rejected, 1u);
-  EXPECT_EQ(counts.total(), 6u);
-  EXPECT_EQ(recorder.count(), 6u);
+  EXPECT_EQ(counts.total(), 4u);
+  EXPECT_EQ(recorder.count(), 4u);
   // Flow statistics cover completed jobs only: the failed job's 9.0 must
   // not contaminate the max.
   EXPECT_DOUBLE_EQ(recorder.max_flow_seconds(), 3.0);

@@ -202,14 +202,13 @@ void check_books(const service::DaemonSnapshot& s, const std::string& phase,
                  std::to_string(submitted_total) + " accepted=" +
                  std::to_string(r.accepted) + " arrival_drops=" +
                  std::to_string(arrival_drops) + ")");
-  // Pool admission books: accepted == popped + shed + depth.
+  // Pool admission books: accepted == popped + depth.
   const auto& a = s.admission;
-  out->check(a.accepted == a.popped + a.shed +
-                               static_cast<std::uint64_t>(a.depth),
+  out->check(a.accepted == a.popped + static_cast<std::uint64_t>(a.depth),
              phase + ": admission queue books broken (accepted=" +
                  std::to_string(a.accepted) + " popped=" +
-                 std::to_string(a.popped) + " shed=" + std::to_string(a.shed) +
-                 " depth=" + std::to_string(a.depth) + ")");
+                 std::to_string(a.popped) + " depth=" +
+                 std::to_string(a.depth) + ")");
 }
 
 TrialOutcome run_trial(std::uint64_t seed, bool verbose) {
