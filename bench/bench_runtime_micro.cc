@@ -34,6 +34,24 @@ void BM_DequePushSteal(benchmark::State& state) {
 }
 BENCHMARK(BM_DequePushSteal);
 
+// The two probes a failed steal-k-first round makes: the owner's pop and a
+// thief's steal, each on an empty deque.
+void BM_DequePopEmpty(benchmark::State& state) {
+  ChaseLevDeque<std::intptr_t> deque;
+  std::intptr_t v = 0;
+  // The deque escapes, so no iteration's pop() can be folded into a constant.
+  benchmark::DoNotOptimize(&deque);
+  for (auto _ : state) benchmark::DoNotOptimize(deque.pop(v));
+}
+BENCHMARK(BM_DequePopEmpty);
+
+void BM_DequeStealEmpty(benchmark::State& state) {
+  ChaseLevDeque<std::intptr_t> deque;
+  std::intptr_t v = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(deque.steal(v));
+}
+BENCHMARK(BM_DequeStealEmpty);
+
 void BM_DequeBulkCycle(benchmark::State& state) {
   const auto batch = static_cast<std::intptr_t>(state.range(0));
   ChaseLevDeque<std::intptr_t> deque;

@@ -8,6 +8,16 @@
 // pushes and pops at the *bottom* with no synchronization in the common
 // case; thieves steal from the *top* with a single CAS.
 //
+// Failed acquisitions are the common case of an idle steal-k-first worker,
+// so both ends fail without a fence when they can:
+//   * the owner remembers that its last pop() found the deque empty.  Only
+//     the owner pushes and thieves only take, so it stays empty until the
+//     owner's next push(), and pop() returns false at once until then;
+//   * a thief first reads the victim's size hint (two relaxed loads) and
+//     returns false on a victim that looks empty.  A stale "empty" is a
+//     failed attempt, as a lost race already is; a victim that looks
+//     non-empty goes through the full protocol.
+//
 // Semantics:
 //   * exactly one owner thread may call push()/pop();
 //   * any number of thief threads may call steal() concurrently;
@@ -77,11 +87,13 @@ class ChaseLevDeque {
     // the paper) orders the slot write before the bottom_ publication.
     std::atomic_thread_fence(std::memory_order_release);
     bottom_.store(b + 1, std::memory_order_relaxed);
+    known_empty_ = false;
     return b == t;
   }
 
   /// Owner only: pop from the bottom.  Returns false when empty.
   bool pop(T& out) {
+    if (known_empty_) return false;  // nothing pushed since pop() saw empty
     // order: relaxed owner reads/writes of bottom_/buffer_ — single
     // writer; the seq_cst fence below is the store-load barrier that
     // makes the bottom_ decrement visible to thieves before top_ is read
@@ -96,6 +108,7 @@ class ChaseLevDeque {
       // Deque was empty; restore bottom.
       // order: relaxed — owner-only bookkeeping; nothing published.
       bottom_.store(b + 1, std::memory_order_relaxed);
+      known_empty_ = true;
       return false;
     }
     out = buf->get(b);
@@ -107,6 +120,7 @@ class ChaseLevDeque {
       if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
         bottom_.store(b + 1, std::memory_order_relaxed);
+        known_empty_ = true;
         return false;  // a thief won
       }
       // order: relaxed — owner-only bottom_ restore, as in the empty case.
@@ -115,9 +129,11 @@ class ChaseLevDeque {
     return true;
   }
 
-  /// Thieves: steal from the top.  Returns false when empty or when losing
-  /// a race (callers treat both as a failed steal attempt).
+  /// Thieves: steal from the top.  Returns false when empty, when the
+  /// victim looks empty, or when losing a race (callers treat all three as
+  /// a failed steal attempt).
   bool steal(T& out) {
+    if (empty_hint()) return false;  // no fence or CAS on an empty victim
     std::int64_t t = top_.load(std::memory_order_acquire);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     const std::int64_t b = bottom_.load(std::memory_order_acquire);
@@ -189,6 +205,9 @@ class ChaseLevDeque {
 
   alignas(64) std::atomic<std::int64_t> top_;
   alignas(64) std::atomic<std::int64_t> bottom_;
+  // Owner only, on the line push() already writes: set when pop() finds the
+  // deque empty, cleared by push().  A new deque is empty.
+  bool known_empty_ = true;
   alignas(64) std::atomic<Buffer*> buffer_;
   std::vector<Buffer*> retired_;  // owner-only
 };

@@ -326,7 +326,11 @@ class ThreadPool {
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> accepting_{true};
-  std::atomic<std::uint64_t> jobs_submitted_{0};
+  /// The five job counters share a cache line with nothing else: every
+  /// submit() and every job's retirement writes it, while every round reads
+  /// stop_ and steal_k_ and every task reads injector_.
+  alignas(kDestructiveInterference)
+      std::atomic<std::uint64_t> jobs_submitted_{0};
   std::atomic<std::uint64_t> jobs_completed_{0};
   std::atomic<std::uint64_t> jobs_failed_{0};
   std::atomic<std::uint64_t> jobs_deadline_expired_{0};

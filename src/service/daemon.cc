@@ -190,6 +190,21 @@ std::size_t Daemon::feed_replay_file(const std::string& path,
                                      double time_scale) {
   const core::Instance instance = runtime::load_replay_instance(path);
   const Clock::time_point start = Clock::now();
+  if (time_scale > 0.0) {
+    // Pacing casts start + arrival * time_scale seconds to a Clock time
+    // point, which is undefined past the clock's range.  Half the range
+    // left keeps the double comparison clear of rounding at the boundary.
+    const double room =
+        std::chrono::duration<double>(Clock::time_point::max() - start)
+            .count() / 2;
+    double last = 0.0;
+    for (const core::JobSpec& job : instance.jobs)
+      last = std::max(last, job.arrival);
+    if (!(last * time_scale < room))
+      throw std::invalid_argument(
+          "feed_replay_file: time_scale puts the last arrival beyond the "
+          "steady clock's range");
+  }
   std::size_t submitted = 0;
   for (const core::JobSpec& job : instance.jobs) {
     if (stop_.load(std::memory_order_acquire)) break;

@@ -81,8 +81,12 @@ struct DaemonConfig {
   std::chrono::milliseconds tick_interval{10};
   /// Connections beyond this are accepted and immediately closed.
   std::size_t max_connections = 64;
-  /// CPU time rendered per work unit (see runtime::spin_for_units).
+  /// CPU time rendered per work unit (see runtime::spin_for_units), in
+  /// [0, kMaxNsPerUnit].
   double ns_per_unit = 1000.0;
+  /// A whole kMaxWork-unit record then renders at most 1e18 ns, inside the
+  /// int64 nanoseconds spin_for_units converts to.
+  static constexpr double kMaxNsPerUnit = 1e9;
   /// Max records popped from the router but not yet finished (0 = 4x
   /// workers).  Dispatch stops popping at the window so the backlog stays
   /// in the ROUTER — where weighted fairness and the ladder's utilization
@@ -177,7 +181,9 @@ class Daemon {
   /// loader, so truncated/corrupt files surface as ReplayFileError) and
   /// submits each job as a record for `tenant`, pacing arrivals by
   /// `time_scale` seconds per instance time unit (0 = submit all at once).
-  /// Returns the number of records submitted.
+  /// Returns the number of records submitted.  Throws std::invalid_argument,
+  /// before submitting anything, when the last arrival so scaled lies
+  /// beyond the steady clock's range.
   std::size_t feed_replay_file(const std::string& path,
                                const std::string& tenant, double time_scale);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -87,6 +88,31 @@ TEST(ChaseLevTest, InterleavedPushPop) {
   EXPECT_EQ(d.size_hint(), 1000u);
 }
 
+// The owner's fast path: once pop() finds the deque empty it returns false
+// without the fence until the owner's next push(), which must clear it.
+// Here the empty finding comes from the top > bottom branch; the lost
+// last-element CAS sets it in LastElementRace.
+TEST(ChaseLevTest, PopAfterEmptyFindingSeesTheNextPush) {
+  IntDeque d;
+  std::intptr_t v = 0;
+  EXPECT_FALSE(d.pop(v));  // a fresh deque is empty
+  d.push(1);
+  ASSERT_TRUE(d.steal(v));
+  EXPECT_EQ(v, 1);
+  EXPECT_FALSE(d.pop(v));  // a thief emptied it: top > bottom
+  d.push(7);
+  ASSERT_TRUE(d.pop(v));
+  EXPECT_EQ(v, 7);
+  d.push(8);
+  d.push(9);
+  ASSERT_TRUE(d.steal(v));
+  EXPECT_EQ(v, 8);
+  ASSERT_TRUE(d.pop(v));
+  EXPECT_EQ(v, 9);
+  EXPECT_FALSE(d.pop(v));
+  EXPECT_FALSE(d.steal(v));
+}
+
 // Concurrency stress: one owner pushes/pops while thieves steal; every
 // pushed value must be consumed exactly once.
 TEST(ChaseLevStressTest, OwnerVsThievesExactlyOnce) {
@@ -97,6 +123,7 @@ TEST(ChaseLevStressTest, OwnerVsThievesExactlyOnce) {
   std::vector<std::vector<std::intptr_t>> stolen(kThieves);
   std::vector<std::intptr_t> popped;
   std::atomic<bool> done{false};
+  std::atomic<bool> any_stolen{false};
 
   std::vector<std::thread> thieves;
   thieves.reserve(kThieves);
@@ -104,7 +131,10 @@ TEST(ChaseLevStressTest, OwnerVsThievesExactlyOnce) {
     thieves.emplace_back([&, t] {
       std::intptr_t v = 0;
       while (!done.load(std::memory_order_acquire)) {
-        if (d.steal(v)) stolen[t].push_back(v);
+        if (d.steal(v)) {
+          stolen[t].push_back(v);
+          any_stolen.store(true, std::memory_order_relaxed);
+        }
       }
       // Final drain so nothing is left behind.
       while (d.steal(v)) stolen[t].push_back(v);
@@ -117,6 +147,13 @@ TEST(ChaseLevStressTest, OwnerVsThievesExactlyOnce) {
     d.push(i);
     if (i % 3 == 0 && d.pop(v)) popped.push_back(v);
   }
+  // Give the thieves a bounded chance to take something before the final
+  // drain, so the check below does not hinge on when they were scheduled.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!any_stolen.load(std::memory_order_relaxed) &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::yield();
   while (d.pop(v)) popped.push_back(v);
   done.store(true, std::memory_order_release);
   for (auto& th : thieves) th.join();
@@ -126,6 +163,9 @@ TEST(ChaseLevStressTest, OwnerVsThievesExactlyOnce) {
   ASSERT_EQ(all.size(), static_cast<std::size_t>(kItems));
   std::set<std::intptr_t> unique(all.begin(), all.end());
   EXPECT_EQ(unique.size(), static_cast<std::size_t>(kItems));
+  // Exactly-once alone would pass with a steal() that always fails: the
+  // owner's final drain pops everything.
+  EXPECT_LT(popped.size(), static_cast<std::size_t>(kItems));
 }
 
 // Concurrency stress focused on the pop/steal race over the last element.

@@ -367,6 +367,19 @@ TEST(ServiceDaemon, ReplayFileFeedSubmitsEveryInstanceJob) {
   EXPECT_THROW(daemon.feed_replay_file(bad, "replay", 0.0),
                runtime::ReplayFileError);
   EXPECT_EQ(daemon.snapshot().tenants.at("replay").submitted, 3u);
+
+  // 1e300 seconds per unit puts the arrival past the steady clock's range,
+  // where pacing's cast to a time point is undefined: the feed refuses the
+  // file before submitting any record.
+  const std::string far = ::testing::TempDir() + "daemon_replay_far.inst";
+  {
+    std::ofstream out(far, std::ios::trunc);
+    out << workload::instance_to_text(
+        testutil::make_instance({{1.0, dag::single_node(1)}}));
+  }
+  EXPECT_THROW(daemon.feed_replay_file(far, "replay", /*time_scale=*/1e300),
+               std::invalid_argument);
+  EXPECT_EQ(daemon.snapshot().tenants.at("replay").submitted, 3u);
 }
 
 TEST(ServiceDaemon, AbruptShutdownStillBalancesTheBooks) {

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/runtime/inline_fn.h"
@@ -229,6 +230,45 @@ TEST(StealKAdmissionTest, AdmissionCountsUnchangedByMultiProbeStealing) {
     EXPECT_EQ(pool.recorder().outcome_counts().completed,
               static_cast<std::uint64_t>(kJobs))
         << "steal_k=" << k;
+    // Steal-k-first's definition as a count: every admission follows at
+    // least k failed rounds since fail_count's last reset, and a failed
+    // round bumps steal_attempts without bumping successful_steals.
+    EXPECT_GE(stats.steal_attempts - stats.successful_steals,
+              std::uint64_t{k} * stats.admissions)
+        << "steal_k=" << k;
+  }
+}
+
+TEST(StealKAdmissionTest, OneWorkerFailsExactlyKRoundsPerAdmission) {
+  // One worker, and a first job that holds it until every job is queued:
+  // from then on each admission follows exactly k failed rounds (a lone
+  // worker has no victim, so every round that neither pops nor admits
+  // fails).  The failed rounds beyond k per admission are idle rounds
+  // before the first admission and after the last one, and a worker parks
+  // once its spin budget is spent, so they stay under two budgets at their
+  // cap (kSpinRoundsMax = 256 in thread_pool.cc).
+  constexpr int kJobs = 200;
+  constexpr std::uint64_t kIdleRoundsMax = 2 * 256;
+  for (unsigned k : {0u, 4u, 16u}) {
+    ThreadPool pool({.workers = 1, .steal_k = k, .seed = 13});
+    std::atomic<bool> all_queued{false};
+    pool.submit([&all_queued](TaskContext&) {
+      while (!all_queued.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    });
+    for (int j = 1; j < kJobs; ++j) pool.submit([](TaskContext&) {});
+    all_queued.store(true, std::memory_order_release);
+    pool.wait_all();
+
+    const PoolStats stats = pool.stats();
+    ASSERT_EQ(stats.admissions, static_cast<std::uint64_t>(kJobs))
+        << "steal_k=" << k;
+    EXPECT_EQ(stats.successful_steals, 0u) << "steal_k=" << k;
+    const std::uint64_t failed =
+        stats.steal_attempts - stats.successful_steals;
+    const std::uint64_t window = std::uint64_t{k} * stats.admissions;
+    EXPECT_GE(failed, window) << "steal_k=" << k;
+    EXPECT_LE(failed, window + kIdleRoundsMax) << "steal_k=" << k;
   }
 }
 

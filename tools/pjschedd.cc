@@ -62,7 +62,8 @@ int usage(const char* argv0) {
       << "  --feed-tenant=NAME      tenant for --feed records\n"
       << "  --time-scale=S          seconds per instance time unit (0 = "
          "burst)\n"
-      << "  --ns-per-unit=N         CPU ns rendered per work unit\n"
+      << "  --ns-per-unit=N         CPU ns rendered per work unit, "
+         "in [0, 1e9]\n"
       << "  --duration-ms=N         run this long, then drain and exit\n"
       << "  --status-interval-ms=N  print metrics periodically\n"
       << "  --read-deadline-ms=N    idle-connection deadline (default 5000)\n"
@@ -89,7 +90,9 @@ bool parse_args(int argc, char** argv, Options* opts) {
         opts->config.router.capacity = parse_unsigned<std::size_t>(v);
       } else if (parse_flag(arg, "ns-per-unit", &v)) {
         opts->config.ns_per_unit = parse_finite(v);
-        if (opts->config.ns_per_unit < 0.0) return false;
+        if (opts->config.ns_per_unit < 0.0 ||
+            opts->config.ns_per_unit > DaemonConfig::kMaxNsPerUnit)
+          return false;
       } else if (parse_flag(arg, "feed", &v)) {
         opts->feed_file = v;
       } else if (parse_flag(arg, "feed-tenant", &v)) {
