@@ -15,9 +15,7 @@
 #include "src/core/bounds.h"
 #include "src/dag/builders.h"
 #include "src/metrics/table.h"
-#include "src/sched/baselines.h"
-#include "src/sched/bwf.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/workload/distributions.h"
 #include "src/workload/generator.h"
 

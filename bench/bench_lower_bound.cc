@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <map>
 
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sched/work_stealing.h"
 #include "src/workload/lower_bound_instance.h"
 

@@ -12,7 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/dag/builders.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sched/work_stealing.h"
 #include "src/sim/rng.h"
 #include "src/sim/step_engine.h"

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "src/metrics/table.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sched/opt_bound.h"
 #include "src/sched/work_stealing.h"
 #include "src/workload/distributions.h"

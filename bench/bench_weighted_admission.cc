@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "src/metrics/table.h"
-#include "src/sched/bwf.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sched/work_stealing.h"
 #include "src/workload/distributions.h"
 #include "src/workload/generator.h"

@@ -37,3 +37,27 @@ pjsched_add_bench(bench_mean_vs_max)
 pjsched_add_bench(bench_trial_variance)
 pjsched_add_bench(bench_burstiness)
 pjsched_add_bench(bench_bound_tightness)
+
+# Output pins: `<bench>_output` runs the bench at its defaults and fails
+# unless it prints bench/expected/<bench>.txt byte for byte
+# (bench/check_output.cmake), so a change that moves a published table
+# fails ctest.  Left out: bench_fault_degradation, whose runtime section
+# varies from run to run, and the google-benchmark binaries, which print
+# timings.
+function(pjsched_pin_bench name)
+  add_test(NAME ${name}_output
+    COMMAND ${CMAKE_COMMAND}
+            -DBENCH=$<TARGET_FILE:${name}>
+            -DEXPECTED=${CMAKE_SOURCE_DIR}/bench/expected/${name}.txt
+            -DACTUAL=${CMAKE_BINARY_DIR}/${name}.actual
+            -P ${CMAKE_SOURCE_DIR}/bench/check_output.cmake)
+  set_tests_properties(${name}_output PROPERTIES LABELS experiments)
+endfunction()
+foreach(bench
+    bench_fig2_bing bench_fig2_finance bench_fig2_lognormal
+    bench_fig3_distributions bench_fifo_competitive bench_ws_competitive
+    bench_bwf_weighted bench_steal_k_ablation bench_stretch
+    bench_weighted_admission bench_mean_vs_max bench_trial_variance
+    bench_burstiness bench_bound_tightness)
+  pjsched_pin_bench(${bench})
+endforeach()

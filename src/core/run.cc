@@ -2,9 +2,7 @@
 
 #include <stdexcept>
 
-#include "src/sched/baselines.h"
-#include "src/sched/bwf.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sched/opt_bound.h"
 #include "src/sched/work_stealing.h"
 

@@ -1,28 +1,14 @@
 #include "src/runtime/flow_recorder.h"
 
 #include <algorithm>
-#include <functional>
-#include <thread>
 
 namespace pjsched::runtime {
 
 FlowRecorder::FlowRecorder(std::size_t shards)
     : shards_(shards == 0 ? 1 : shards) {}
 
-std::size_t FlowRecorder::thread_shard() const {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-         shards_.size();
-}
-
-void FlowRecorder::record(const Job& job) { record(job, thread_shard()); }
-
 void FlowRecorder::record(const Job& job, std::size_t shard) {
   record(job.flow_seconds(), job.weight(), job.outcome(), shard);
-}
-
-void FlowRecorder::record(double flow_seconds, double weight,
-                          JobOutcome outcome) {
-  record(flow_seconds, weight, outcome, thread_shard());
 }
 
 void FlowRecorder::record(double flow_seconds, double weight,

@@ -52,16 +52,13 @@ class FlowRecorder {
   /// lock); distinct threads writing distinct shards never contend.
   explicit FlowRecorder(std::size_t shards = 1);
 
-  /// Registers a finished job (thread-safe; called by workers).  The
-  /// outcome is read from the job; only kCompleted jobs contribute to the
-  /// flow statistics.  The shard-less overloads hash the calling thread to
-  /// a shard; the ThreadPool passes its worker index explicitly.
-  void record(const Job& job);
+  /// Registers a finished job in `shard` (thread-safe; the ThreadPool
+  /// passes the retiring worker's index).  The outcome is read from the
+  /// job; only kCompleted jobs contribute to the flow statistics.
   void record(const Job& job, std::size_t shard);
 
   /// Testing/embedding hook: record a terminal outcome directly.  A
   /// completed job's flow must be >= 0 (std::logic_error otherwise).
-  void record(double flow_seconds, double weight, JobOutcome outcome);
   void record(double flow_seconds, double weight, JobOutcome outcome,
               std::size_t shard);
 
@@ -96,8 +93,6 @@ class FlowRecorder {
         metrics::StreamingFlowStats({.reservoir = kFlowReservoir});
     OutcomeCounts counts PJSCHED_GUARDED_BY(mu);
   };
-
-  std::size_t thread_shard() const;
 
   std::vector<Shard> shards_;  // sized at construction, never resized
 };

@@ -27,7 +27,7 @@ core::StreamRunResult OptLowerBound::simulate(
     frontier = sim::fifo_frontier_advance(frontier, job.arrival, p);
     sink.record(job.id, job.arrival, job.weight, frontier);
   }
-  return sink.result(name(), core::EngineStats{});
+  return sink.result("opt-lower-bound", core::EngineStats{});
 }
 
 }  // namespace pjsched::sched

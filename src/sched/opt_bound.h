@@ -22,9 +22,6 @@
 namespace pjsched::sched {
 
 class OptLowerBound final : public Scheduler {
- public:
-  std::string name() const override { return "opt-lower-bound"; }
-
  private:
   /// Analytic; `trace` is ignored (there is no machine-model execution to
   /// audit — the bound is not a feasible schedule of the DAG instance).

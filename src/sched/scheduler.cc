@@ -1,6 +1,7 @@
 #include "src/sched/scheduler.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "src/metrics/streaming_stats.h"
 

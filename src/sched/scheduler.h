@@ -13,10 +13,10 @@
 //    a core::InstanceSource, and also fills the per-job completion and
 //    flow vectors by id, with an exact flow Summary.
 // Streamed and materialized runs are therefore one code path, and a
-// subclass overriding simulate() cannot hide either overload.
+// subclass overriding simulate() cannot hide either overload.  A run's
+// name ("fifo", "steal-16-first", ...) is its result's scheduler_name,
+// which the engine or bound that produced it spells.
 #pragma once
-
-#include <string>
 
 #include "src/core/job_source.h"
 #include "src/core/types.h"
@@ -31,9 +31,6 @@ namespace pjsched::sched {
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
-
-  /// Human-readable name ("fifo", "steal-16-first", ...).
-  virtual std::string name() const = 0;
 
   /// Simulates the instance to completion on the given machine.  If `trace`
   /// is non-null, records the execution for auditing.  Throws

@@ -4,15 +4,6 @@
 
 namespace pjsched::sched {
 
-std::string WorkStealingScheduler::name() const {
-  std::string base = steal_k_ == 0
-                         ? "admit-first"
-                         : "steal-" + std::to_string(steal_k_) + "-first";
-  if (admit_by_weight_) base += "-bwf";
-  if (steal_half_) base += "-half";
-  return base;
-}
-
 core::StreamRunResult WorkStealingScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
     metrics::StreamingFlowStats* stats, sim::Trace* trace) {

@@ -35,12 +35,6 @@ class WorkStealingScheduler final : public Scheduler {
         admit_by_weight_(admit_by_weight),
         steal_half_(steal_half) {}
 
-  std::string name() const override;
-
-  unsigned steal_k() const { return steal_k_; }
-  bool admit_by_weight() const { return admit_by_weight_; }
-  bool steal_half() const { return steal_half_; }
-
  private:
   core::StreamRunResult simulate(core::JobSource& source,
                                  const core::MachineConfig& machine,

@@ -1,11 +1,10 @@
-// Baseline scheduler tests (src/sched/baselines.h): LIFO starvation, SJF
-// clairvoyant ordering, round-robin rotation.
-#include "src/sched/baselines.h"
+// Baseline scheduler tests (src/sched/event_schedulers.h): LIFO
+// starvation, SJF clairvoyant ordering, round-robin rotation.
+#include "src/sched/event_schedulers.h"
 
 #include <gtest/gtest.h>
 
 #include "src/dag/builders.h"
-#include "src/sched/fifo.h"
 #include "tests/test_util.h"
 
 namespace pjsched {

@@ -1,12 +1,11 @@
 // Biggest-Weight-First tests (paper Section 7): weight-ordered allocation,
 // heavy jobs preempting light ones, and weighted-max-flow behaviour vs FIFO.
-#include "src/sched/bwf.h"
+#include "src/sched/event_schedulers.h"
 
 #include <gtest/gtest.h>
 
 #include "src/core/bounds.h"
 #include "src/dag/builders.h"
-#include "src/sched/fifo.h"
 #include "tests/test_util.h"
 
 namespace pjsched {
@@ -16,7 +15,7 @@ using testutil::make_weighted_instance;
 
 TEST(BwfTest, Name) {
   sched::BwfScheduler bwf;
-  EXPECT_EQ(bwf.name(), "bwf");
+  EXPECT_EQ(testutil::run_name(bwf), "bwf");
 }
 
 TEST(BwfTest, HeavierJobRunsFirst) {

@@ -25,7 +25,6 @@ class ScriptedScheduler final : public sched::Scheduler {
  public:
   explicit ScriptedScheduler(std::vector<core::Time> c, core::JobId shift = 0)
       : completion_(std::move(c)), shift_(shift) {}
-  std::string name() const override { return "scripted"; }
 
  private:
   core::StreamRunResult simulate(core::JobSource& source,
@@ -37,7 +36,7 @@ class ScriptedScheduler final : public sched::Scheduler {
       if (completion_[j.id] != core::kNoTime)
         stats->record(j.id + shift_, j.arrival, j.weight, completion_[j.id]);
     }
-    return stats->result(name(), core::EngineStats{});
+    return stats->result("scripted", core::EngineStats{});
   }
 
   std::vector<core::Time> completion_;

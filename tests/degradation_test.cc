@@ -9,7 +9,7 @@
 #include <stdexcept>
 
 #include "src/dag/builders.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sim/step_engine.h"
 #include "tests/test_util.h"
 

@@ -6,8 +6,7 @@
 #include "src/core/run.h"
 #include "src/dag/builders.h"
 #include "src/metrics/audit.h"
-#include "src/sched/baselines.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "tests/test_util.h"
 
 namespace pjsched {
@@ -93,8 +92,9 @@ TEST(EquiTest, AuditCleanOnRandomInstances) {
 
 TEST(EquiTest, FactoryAndParser) {
   EXPECT_EQ(core::parse_scheduler("equi").kind, core::SchedulerKind::kEqui);
-  EXPECT_EQ(core::make_scheduler({core::SchedulerKind::kEqui})->name(),
-            "equi");
+  EXPECT_EQ(
+      testutil::run_name(*core::make_scheduler({core::SchedulerKind::kEqui})),
+      "equi");
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 
 #include "src/dag/builders.h"
 #include "src/metrics/audit.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "tests/test_util.h"
 
 namespace pjsched {

@@ -13,9 +13,7 @@
 
 #include "src/core/run.h"
 #include "src/dag/builders.h"
-#include "src/sched/baselines.h"
-#include "src/sched/bwf.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sim/trace.h"
 #include "tests/test_util.h"
 

@@ -1,6 +1,6 @@
 // FIFO scheduler behaviour tests (paper Section 3), including an empirical
 // shape check of Theorem 3.1 on adversarial backlog instances.
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 
 #include <gtest/gtest.h>
 
@@ -16,9 +16,7 @@ using testutil::make_instance;
 
 TEST(FifoTest, Name) {
   sched::FifoScheduler fifo;
-  EXPECT_EQ(fifo.name(), "fifo");
-  auto inst = make_instance({{0.0, dag::single_node(1)}});
-  EXPECT_EQ(fifo.run(inst, {1, 1.0}).scheduler_name, "fifo");
+  EXPECT_EQ(testutil::run_name(fifo), "fifo");
 }
 
 TEST(FifoTest, EarlierJobGetsProcessorsFirst) {

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sched/work_stealing.h"
 
 namespace pjsched {

@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/dag/builders.h"
-#include "src/sched/baselines.h"
-#include "src/sched/bwf.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sched/work_stealing.h"
 #include "tests/test_util.h"
 

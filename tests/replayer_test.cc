@@ -168,10 +168,9 @@ TEST_F(ReplayFileTest, TrailingGarbageIsCorrupt) {
 // --- Weighted-admission work stealing (extension) ---
 
 TEST(WeightedAdmissionTest, NameReflectsExtension) {
-  EXPECT_EQ(sched::WorkStealingScheduler(0, 1, true).name(),
-            "admit-first-bwf");
-  EXPECT_EQ(sched::WorkStealingScheduler(8, 1, true).name(),
-            "steal-8-first-bwf");
+  sched::WorkStealingScheduler admit_first(0, 1, true), steal8(8, 1, true);
+  EXPECT_EQ(testutil::run_name(admit_first), "admit-first-bwf");
+  EXPECT_EQ(testutil::run_name(steal8), "steal-8-first-bwf");
 }
 
 TEST(WeightedAdmissionTest, HeaviestQueuedJobAdmittedFirst) {

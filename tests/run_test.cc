@@ -44,7 +44,7 @@ TEST(ParseSchedulerTest, WeightedAdmissionSuffix) {
   EXPECT_EQ(s.steal_k, 8u);
   EXPECT_TRUE(s.admit_by_weight);
   // Round-trips through the factory name.
-  EXPECT_EQ(core::make_scheduler(s)->name(), "steal-8-first-bwf");
+  EXPECT_EQ(testutil::run_name(*core::make_scheduler(s)), "steal-8-first-bwf");
   // Plain "bwf" is the centralized scheduler, not a suffix form.
   EXPECT_FALSE(core::parse_scheduler("bwf").admit_by_weight);
   // The suffix is rejected on non-work-stealing schedulers.
@@ -72,10 +72,11 @@ TEST(MakeSchedulerTest, RoundTripNames) {
        {"fifo", "bwf", "admit-first", "steal-16-first", "lifo", "sjf",
         "round-robin"}) {
     const auto sched = core::make_scheduler(core::parse_scheduler(name));
-    EXPECT_EQ(sched->name(), name);
+    EXPECT_EQ(testutil::run_name(*sched), name);
   }
-  EXPECT_EQ(core::make_scheduler(core::parse_scheduler("opt"))->name(),
-            "opt-lower-bound");
+  EXPECT_EQ(
+      testutil::run_name(*core::make_scheduler(core::parse_scheduler("opt"))),
+      "opt-lower-bound");
 }
 
 TEST(RunSchedulerTest, OneCallApi) {

@@ -14,11 +14,10 @@ namespace {
 using testutil::make_instance;
 
 TEST(StealHalfTest, NameSuffix) {
-  EXPECT_EQ(sched::WorkStealingScheduler(0, 1, false, true).name(),
-            "admit-first-half");
-  EXPECT_EQ(sched::WorkStealingScheduler(8, 1, true, true).name(),
-            "steal-8-first-bwf-half");
-  EXPECT_TRUE(sched::WorkStealingScheduler(0, 1, false, true).steal_half());
+  sched::WorkStealingScheduler half(0, 1, false, true);
+  sched::WorkStealingScheduler bwf_half(8, 1, true, true);
+  EXPECT_EQ(testutil::run_name(half), "admit-first-half");
+  EXPECT_EQ(testutil::run_name(bwf_half), "steal-8-first-bwf-half");
 }
 
 TEST(StealHalfTest, AuditCleanAndWorkConserving) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "src/dag/builders.h"
 #include "src/dag/dag.h"
 #include "src/metrics/streaming_stats.h"
+#include "src/sched/scheduler.h"
 #include "src/sim/step_engine.h"
 
 namespace pjsched::testutil {
@@ -62,6 +64,12 @@ inline core::Instance random_instance(std::uint64_t seed, std::size_t num_jobs,
     inst.jobs.push_back(std::move(spec));
   }
   return inst;
+}
+
+/// The name `scheduler` reports: the scheduler_name of a one-job run.
+inline std::string run_name(sched::Scheduler& scheduler) {
+  return scheduler.run(make_instance({{0.0, dag::single_node(1)}}), {1, 1.0})
+      .scheduler_name;
 }
 
 /// Runs the step engine over a materialized instance the way

@@ -9,7 +9,7 @@
 #include "src/core/bounds.h"
 #include "src/dag/builders.h"
 #include "src/metrics/gantt.h"
-#include "src/sched/fifo.h"
+#include "src/sched/event_schedulers.h"
 #include "src/sched/work_stealing.h"
 #include "src/sim/trace.h"
 #include "tests/test_util.h"

@@ -589,10 +589,10 @@ TEST(ThreadPoolHookTest, OnFinishMaySubmitTheNextJob) {
 
 TEST(FlowRecorderTest, OutcomeAccountingAndFlowExclusion) {
   FlowRecorder recorder;
-  recorder.record(1.0, 1.0, JobOutcome::kCompleted);
-  recorder.record(9.0, 2.0, JobOutcome::kFailed);      // excluded from flows
-  recorder.record(5.0, 1.0, JobOutcome::kDeadlineExpired);
-  recorder.record(3.0, 2.0, JobOutcome::kCompleted);
+  recorder.record(1.0, 1.0, JobOutcome::kCompleted, 0);
+  recorder.record(9.0, 2.0, JobOutcome::kFailed, 0);  // excluded from flows
+  recorder.record(5.0, 1.0, JobOutcome::kDeadlineExpired, 0);
+  recorder.record(3.0, 2.0, JobOutcome::kCompleted, 0);
   const auto counts = recorder.outcome_counts();
   EXPECT_EQ(counts.completed, 2u);
   EXPECT_EQ(counts.failed, 1u);

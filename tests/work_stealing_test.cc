@@ -15,10 +15,10 @@ namespace {
 using testutil::make_instance;
 
 TEST(WorkStealingTest, Names) {
-  EXPECT_EQ(sched::WorkStealingScheduler(0).name(), "admit-first");
-  EXPECT_EQ(sched::WorkStealingScheduler(16).name(), "steal-16-first");
-  EXPECT_EQ(sched::WorkStealingScheduler(4).name(), "steal-4-first");
-  EXPECT_EQ(sched::WorkStealingScheduler(4).steal_k(), 4u);
+  sched::WorkStealingScheduler admit_first(0), steal16(16), steal4(4);
+  EXPECT_EQ(testutil::run_name(admit_first), "admit-first");
+  EXPECT_EQ(testutil::run_name(steal16), "steal-16-first");
+  EXPECT_EQ(testutil::run_name(steal4), "steal-4-first");
 }
 
 TEST(WorkStealingTest, CompletesRandomInstancesForAllK) {

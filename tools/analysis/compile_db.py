@@ -2,7 +2,7 @@
 """Shared compile_commands.json loader for the static-analysis passes.
 
 One implementation of file discovery, build-dir exclusion, compile-arg
-extraction, and stale-export detection, imported by the pjsched_analysis
+lookup, and stale-export detection, imported by the pjsched_analysis
 driver and every one of its passes, so they all agree on what "the tree"
 is.
 
@@ -204,15 +204,3 @@ def argv_for(path: str, compile_commands: str | None) -> list[str] | None:
     except (OSError, json.JSONDecodeError, KeyError):
         return None
     return None
-
-
-def compile_args_for(path: str, compile_commands: str | None,
-                     root: str) -> list[str]:
-    """Include/define/std flags for the libclang stripper: the entry's own,
-    or just -std=c++20 for files the export does not list."""
-    argv = argv_for(path, compile_commands)
-    if argv is None:
-        args = ["-std=c++20"]
-    else:
-        args = [t for t in argv[1:] if t.startswith(("-I", "-D", "-std="))]
-    return args + [f"-I{root}"]

@@ -141,11 +141,8 @@ class LockEvent:
 class Model:
     """Registry + per-function events over a set of files."""
 
-    def __init__(self, root: str, strip_fn=None):
+    def __init__(self, root: str):
         self.root = root
-        # strip_fn(text, path) -> text with comments/strings blanked; the
-        # libclang engine substitutes a token-exact stripper here.
-        self._strip = strip_fn or (lambda text, path: strip_comments(text))
         self.classes: dict[str, list[ClassInfo]] = {}   # bare name -> infos
         self.typedefs: dict[str, str] = {}              # alias -> underlying
         self.functions: dict[str, FunctionInfo] = {}    # qualname -> info
@@ -162,7 +159,7 @@ class Model:
             with open(path, encoding="utf-8", errors="replace") as f:
                 text = f.read()
             code = _PP_LINE.sub(lambda m: " " * len(m.group(0)),
-                                self._strip(text, path))
+                                strip_comments(text))
             self.file_code[rel] = code
             self._scan_scopes(rel, code)
         self._register_typedefs()

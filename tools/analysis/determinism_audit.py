@@ -17,11 +17,12 @@ quietly break that contract; each gets a rule:
                      code — iteration order varies across libstdc++
                      versions and hash seeds; results folded in that order
                      are not reproducible
-  entropy-source     randomness or wall-clock reads anywhere in src/, and
-                     thread identity in sim/sched code, outside
-                     src/sim/rng.{h,cc} — all randomness flows through the
-                     seeded Rng and all runtime timing from steady_clock, so
-                     a run is a pure function of its seed
+  entropy-source     randomness, wall-clock reads or thread identity
+                     anywhere in src/ outside src/sim/rng.{h,cc} — all
+                     randomness flows through the seeded Rng, all runtime
+                     timing from steady_clock, and the runtime names a
+                     worker by its index, so a run is a pure function of
+                     its seed
 
 Sites with a ``// lint: allow(<rule>): <reason>`` marker within
 ALLOW_WINDOW lines are skipped.
@@ -92,19 +93,14 @@ RANGE_FOR = re.compile(r"\bfor\s*\(\s*[^;)]*?:\s*([^)]+)\)")
 
 SIM_SCHED = ("src/sim/", "src/sched/")
 
-#: Entropy sources and the path prefixes each is banned under.  Thread
-#: identity is banned in sim/sched only: the runtime hashes its own thread
-#: id to pick a FlowRecorder shard, which never reaches a result.
+#: Entropy sources, banned in every file the model reads (all of src/).
 ENTROPY = [
-    (re.compile(r"\b(?:s?rand\s*\(|drand48\b|random_device\b)"), ("src/",)),
-    (re.compile(r"\bstd::(?:mt19937(?:_64)?|default_random_engine|"
-                r"minstd_rand0?|knuth_b)\b"), ("src/",)),
-    (re.compile(r"\b(?:system_clock|gettimeofday|localtime|gmtime)\b"),
-     ("src/",)),
-    (re.compile(r"(?<![\w:])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"),
-     ("src/",)),
-    (re.compile(r"\bthis_thread::get_id\b|\bhash\s*<\s*std::thread::id\s*>"),
-     SIM_SCHED),
+    re.compile(r"\b(?:s?rand\s*\(|drand48\b|random_device\b)"),
+    re.compile(r"\bstd::(?:mt19937(?:_64)?|default_random_engine|"
+               r"minstd_rand0?|knuth_b)\b"),
+    re.compile(r"\b(?:system_clock|gettimeofday|localtime|gmtime)\b"),
+    re.compile(r"(?<![\w:])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"),
+    re.compile(r"\bthis_thread::get_id\b|\bhash\s*<\s*std::thread::id\s*>"),
 ]
 
 RNG_HOME = ("src/sim/rng.h", "src/sim/rng.cc")
@@ -202,9 +198,7 @@ def _check_entropy(model, raw_texts):
         if rel in RNG_HOME:
             continue
         code = model.file_code[rel]
-        for pat, scope in ENTROPY:
-            if not rel.startswith(scope):
-                continue
+        for pat in ENTROPY:
             for m in pat.finditer(code):
                 line = code.count("\n", 0, m.start()) + 1
                 if _allowed(raw_texts, rel, line, "entropy-source"):

@@ -16,19 +16,16 @@ Four CI-gating passes over the tree described by compile_commands.json
                  formulas, no unordered iteration in sim/sched results, no
                  entropy source in src/ outside sim/rng
 
-Engines: with the python libclang bindings importable, comments and
-string literals are blanked by exact token extents; otherwise a
-comment-aware regex stripper does the same job.  Both feed the identical
-textual model (tools/analysis/cpp_model.py), so findings do not depend on
-the engine — only stripping precision does.
+Comments and string literals are blanked by a comment-aware stripper
+(compile_db.strip_comments) before the textual model
+(tools/analysis/cpp_model.py) reads the tree, so no rule fires on prose.
 
 Usage:
   pjsched_analysis.py [--root R] [--compile-commands CC]
                       [--pass all|lock-order|blocking|annotations|
                        determinism]
                       [--hierarchy PATH] [--dot-out PATH]
-                      [--check-dot PATH] [--engine auto|libclang|regex]
-                      [files...]
+                      [--check-dot PATH] [files...]
 
 Positional files restrict *reported* findings to those paths (the model
 is still whole-program — an edge needs both sides).  Exit codes: 0 clean,
@@ -47,67 +44,14 @@ import annotations_audit
 import blocking_under_lock
 import determinism_audit
 import lock_order
-from compile_db import (StaleCompileCommandsError, discover_files,
-                        compile_args_for)
+from compile_db import StaleCompileCommandsError, discover_files
 from cpp_model import Model
 
 PASSES = ("lock-order", "blocking", "annotations", "determinism")
 
 
-def resolve_engine(requested: str) -> str:
-    if requested == "regex":
-        return "regex"
-    try:
-        import clang.cindex  # noqa: F401
-        return "libclang"
-    except ImportError:
-        if requested == "libclang":
-            sys.stderr.write(
-                "pjsched_analysis: --engine libclang requested but the "
-                "python clang bindings are not importable\n")
-            sys.exit(2)
-        return "regex"
-
-
-def make_libclang_strip(compile_commands, root):
-    """Token-exact comment/string blanking via libclang; falls back to
-    the regex stripper per file on any parse hiccup."""
-    import clang.cindex as ci
-    from compile_db import strip_comments
-    index = ci.Index.create()
-
-    def strip(text: str, path: str) -> str:
-        try:
-            args = compile_args_for(path, compile_commands, root)
-            tu = index.parse(path, args=args)
-            out = list(text)
-
-            def blank(lo: int, hi: int) -> None:
-                for j in range(lo, min(hi, len(out))):
-                    if out[j] != "\n":
-                        out[j] = " "
-
-            for tok in tu.get_tokens(extent=tu.cursor.extent):
-                lo = tok.extent.start.offset
-                hi = tok.extent.end.offset
-                if tok.kind == ci.TokenKind.COMMENT:
-                    blank(lo, hi)
-                elif tok.kind == ci.TokenKind.LITERAL and (
-                        tok.spelling[:1] in ("\"", "'")
-                        or tok.spelling[:2] in ('R"', 'u"', 'L"', 'U"')):
-                    blank(lo + 1, hi - 1)
-            return "".join(out)
-        except Exception:  # noqa: BLE001 — engine fallback by design
-            return strip_comments(text)
-
-    return strip
-
-
-def build_model(root, files, engine, compile_commands):
-    strip_fn = None
-    if engine == "libclang":
-        strip_fn = make_libclang_strip(compile_commands, root)
-    model = Model(root, strip_fn=strip_fn)
+def build_model(root, files):
+    model = Model(root)
     model.add_files(files)
     model.finalize()
     return model
@@ -142,8 +86,6 @@ def main(argv=None) -> int:
     ap.add_argument("--check-dot", default=None,
                     help="fail unless this DOT file matches the "
                     "extracted graph byte-for-byte")
-    ap.add_argument("--engine", default="auto",
-                    choices=("auto", "libclang", "regex"))
     ap.add_argument("files", nargs="*",
                     help="restrict reported findings to these paths")
     args = ap.parse_args(argv)
@@ -160,7 +102,6 @@ def main(argv=None) -> int:
         if os.path.isfile(default_h):
             hierarchy = default_h
 
-    engine = resolve_engine(args.engine)
     try:
         files = discover_files(root, cc, subdirs=("src",),
                                tool="pjsched_analysis")
@@ -168,7 +109,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"pjsched_analysis: {exc}\n")
         return 2
 
-    model = build_model(root, files, engine, cc)
+    model = build_model(root, files)
     raw_texts = read_raw(root, files)
     selected = PASSES if args.passes == "all" else (args.passes,)
 
@@ -214,11 +155,11 @@ def main(argv=None) -> int:
     for f in findings:
         print(f)
     if findings:
-        print(f"pjsched_analysis: {len(findings)} finding(s) "
-              f"[engine={engine}]", file=sys.stderr)
+        print(f"pjsched_analysis: {len(findings)} finding(s)",
+              file=sys.stderr)
         return 1
     print(f"pjsched_analysis: OK ({len(files)} files clean, "
-          f"{len(selected)} pass(es), engine={engine})")
+          f"{len(selected)} pass(es))")
     return 0
 
 

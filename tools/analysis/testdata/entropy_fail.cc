@@ -1,7 +1,7 @@
 // Fixture: ambient randomness, wall-clock reads and thread identity — the
 // run is no longer a function of its seed.  Staged anywhere in src/ (not
-// sim/rng.cc) the first four functions fire [entropy-source];
-// thread_slot() fires only under src/sim or src/sched.
+// sim/rng.cc) every function fires [entropy-source], thread_slot() twice
+// (the hash and the read).
 #include <chrono>
 #include <cstdlib>
 #include <functional>
